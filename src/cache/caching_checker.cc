@@ -38,7 +38,11 @@ const std::vector<VertexId>* CachingChecker::BallWithinK(VertexId pivot,
       ball = std::make_shared<const std::vector<VertexId>>(*inner_ball);
     } else {
       RecordChecks(1);  // one traversal-equivalent, mirroring BfsChecker
-      ball = std::make_shared<const std::vector<VertexId>>(bfs_.Ball(pivot, k));
+      // Cached balls are long-lived and charged by capacity: store them
+      // exactly sized, not with the BFS's growth slack.
+      std::vector<VertexId> fresh = bfs_.Ball(pivot, k);
+      fresh.shrink_to_fit();
+      ball = std::make_shared<const std::vector<VertexId>>(std::move(fresh));
     }
     cache_->PutBall(pivot, k, ball, epoch_);
   }

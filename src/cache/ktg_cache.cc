@@ -22,12 +22,10 @@ size_t BallBytes(const std::vector<VertexId>& ball) {
   return ball.capacity() * sizeof(VertexId) + sizeof(ball);
 }
 
-size_t ResultBytes(const std::vector<std::vector<VertexId>>& groups) {
-  size_t b = sizeof(groups);
-  for (const auto& g : groups) {
-    b += g.capacity() * sizeof(VertexId) + sizeof(g);
-  }
-  return b;
+size_t ResultBytes(const std::vector<VertexId>& members,
+                   const std::vector<uint32_t>& ends) {
+  return sizeof(members) + members.capacity() * sizeof(VertexId) +
+         sizeof(ends) + ends.capacity() * sizeof(uint32_t);
 }
 
 void ExportTier(obs::MetricsRegistry& registry, const char* hits,
@@ -111,14 +109,17 @@ bool KtgCache::LookupQuery(const QueryKey& key, const AttributedGraph& g,
     return false;
   }
   out->groups.clear();
-  out->groups.reserve(stored->groups.size());
-  for (const auto& members : stored->groups) {
+  out->groups.reserve(stored->ends.size());
+  uint32_t begin = 0;
+  for (const uint32_t end : stored->ends) {
     Group group;
-    group.members = members;
+    group.members.assign(stored->members.begin() + begin,
+                         stored->members.begin() + end);
+    begin = end;
     // Masks are relative to W_Q bit order, which the canonical key erases;
     // recompute them for the *incoming* keyword order so a hit through a
     // permuted query is bit-exact with a fresh run of that query.
-    for (VertexId v : members) {
+    for (VertexId v : group.members) {
       group.mask |= CoverMaskOf(g, v, query.keywords);
     }
     out->groups.push_back(std::move(group));
@@ -132,9 +133,16 @@ void KtgCache::StoreQuery(const QueryKey& key, const KtgResult& result,
                           uint64_t pinned_epoch) {
   auto stored = std::make_shared<StoredResult>();
   stored->epoch = ResolveEpoch(pinned_epoch);
-  stored->groups.reserve(result.groups.size());
-  for (const Group& g : result.groups) stored->groups.push_back(g.members);
-  const size_t bytes = ResultBytes(stored->groups);
+  size_t num_members = 0;
+  for (const Group& g : result.groups) num_members += g.members.size();
+  stored->members.reserve(num_members);
+  stored->ends.reserve(result.groups.size());
+  for (const Group& g : result.groups) {
+    stored->members.insert(stored->members.end(), g.members.begin(),
+                           g.members.end());
+    stored->ends.push_back(static_cast<uint32_t>(stored->members.size()));
+  }
+  const size_t bytes = ResultBytes(stored->members, stored->ends);
   queries_.Put(key, std::move(stored), bytes);
 }
 
@@ -163,7 +171,9 @@ void KtgCache::OnEdgeInserted(const Graph& old_graph, VertexId a, VertexId b) {
 }
 
 void KtgCache::OnEdgeRemoved(const Graph& old_graph, VertexId a, VertexId b) {
-  AdvanceEpoch(epoch() + 1, AffectedByDeletion(old_graph, a, b));
+  AdvanceEpoch(epoch() + 1,
+               AffectedByDeletion(old_graph, WithEdgeRemoved(old_graph, a, b),
+                                  a, b));
 }
 
 void KtgCache::InvalidateAll() {

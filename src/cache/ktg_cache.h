@@ -172,10 +172,13 @@ class KtgCache {
   };
 
   /// A stored result: member lists only — masks depend on the querying
-  /// W_Q's bit order and are recomputed on every hit.
+  /// W_Q's bit order and are recomputed on every hit. The lists are
+  /// flattened (group i is members[ends[i-1], ends[i])), so an entry holds
+  /// two allocations whatever N is.
   struct StoredResult {
     uint64_t epoch = 0;
-    std::vector<std::vector<VertexId>> groups;
+    std::vector<VertexId> members;
+    std::vector<uint32_t> ends;
   };
 
   uint64_t ResolveEpoch(uint64_t pinned_epoch) const {

@@ -3,6 +3,7 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "cache/ktg_cache.h"
@@ -17,14 +18,16 @@ namespace ktg {
 
 namespace {
 
-// One applied (non-noop) edge delta, in application order. The affected
-// set is computed against the graph state immediately *before* the delta,
-// as index/affected.h requires.
-struct EdgeDelta {
-  bool insert;
-  VertexId a;
-  VertexId b;
-};
+// A copy of `cur` (a `Checker`) with `rows` rebuilt against `graph`. For
+// NLRNL the copy shares every entry outside `rows` with `cur`.
+template <typename Checker>
+std::shared_ptr<DistanceChecker> RebuiltCopy(const DistanceChecker& cur,
+                                             const Graph& graph,
+                                             std::span<const VertexId> rows) {
+  auto copy = std::make_shared<Checker>(static_cast<const Checker&>(cur));
+  copy->RebuildRows(graph, rows);
+  return copy;
+}
 
 Status ValidateEndpoints(const char* what, VertexId a, VertexId b,
                          uint32_t n) {
@@ -119,28 +122,26 @@ Result<SnapshotStore::ApplyInfo> SnapshotStore::Apply(
 
   ApplyInfo info;
 
-  // Evolve the topology delta by delta, collecting per-delta affected sets
-  // (each against its own pre-delta graph) and the applied-delta sequence
-  // the incremental checker update replays.
+  // Evolve the topology delta by delta, collecting the union of per-delta
+  // affected sets, each exact for its own pre/post-delta graph pair
+  // (index/affected.h). A vertex whose distances differ between the first
+  // and the last graph differs across some single delta, so the union
+  // covers every row the final graph changes.
   Graph g = cur->graph().graph();
-  std::vector<EdgeDelta> applied;
   std::vector<VertexId> affected;
   auto apply_edge = [&](bool insert, VertexId a, VertexId b) {
     if (g.HasEdge(a, b) == insert) {
       ++info.noop_deltas;
       return;
     }
+    Graph next = insert ? WithEdgeAdded(g, a, b) : WithEdgeRemoved(g, a, b);
     const std::vector<VertexId> delta_affected =
-        insert ? AffectedByInsertion(g, a, b) : AffectedByDeletion(g, a, b);
+        insert ? AffectedByInsertion(g, a, b)
+               : AffectedByDeletion(g, next, a, b);
     affected.insert(affected.end(), delta_affected.begin(),
                     delta_affected.end());
-    g = insert ? WithEdgeAdded(g, a, b) : WithEdgeRemoved(g, a, b);
-    applied.push_back(EdgeDelta{insert, a, b});
-    if (insert) {
-      ++info.edges_added;
-    } else {
-      ++info.edges_removed;
-    }
+    g = std::move(next);
+    ++(insert ? info.edges_added : info.edges_removed);
   };
   for (const auto& [a, b] : batch.add_edges) apply_edge(true, a, b);
   for (const auto& [a, b] : batch.remove_edges) apply_edge(false, a, b);
@@ -166,55 +167,27 @@ Result<SnapshotStore::ApplyInfo> SnapshotStore::Apply(
   }
   AttributedGraph next_graph = builder.Build();
 
-  // Incremental checker update: copy the predecessor's checker and repair
-  // only what the deltas touched; share it outright when topology is
-  // unchanged (keyword-only batches).
-  std::shared_ptr<DistanceChecker> checker;
-  if (cur->checker_kind() == CheckerKind::kBfs) {
-    checker = nullptr;
-  } else if (applied.empty()) {
-    checker = cur->shared_checker();
-  } else {
+  // Incremental checker update: copy the predecessor's checker and rebuild
+  // the union once, against the final graph; share it outright when the
+  // topology is unchanged (keyword-only batches).
+  std::shared_ptr<DistanceChecker> checker = cur->shared_checker();
+  if (info.edges_added + info.edges_removed > 0) {
+    const Graph& final_graph = next_graph.graph();
     switch (cur->checker_kind()) {
-      case CheckerKind::kNl: {
-        auto copy = std::make_shared<NlIndex>(
-            static_cast<const NlIndex&>(*cur->checker()));
-        for (const EdgeDelta& d : applied) {
-          if (d.insert) {
-            copy->InsertEdge(d.a, d.b);
-          } else {
-            copy->RemoveEdge(d.a, d.b);
-          }
-          info.checker_rebuilds += copy->last_update_rebuilds();
-        }
-        checker = std::move(copy);
+      case CheckerKind::kNl:
+        checker = RebuiltCopy<NlIndex>(*checker, final_graph, affected);
         break;
-      }
-      case CheckerKind::kNlrnl: {
-        auto copy = std::make_shared<NlrnlIndex>(
-            static_cast<const NlrnlIndex&>(*cur->checker()));
-        for (const EdgeDelta& d : applied) {
-          if (d.insert) {
-            copy->InsertEdge(d.a, d.b);
-          } else {
-            copy->RemoveEdge(d.a, d.b);
-          }
-          info.checker_rebuilds += copy->last_update_rebuilds();
-        }
-        checker = std::move(copy);
+      case CheckerKind::kNlrnl:
+        checker = RebuiltCopy<NlrnlIndex>(*checker, final_graph, affected);
         break;
-      }
-      case CheckerKind::kKHopBitmap: {
-        auto copy = std::make_shared<KHopBitmapChecker>(
-            static_cast<const KHopBitmapChecker&>(*cur->checker()));
-        copy->RebuildRows(next_graph.graph(), affected);
-        info.checker_rebuilds += affected.size();
-        checker = std::move(copy);
+      case CheckerKind::kKHopBitmap:
+        checker =
+            RebuiltCopy<KHopBitmapChecker>(*checker, final_graph, affected);
         break;
-      }
       case CheckerKind::kBfs:
-        break;  // handled above
+        break;  // no checker object; readers build their own
     }
+    if (checker != nullptr) info.checker_rebuilds = affected.size();
   }
 
   // Epoch handoff to the cache *before* the snapshot becomes visible: no

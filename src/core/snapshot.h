@@ -10,9 +10,11 @@
 //            distance checker all from one epoch, cache accesses tagged
 //            with that epoch (EngineOptions::snapshot_epoch);
 //   publish  the writer builds the next snapshot off to the side (copying
-//            the checker and rebuilding only the entries of the affected
-//            vertex set, index/affected.h), advances the cache epoch, then
-//            atomically swaps the current pointer;
+//            the checker and rebuilding, once and against the final graph,
+//            only the rows of the union of the batch's exact affected sets,
+//            index/affected.h; NLRNL copies share every other entry),
+//            advances the cache epoch, then atomically swaps the current
+//            pointer;
 //   retire   the previous snapshot joins the retired list; it stays fully
 //            valid for the readers still pinning it;
 //   reclaim  when the last pin drops, the shared_ptr's control block frees
@@ -132,11 +134,13 @@ class SnapshotStore {
     uint64_t edges_removed = 0;
     uint64_t keywords_added = 0;
     uint64_t noop_deltas = 0;  ///< already-satisfied edge deltas, skipped
-    /// Size of the union of per-delta affected sets (cache balls erased,
-    /// bitmap rows rebuilt).
+    /// Size of the union of the per-delta exact affected sets
+    /// (index/affected.h): the cache balls erased.
     uint64_t affected_vertices = 0;
-    /// Index entries the incremental checker update rebuilt (NL/NLRNL:
-    /// summed last_update_rebuilds; bitmap: rows recomputed; BFS: 0).
+    /// Checker rows (NL lists, NLRNL entries, bitmap rows) rebuilt, each
+    /// counted once: the union is rebuilt in one pass against the final
+    /// graph, so this equals affected_vertices for the index kinds and is
+    /// 0 for BFS and keyword-only batches.
     uint64_t checker_rebuilds = 0;
     double publish_ms = 0.0;  ///< wall time from Apply entry to publish
     uint64_t retired_live = 0;  ///< retired snapshots still pinned afterwards

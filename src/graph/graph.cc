@@ -66,7 +66,35 @@ Graph GraphBuilder::Build() {
   return g;
 }
 
+Graph Graph::Spliced(const Graph& graph, VertexId a, VertexId b,
+                     bool insert) {
+  const uint32_t n = graph.num_vertices();
+  Graph out;
+  out.offsets_.resize(n + 1);
+  out.neighbors_.reserve(graph.neighbors_.size() + (insert ? 2 : 0));
+  for (VertexId v = 0; v < n; ++v) {
+    const auto nbrs = graph.Neighbors(v);
+    if (v == a || v == b) {
+      const VertexId other = v == a ? b : a;
+      const auto pos = std::lower_bound(nbrs.begin(), nbrs.end(), other);
+      out.neighbors_.insert(out.neighbors_.end(), nbrs.begin(), pos);
+      if (insert) out.neighbors_.push_back(other);
+      out.neighbors_.insert(out.neighbors_.end(), insert ? pos : pos + 1,
+                            nbrs.end());
+    } else {
+      out.neighbors_.insert(out.neighbors_.end(), nbrs.begin(), nbrs.end());
+    }
+    out.offsets_[v + 1] = out.neighbors_.size();
+  }
+  return out;
+}
+
 Graph WithEdgeAdded(const Graph& graph, VertexId a, VertexId b) {
+  if (a < graph.num_vertices() && b < graph.num_vertices()) {
+    if (a == b || graph.HasEdge(a, b)) return graph;
+    return Graph::Spliced(graph, a, b, /*insert=*/true);
+  }
+  // An endpoint out of range grows the vertex set: rebuild.
   GraphBuilder gb(graph.num_vertices());
   for (const auto& [u, v] : graph.EdgeList()) gb.AddEdge(u, v);
   gb.AddEdge(a, b);
@@ -74,13 +102,8 @@ Graph WithEdgeAdded(const Graph& graph, VertexId a, VertexId b) {
 }
 
 Graph WithEdgeRemoved(const Graph& graph, VertexId a, VertexId b) {
-  if (a > b) std::swap(a, b);
-  GraphBuilder gb(graph.num_vertices());
-  for (const auto& [u, v] : graph.EdgeList()) {
-    if (u == a && v == b) continue;
-    gb.AddEdge(u, v);
-  }
-  return gb.Build();
+  if (!graph.HasEdge(a, b)) return graph;
+  return Graph::Spliced(graph, a, b, /*insert=*/false);
 }
 
 }  // namespace ktg

@@ -66,6 +66,13 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  friend Graph WithEdgeAdded(const Graph& graph, VertexId a, VertexId b);
+  friend Graph WithEdgeRemoved(const Graph& graph, VertexId a, VertexId b);
+
+  // Copy of `graph` with the in-range edge {a, b} (a != b) inserted into or
+  // removed from both adjacency lists; one O(n + m) pass, no re-sort.
+  static Graph Spliced(const Graph& graph, VertexId a, VertexId b,
+                       bool insert);
 
   std::vector<uint64_t> offsets_ = {0};  // size n+1
   std::vector<VertexId> neighbors_;      // size 2m, sorted per vertex

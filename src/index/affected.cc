@@ -32,13 +32,18 @@ std::vector<VertexId> AffectedByInsertion(const Graph& old_graph, VertexId a,
   return out;
 }
 
-std::vector<VertexId> AffectedByDeletion(const Graph& old_graph, VertexId a,
+std::vector<VertexId> AffectedByDeletion(const Graph& old_graph,
+                                         const Graph& new_graph, VertexId a,
                                          VertexId b) {
-  const auto da = DistancesFrom(old_graph, a);
-  const auto db = DistancesFrom(old_graph, b);
+  KTG_CHECK_MSG(old_graph.num_vertices() == new_graph.num_vertices(),
+                "AffectedByDeletion: vertex sets differ");
+  const auto da_old = DistancesFrom(old_graph, a);
+  const auto db_old = DistancesFrom(old_graph, b);
+  const auto da_new = DistancesFrom(new_graph, a);
+  const auto db_new = DistancesFrom(new_graph, b);
   std::vector<VertexId> out;
   for (VertexId u = 0; u < old_graph.num_vertices(); ++u) {
-    if (DistanceGap(da[u], db[u]) == 1) out.push_back(u);
+    if (da_old[u] != da_new[u] || db_old[u] != db_new[u]) out.push_back(u);
   }
   return out;
 }

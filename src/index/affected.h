@@ -4,20 +4,28 @@
 //
 // Both the NL and NLRNL indexes are per-vertex materializations of BFS
 // levels, so after an edge change it suffices to rebuild the vertices whose
-// single-source shortest-path structure can have changed. Two classical
-// facts bound that set:
+// single-source distance vector d(u, ·) changes. Both functions return
+// exactly that set, {u : d_old(u, ·) != d_new(u, ·)}:
 //
-//  * Insertion of {a, b}: vertex u gains a shorter path to some target iff
-//    |d(u,a) - d(u,b)| >= 2 in the old graph (otherwise routing through the
-//    new edge never beats existing paths). Newly connected vertices (exactly
-//    one of the distances finite) are included.
-//  * Deletion of {a, b}: the edge lies on some shortest path from u iff
-//    |d(u,a) - d(u,b)| == 1 in the old graph (with the edge still present);
-//    only such u can lose a shortest path.
+//  * Insertion of {a, b}: u gains a shorter path to some target iff
+//    |d(u,a) - d(u,b)| >= 2 in the old graph (then d(u,b) drops to
+//    d(u,a) + 1, or the reverse; with a gap of at most 1, routing through
+//    the new edge never beats an existing path). Newly connected vertices
+//    (exactly one of the distances finite) are included.
+//  * Deletion of {a, b}: u is affected iff d(u,a) or d(u,b) differs between
+//    the old and the new graph. If deleting the edge changes some d(u,x),
+//    every shortest u→x path runs a→b in one fixed direction (say a before
+//    b, so d(u,b) = d(u,a) + 1). Were d(u,b) unchanged, a shortest u→b path
+//    avoiding the edge plus the old b→x suffix would keep d(u,x). So the
+//    endpoint distances witness every change; the converse is immediate.
+//    (The older test |d(u,a) - d(u,b)| == 1 is necessary but not
+//    sufficient: it flags every u with *some* shortest path over the edge,
+//    most of which have an alternative of the same length.)
 //
-// Moreover, if a *pair* (w, x) changes distance, both w and x satisfy the
-// respective criterion, so rebuilding the affected vertices also repairs all
-// halved (smaller-id-side) pair storage.
+// Pair symmetry: if a pair (w, x) changes distance, both d(w, ·) and
+// d(x, ·) change, so both w and x are in the set. Rebuilding the affected
+// vertices therefore also repairs all halved (smaller-id-side) pair
+// storage, every k-hop bitmap row and every cached ball.
 
 #ifndef KTG_INDEX_AFFECTED_H_
 #define KTG_INDEX_AFFECTED_H_
@@ -29,14 +37,17 @@
 
 namespace ktg {
 
-/// Vertices whose BFS levels may change when edge {a, b} is inserted.
+/// Vertices whose BFS levels change when edge {a, b} is inserted.
 /// `old_graph` must not yet contain the edge. Sorted by id.
 std::vector<VertexId> AffectedByInsertion(const Graph& old_graph, VertexId a,
                                           VertexId b);
 
-/// Vertices whose BFS levels may change when edge {a, b} is deleted.
-/// `old_graph` must still contain the edge. Sorted by id.
-std::vector<VertexId> AffectedByDeletion(const Graph& old_graph, VertexId a,
+/// Vertices whose BFS levels change when edge {a, b} is deleted.
+/// `old_graph` must still contain the edge and `new_graph` must equal
+/// `old_graph` without it (callers that apply the deletion already hold
+/// both). Four BFS. Sorted by id.
+std::vector<VertexId> AffectedByDeletion(const Graph& old_graph,
+                                         const Graph& new_graph, VertexId a,
                                          VertexId b);
 
 }  // namespace ktg

@@ -131,26 +131,28 @@ size_t NlIndex::MemoryBytes() const {
   return bytes;
 }
 
+void NlIndex::RebuildRows(const Graph& graph, std::span<const VertexId> rows) {
+  KTG_CHECK_MSG(graph.num_vertices() == graph_.num_vertices(),
+                "RebuildRows requires the original vertex count");
+  graph_ = graph;
+  BoundedBfs bfs(graph_);
+  for (const VertexId v : rows) BuildVertex(v, bfs);
+  last_update_rebuilds_ = rows.size();
+}
+
 void NlIndex::InsertEdge(VertexId a, VertexId b) {
   last_update_rebuilds_ = 0;
   const uint32_t n = graph_.num_vertices();
   if (a == b || a >= n || b >= n || graph_.HasEdge(a, b)) return;
-  const auto affected = AffectedByInsertion(graph_, a, b);
-  graph_ = WithEdgeAdded(graph_, a, b);
-  BoundedBfs bfs(graph_);
-  for (const VertexId v : affected) BuildVertex(v, bfs);
-  last_update_rebuilds_ = affected.size();
+  RebuildRows(WithEdgeAdded(graph_, a, b), AffectedByInsertion(graph_, a, b));
 }
 
 void NlIndex::RemoveEdge(VertexId a, VertexId b) {
   last_update_rebuilds_ = 0;
-  if (a >= graph_.num_vertices() || b >= graph_.num_vertices()) return;
-  if (!graph_.HasEdge(a, b)) return;
-  const auto affected = AffectedByDeletion(graph_, a, b);
-  graph_ = WithEdgeRemoved(graph_, a, b);
-  BoundedBfs bfs(graph_);
-  for (const VertexId v : affected) BuildVertex(v, bfs);
-  last_update_rebuilds_ = affected.size();
+  const uint32_t n = graph_.num_vertices();
+  if (a >= n || b >= n || !graph_.HasEdge(a, b)) return;
+  const Graph next = WithEdgeRemoved(graph_, a, b);
+  RebuildRows(next, AffectedByDeletion(graph_, next, a, b));
 }
 
 }  // namespace ktg

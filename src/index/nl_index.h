@@ -18,6 +18,7 @@
 #define KTG_INDEX_NL_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -76,14 +77,20 @@ class NlIndex final : public DistanceChecker {
     return lists_[v].levels[i];
   }
 
-  /// Applies an edge insertion: rebuilds the lists of all vertices whose
-  /// level structure may change. No-op when the edge already exists.
-  void InsertEdge(VertexId a, VertexId b);
+  /// Adopts `graph` (same vertex count, checked) and rebuilds the lists of
+  /// `rows` against it from scratch (memoized expansions of those rows are
+  /// dropped); every other list is kept. Exact when `rows` covers every
+  /// vertex whose distances differ between the old and the new graph
+  /// (index/affected.h).
+  void RebuildRows(const Graph& graph, std::span<const VertexId> rows);
 
-  /// Applies an edge deletion; no-op when the edge is absent.
+  /// Single-edge wrappers over RebuildRows with the affected set of
+  /// index/affected.h. No-op when the edge already exists (insert), is
+  /// absent (remove), is a self-loop or is out of range.
+  void InsertEdge(VertexId a, VertexId b);
   void RemoveEdge(VertexId a, VertexId b);
 
-  /// Number of vertices rebuilt by the last InsertEdge/RemoveEdge.
+  /// Number of vertices rebuilt by the last update call.
   uint64_t last_update_rebuilds() const { return last_update_rebuilds_; }
 
   const Graph& graph() const { return graph_; }

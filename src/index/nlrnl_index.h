@@ -19,11 +19,19 @@
 // Disconnected graphs: absence could otherwise be confused with
 // unreachability, so the index keeps component labels and answers
 // cross-component queries as "farther" directly.
+//
+// Copy-on-write entries: each vertex's levels live in one immutable
+// allocation shared by every copy of the index. Copying the index for a new
+// snapshot epoch copies n pointers; RebuildRows installs fresh allocations
+// for the rebuilt vertices and never writes into a shared one, so readers
+// pinned to an older copy keep their entries untouched.
 
 #ifndef KTG_INDEX_NLRNL_INDEX_H_
 #define KTG_INDEX_NLRNL_INDEX_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -62,26 +70,30 @@ class NlrnlIndex final : public DistanceChecker {
   bool concurrent_read_safe() const override { return true; }
 
   /// The per-vertex unstored level c.
-  uint32_t c_value(VertexId v) const { return entries_[v].c; }
+  uint32_t c_value(VertexId v) const { return entries_[v][0]; }
 
   /// Number of forward levels stored for `v` (== c-1, possibly fewer when
   /// the component is shallow).
-  uint32_t num_forward_levels(VertexId v) const {
-    return static_cast<uint32_t>(entries_[v].forward.size());
-  }
+  uint32_t num_forward_levels(VertexId v) const { return entries_[v][1]; }
   /// Number of reverse levels stored for `v` (levels c+1 .. c+count).
-  uint32_t num_reverse_levels(VertexId v) const {
-    return static_cast<uint32_t>(entries_[v].reverse.size());
-  }
+  uint32_t num_reverse_levels(VertexId v) const { return entries_[v][2]; }
 
-  /// Applies an edge insertion: rebuilds every affected vertex entry and
-  /// refreshes component labels. No-op when the edge already exists.
+  /// Adopts `graph` (same vertex count, checked) and recomputes the entries
+  /// of `rows` against it, plus the component labels; every other entry is
+  /// kept (and stays shared with the copies it came from). Exact when
+  /// `rows` covers every vertex whose distances differ between the old and
+  /// the new graph (index/affected.h), because a pair that changes distance
+  /// has both endpoints in that set. Not safe concurrently with readers of
+  /// this object; call on a private copy before publishing it.
+  void RebuildRows(const Graph& graph, std::span<const VertexId> rows);
+
+  /// Single-edge wrappers over RebuildRows with the affected set of
+  /// index/affected.h. No-op when the edge already exists (insert), is
+  /// absent (remove), is a self-loop or is out of range.
   void InsertEdge(VertexId a, VertexId b);
-
-  /// Applies an edge deletion; no-op when the edge is absent.
   void RemoveEdge(VertexId a, VertexId b);
 
-  /// Number of vertex entries rebuilt by the last InsertEdge/RemoveEdge.
+  /// Number of vertex entries rebuilt by the last update call.
   uint64_t last_update_rebuilds() const { return last_update_rebuilds_; }
 
   const Graph& graph() const { return graph_; }
@@ -94,13 +106,18 @@ class NlrnlIndex final : public DistanceChecker {
   friend Result<NlrnlIndex> LoadNlrnlIndex(const std::string&);
   NlrnlIndex() = default;
 
-  struct VertexEntry {
-    uint32_t c = 2;
-    // forward[i] = sorted (i+1)-hop neighbors with id > owner, i+1 <= c-1.
-    std::vector<std::vector<VertexId>> forward;
-    // reverse[j] = sorted (c+1+j)-hop neighbors with id > owner.
-    std::vector<std::vector<VertexId>> reverse;
-  };
+  // One vertex's stored levels in a single immutable allocation:
+  //   [c, nf, nr, off[0] .. off[nf+nr], ids ...]
+  // Stored level i is ids[off[i], off[i+1]): i < nf is the forward level
+  // i+1, i >= nf the reverse level c+1+(i-nf). Each level holds the sorted
+  // neighbors at that distance with id > owner.
+  using PackedEntry = std::shared_ptr<const uint32_t[]>;
+
+  // Packs `levels` (the nf forward levels, then the reverse levels).
+  static PackedEntry Pack(uint32_t c, uint32_t nf,
+                          std::span<const std::span<const VertexId>> levels);
+  // Stored level i of a packed entry.
+  static std::span<const VertexId> Level(const uint32_t* entry, uint32_t i);
 
   // Builds every vertex entry, partitioned over options_.num_threads
   // workers (identical output for every thread count).
@@ -110,7 +127,7 @@ class NlrnlIndex final : public DistanceChecker {
 
   Graph graph_;
   NlrnlIndexOptions options_;
-  std::vector<VertexEntry> entries_;
+  std::vector<PackedEntry> entries_;
   std::vector<uint32_t> component_;
   uint64_t last_update_rebuilds_ = 0;
 };

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <vector>
 
 namespace ktg {
@@ -44,7 +45,7 @@ class Writer {
   void U8(uint8_t v) { Raw(&v, sizeof v); }
   void U32(uint32_t v) { Raw(&v, sizeof v); }
   void U64(uint64_t v) { Raw(&v, sizeof v); }
-  void Ids(const std::vector<VertexId>& v) {
+  void Ids(std::span<const VertexId> v) {
     U64(v.size());
     if (!v.empty()) Raw(v.data(), v.size() * sizeof(VertexId));
   }
@@ -243,10 +244,18 @@ Status SaveNlrnlIndex(const NlrnlIndex& index, const std::string& path) {
   w.U32(index.options_.max_c);
   const uint32_t n = index.graph_.num_vertices();
   for (VertexId v = 0; v < n; ++v) {
-    const auto& entry = index.entries_[v];
-    w.U32(entry.c);
-    w.Levels(entry.forward);
-    w.Levels(entry.reverse);
+    // The packed entry is written as the c, forward-levels, reverse-levels
+    // stream of format version 1.
+    const uint32_t* entry = index.entries_[v].get();
+    const uint32_t nf = entry[1];
+    const uint32_t nr = entry[2];
+    w.U32(entry[0]);
+    w.U64(nf);
+    for (uint32_t i = 0; i < nf; ++i) w.Ids(NlrnlIndex::Level(entry, i));
+    w.U64(nr);
+    for (uint32_t i = nf; i < nf + nr; ++i) {
+      w.Ids(NlrnlIndex::Level(entry, i));
+    }
   }
   return w.Finish(path);
 }
@@ -263,10 +272,15 @@ Result<NlrnlIndex> LoadNlrnlIndex(const std::string& path) {
   const uint32_t n = index.graph_.num_vertices();
   index.entries_.resize(n);
   for (VertexId v = 0; v < n && !r.failed(); ++v) {
-    auto& entry = index.entries_[v];
-    entry.c = r.U32();
-    entry.forward = r.Levels(/*max_levels=*/1 << 20, n);
-    entry.reverse = r.Levels(/*max_levels=*/1 << 20, n);
+    const uint32_t c = r.U32();
+    auto levels = r.Levels(/*max_levels=*/1 << 20, n);
+    const auto nf = static_cast<uint32_t>(levels.size());
+    for (auto& level : r.Levels(/*max_levels=*/1 << 20, n)) {
+      levels.push_back(std::move(level));
+    }
+    const std::vector<std::span<const VertexId>> spans(levels.begin(),
+                                                       levels.end());
+    index.entries_[v] = NlrnlIndex::Pack(c, nf, spans);
   }
   KTG_RETURN_IF_ERROR(r.VerifyChecksum());
   // Component labels are derived state; recompute rather than store.

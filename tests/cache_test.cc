@@ -263,15 +263,15 @@ TEST(CacheInvalidationTest, NoStaleBallSurvivesAnUpdate) {
       b = static_cast<VertexId>(rng.Below(topo.num_vertices()));
     } while (a == b || topo.HasEdge(a, b) != deletion);
 
-    const auto affected = deletion ? AffectedByDeletion(topo, a, b)
+    const Graph updated =
+        deletion ? WithEdgeRemoved(topo, a, b) : WithEdgeAdded(topo, a, b);
+    const auto affected = deletion ? AffectedByDeletion(topo, updated, a, b)
                                    : AffectedByInsertion(topo, a, b);
     if (deletion) {
       cache.OnEdgeRemoved(topo, a, b);
     } else {
       cache.OnEdgeInserted(topo, a, b);
     }
-    const Graph updated =
-        deletion ? WithEdgeRemoved(topo, a, b) : WithEdgeAdded(topo, a, b);
 
     BoundedBfs fresh(updated);
     for (VertexId v = 0; v < updated.num_vertices(); ++v) {
@@ -348,7 +348,7 @@ TEST(CacheInvalidationTest, DeleteThenReinsertAbaStillInvalidates) {
       << "pre-churn result served after delete+reinsert";
 
   // Ball entries of vertices affected by either step are gone...
-  for (const VertexId v : AffectedByDeletion(topo, a, b)) {
+  for (const VertexId v : AffectedByDeletion(topo, without, a, b)) {
     EXPECT_EQ(cache.PeekBall(v, 2), nullptr);
   }
   // ...and a rerun through the cache repopulates and matches the original

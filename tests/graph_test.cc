@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "datagen/generators.h"
 #include "graph/graph.h"
 #include "util/rng.h"
@@ -104,6 +106,38 @@ TEST(GraphTest, WithEdgeAddedGrowsVertexSet) {
   const Graph g2 = WithEdgeAdded(g, 2, 7);
   EXPECT_EQ(g2.num_vertices(), 8u);
   EXPECT_TRUE(g2.HasEdge(2, 7));
+}
+
+TEST(GraphTest, EdgeEditsMatchARebuild) {
+  // Every in-range insertion and deletion, spliced into the CSR, must equal
+  // the graph a builder makes from the edited edge list.
+  Rng rng(0x5B1);
+  const Graph g = ErdosRenyi(30, 0.15, rng);
+  auto rebuilt = [&](VertexId a, VertexId b, bool insert) {
+    GraphBuilder builder(g.num_vertices());
+    for (const auto& [u, v] : g.EdgeList()) {
+      const bool edited = std::min(a, b) == u && std::max(a, b) == v;
+      if (insert || !edited) builder.AddEdge(u, v);
+    }
+    if (insert) builder.AddEdge(a, b);
+    return builder.Build();
+  };
+  for (VertexId a = 0; a < g.num_vertices(); ++a) {
+    for (VertexId b = 0; b < g.num_vertices(); ++b) {
+      const Graph added = WithEdgeAdded(g, a, b);
+      const Graph removed = WithEdgeRemoved(g, a, b);
+      const Graph want_added = rebuilt(a, b, true);
+      const Graph want_removed = rebuilt(a, b, false);
+      ASSERT_EQ(added.EdgeList(), want_added.EdgeList()) << a << "," << b;
+      ASSERT_EQ(removed.EdgeList(), want_removed.EdgeList()) << a << "," << b;
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        ASSERT_TRUE(std::ranges::equal(added.Neighbors(v),
+                                       want_added.Neighbors(v)));
+        ASSERT_TRUE(std::ranges::equal(removed.Neighbors(v),
+                                       want_removed.Neighbors(v)));
+      }
+    }
+  }
 }
 
 TEST(GraphTest, WithEdgeRemoved) {

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "datagen/generators.h"
 #include "index/nl_index.h"
@@ -109,6 +111,70 @@ TEST(IndexSerializationTest, LoadedIndexSupportsUpdates) {
   loaded->InsertEdge(0, 49);
   original.InsertEdge(0, 49);
   ExpectSameAnswers(original, *loaded, original.graph(), 4);
+  std::remove(path.c_str());
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// FNV-1a over a whole file.
+uint64_t FileDigest(const std::string& path) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char ch : ReadBytes(path)) {
+    hash ^= static_cast<uint8_t>(ch);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// A fixed small graph with every entry shape: a 4x5 grid with one chord, a
+// three-vertex path component and an isolated vertex.
+Graph DigestGraph() {
+  GraphBuilder b(24);
+  for (VertexId r = 0; r < 4; ++r) {
+    for (VertexId c = 0; c < 5; ++c) {
+      const VertexId v = r * 5 + c;
+      if (c + 1 < 5) b.AddEdge(v, v + 1);
+      if (r + 1 < 4) b.AddEdge(v, v + 5);
+    }
+  }
+  b.AddEdge(0, 19);
+  b.AddEdge(20, 21);
+  b.AddEdge(21, 22);
+  return b.Build();
+}
+
+TEST(IndexSerializationTest, SaveLoadSaveIsByteIdentical) {
+  Rng rng(0x5e4);
+  const Graph g = ErdosRenyi(90, 0.04, rng);  // disconnected
+  const std::string first = TempPath("ktg_resave_1.idx");
+  const std::string second = TempPath("ktg_resave_2.idx");
+
+  ASSERT_TRUE(SaveNlrnlIndex(NlrnlIndex(g), first).ok());
+  auto nlrnl = LoadNlrnlIndex(first);
+  ASSERT_TRUE(nlrnl.ok()) << nlrnl.status().ToString();
+  ASSERT_TRUE(SaveNlrnlIndex(*nlrnl, second).ok());
+  EXPECT_EQ(ReadBytes(first), ReadBytes(second));
+
+  ASSERT_TRUE(SaveNlIndex(NlIndex(g), first).ok());
+  auto nl = LoadNlIndex(first);
+  ASSERT_TRUE(nl.ok()) << nl.status().ToString();
+  ASSERT_TRUE(SaveNlIndex(*nl, second).ok());
+  EXPECT_EQ(ReadBytes(first), ReadBytes(second));
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+}
+
+TEST(IndexSerializationTest, FileFormatIsPinned) {
+  // Digests of format version 1 for a fixed index; a change here breaks
+  // every index file already on disk.
+  const std::string path = TempPath("ktg_pinned.idx");
+  ASSERT_TRUE(SaveNlrnlIndex(NlrnlIndex(DigestGraph()), path).ok());
+  EXPECT_EQ(FileDigest(path), 0x01888aed7e52fb51ULL);
+  ASSERT_TRUE(SaveNlIndex(NlIndex(DigestGraph()), path).ok());
+  EXPECT_EQ(FileDigest(path), 0xa121998b3ada438bULL);
   std::remove(path.c_str());
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "datagen/generators.h"
 #include "graph/bfs.h"
@@ -56,13 +58,80 @@ TEST(AffectedTest, DeletionCriterion) {
   // Cycle of 6: deleting {0,5} affects exactly the vertices with
   // |d(u,0) - d(u,5)| == 1 — here every vertex except the antipodal region.
   const Graph g = CycleGraph(6);
-  const auto affected = AffectedByDeletion(g, 0, 5);
+  const auto affected =
+      AffectedByDeletion(g, WithEdgeRemoved(g, 0, 5), 0, 5);
   for (const VertexId u : affected) {
     const auto d0 = DistancesFrom(g, 0)[u];
     const auto d5 = DistancesFrom(g, 5)[u];
     EXPECT_EQ(std::abs(static_cast<int>(d0) - static_cast<int>(d5)), 1);
   }
   EXPECT_FALSE(affected.empty());
+}
+
+// Ground truth for the affected sets: every u whose whole distance vector
+// differs between the two graphs.
+std::vector<VertexId> BruteForceAffected(const Graph& old_graph,
+                                         const Graph& new_graph) {
+  std::vector<VertexId> out;
+  for (VertexId u = 0; u < old_graph.num_vertices(); ++u) {
+    if (DistancesFrom(old_graph, u) != DistancesFrom(new_graph, u)) {
+      out.push_back(u);
+    }
+  }
+  return out;
+}
+
+TEST(AffectedTest, SetsAreExactOnRandomGraphs) {
+  Rng rng(0xAFFEC7);
+  for (int round = 0; round < 24; ++round) {
+    // Even rounds sit below the connectivity threshold, so their graphs
+    // are disconnected: insertions join components and many deletions cut
+    // bridges.
+    const auto n = static_cast<uint32_t>(20 + rng.Below(24));
+    const Graph g = ErdosRenyi(n, round % 2 == 0 ? 0.05 : 0.15, rng);
+    for (int trial = 0; trial < 6; ++trial) {
+      const auto a = static_cast<VertexId>(rng.Below(n));
+      const auto b = static_cast<VertexId>(rng.Below(n));
+      if (a == b || g.HasEdge(a, b)) continue;
+      ASSERT_EQ(AffectedByInsertion(g, a, b),
+                BruteForceAffected(g, WithEdgeAdded(g, a, b)))
+          << "round " << round << " insert {" << a << "," << b << "}";
+    }
+    for (const auto& [a, b] : g.EdgeList()) {
+      const Graph next = WithEdgeRemoved(g, a, b);
+      ASSERT_EQ(AffectedByDeletion(g, next, a, b),
+                BruteForceAffected(g, next))
+          << "round " << round << " delete {" << a << "," << b << "}";
+    }
+  }
+}
+
+TEST(AffectedTest, BridgeDeletionAffectsBothSides) {
+  // Two triangles joined by the bridge {2, 3}: cutting it changes every
+  // vertex's distances to the other side.
+  GraphBuilder builder(6);
+  for (const auto& [u, v] : std::vector<std::pair<VertexId, VertexId>>{
+           {0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {4, 5}, {3, 5}}) {
+    builder.AddEdge(u, v);
+  }
+  const Graph g = builder.Build();
+  const Graph cut = WithEdgeRemoved(g, 2, 3);
+  EXPECT_EQ(AffectedByDeletion(g, cut, 2, 3),
+            (std::vector<VertexId>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(AffectedTest, DeletionSkipsEqualLengthDetours) {
+  // Square 0-1-2-3 with a pendant 4 on 0. Deleting {1, 2} leaves every
+  // distance of 0, 3 and 4 intact (each has a detour of the same length),
+  // although all three have |d(u,1) - d(u,2)| == 1.
+  GraphBuilder builder(5);
+  for (const auto& [u, v] : std::vector<std::pair<VertexId, VertexId>>{
+           {0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4}}) {
+    builder.AddEdge(u, v);
+  }
+  const Graph g = builder.Build();
+  EXPECT_EQ(AffectedByDeletion(g, WithEdgeRemoved(g, 1, 2), 1, 2),
+            (std::vector<VertexId>{1, 2}));
 }
 
 TEST(NlUpdateTest, InsertMatchesRebuild) {

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,10 +20,12 @@
 #include "cache/query_key.h"
 #include "core/ktg_engine.h"
 #include "core/snapshot.h"
+#include "datagen/generators.h"
 #include "datagen/mutation_gen.h"
 #include "datagen/presets.h"
 #include "datagen/query_gen.h"
 #include "index/bfs_checker.h"
+#include "index/nlrnl_index.h"
 #include "util/macros.h"
 #include "util/rng.h"
 
@@ -126,6 +129,144 @@ INSTANTIATE_TEST_SUITE_P(AllCheckers, SnapshotEquivalenceTest,
                          ::testing::Values(CheckerKind::kBfs, CheckerKind::kNl,
                                            CheckerKind::kNlrnl,
                                            CheckerKind::kKHopBitmap));
+
+// ---------------------------------------------------------------------------
+// Differential: 30 seeded batches on a sparse, disconnected graph; every
+// epoch answers every pair and k like an index built from scratch on its
+// graph, and pinned older epochs keep doing so while later epochs (whose
+// NLRNL copies share entries with them) are published.
+
+struct DifferentialCase {
+  CheckerKind kind;
+  HopDistance bitmap_k;  // the bitmap answers only the k it was built for
+};
+
+std::vector<HopDistance> CheckedKs(const DifferentialCase& c) {
+  if (c.kind == CheckerKind::kKHopBitmap) return {c.bitmap_k};
+  return {1, 2, 3, 4};
+}
+
+// IsFartherThan over every ordered pair and every k in `ks`.
+std::vector<bool> AllAnswers(DistanceChecker& checker, uint32_t n,
+                             const std::vector<HopDistance>& ks) {
+  std::vector<bool> out;
+  out.reserve(static_cast<size_t>(n) * n * ks.size());
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = 0; v < n; ++v) {
+      for (const HopDistance k : ks) {
+        out.push_back(checker.IsFartherThan(u, v, k));
+      }
+    }
+  }
+  return out;
+}
+
+class SnapshotDifferentialTest
+    : public ::testing::TestWithParam<DifferentialCase> {};
+
+TEST_P(SnapshotDifferentialTest, EveryEpochMatchesAFreshIndex) {
+  const DifferentialCase c = GetParam();
+  const std::vector<HopDistance> ks = CheckedKs(c);
+  Rng rng(0xD1FF);
+  AttributedGraphBuilder builder;
+  builder.SetGraph(ErdosRenyi(80, 0.035, rng));
+  builder.AddKeyword(0, "seed");
+  SnapshotStore::Options opts;
+  opts.checker = c.kind;
+  opts.bitmap_k = c.bitmap_k;
+  opts.build_threads = 1;
+  SnapshotStore store(builder.Build(), opts);
+  const uint32_t n = store.Pin()->graph().num_vertices();
+  auto fresh_answers = [&](const EngineSnapshot& snap) {
+    const auto fresh =
+        MakeSnapshotChecker(c.kind, snap.graph().graph(), c.bitmap_k, 1);
+    return AllAnswers(*fresh, n, ks);
+  };
+
+  // The reader pins the current epoch and re-verifies it until the writer
+  // is two epochs past it, verifying once more after that, then re-pins.
+  std::atomic<bool> done{false};
+  std::atomic<bool> reader_exited{false};
+  std::atomic<uint64_t> reverified{0};
+  auto verify_pins = [&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const SnapshotPin pin = store.Pin();
+      const std::vector<bool> expected = fresh_answers(*pin);
+      bool last = false;
+      while (!last) {
+        last = done.load(std::memory_order_acquire) ||
+               store.epoch() >= pin->epoch() + 2;
+        ASSERT_TRUE(AllAnswers(*pin->checker(), n, ks) == expected)
+            << "pinned epoch " << pin->epoch() << " changed under its reader";
+        reverified.fetch_add(1, std::memory_order_release);
+      }
+    }
+  };
+  std::thread reader([&] {
+    verify_pins();
+    reader_exited.store(true, std::memory_order_release);
+  });
+
+  std::vector<SnapshotPin> pins = {store.Pin()};
+  for (int round = 0; round < 30; ++round) {
+    const Graph& g = pins.back()->graph().graph();
+    const auto edges = g.EdgeList();
+    MutationBatch batch;
+    for (int i = 0; i < 3; ++i) {
+      const auto a = static_cast<VertexId>(rng.Below(n));
+      const auto b = static_cast<VertexId>((a + 1 + rng.Below(n - 1)) % n);
+      batch.add_edges.emplace_back(a, b);
+    }
+    for (int i = 0; i < 2; ++i) {
+      batch.remove_edges.push_back(edges[rng.Below(edges.size())]);
+    }
+    if (round % 5 == 0) {
+      batch.add_keywords.emplace_back(static_cast<VertexId>(rng.Below(n)),
+                                      "kw" + std::to_string(round));
+    }
+    const uint64_t seen = reverified.load(std::memory_order_acquire);
+    auto info = store.Apply(batch);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->checker_rebuilds, info->affected_vertices);
+
+    const SnapshotPin pin = store.Pin();
+    pins.push_back(pin);
+    ASSERT_TRUE(AllAnswers(*pin->checker(), n, ks) == fresh_answers(*pin))
+        << "epoch " << pin->epoch();
+    if (c.kind == CheckerKind::kNlrnl) {
+      const auto& got = dynamic_cast<const NlrnlIndex&>(*pin->checker());
+      const NlrnlIndex want(pin->graph().graph());
+      for (VertexId v = 0; v < n; ++v) {
+        ASSERT_EQ(got.c_value(v), want.c_value(v)) << "v=" << v;
+        ASSERT_EQ(got.num_forward_levels(v), want.num_forward_levels(v));
+        ASSERT_EQ(got.num_reverse_levels(v), want.num_reverse_levels(v));
+      }
+    }
+    // Let the reader verify at least once against every epoch's publish.
+    while (reverified.load(std::memory_order_acquire) == seen &&
+           !reader_exited.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GE(reverified.load(), 30u);
+
+  // Every retained epoch still answers like a fresh build of its own graph.
+  for (const SnapshotPin& pin : pins) {
+    EXPECT_TRUE(AllAnswers(*pin->checker(), n, ks) == fresh_answers(*pin))
+        << "retained epoch " << pin->epoch();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IndexCheckers, SnapshotDifferentialTest,
+    ::testing::Values(DifferentialCase{CheckerKind::kNl, 2},
+                      DifferentialCase{CheckerKind::kNlrnl, 2},
+                      DifferentialCase{CheckerKind::kKHopBitmap, 1},
+                      DifferentialCase{CheckerKind::kKHopBitmap, 2},
+                      DifferentialCase{CheckerKind::kKHopBitmap, 3},
+                      DifferentialCase{CheckerKind::kKHopBitmap, 4}));
 
 // ---------------------------------------------------------------------------
 // Epoch lifecycle.
