@@ -25,12 +25,12 @@
 #include "bench/common.h"
 #include "core/conflict_graph_engine.h"
 #include "datagen/generators.h"
-#include "exec/sharded_pool.h"
 #include "graph/reorder.h"
 #include "index/bfs_checker.h"
 #include "index/khop_bitmap.h"
 #include "util/bitset_ops.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ktg::bench {
@@ -284,12 +284,11 @@ void BenchConflictConstruction() {
   }
 }
 
-void BenchShardedConflictBuild() {
-  // The sharded-executor locality hook (docs/sharding.md): the same
-  // bitmap-row ball walk, serial vs on an exec::ShardedThreadPool where
-  // each worker first-touches its own adjacency rows and draws scratch
-  // from its shard arena. Edge counts must agree — the parallel build is
-  // a partitioning of the same row loop, not an approximation.
+void BenchPooledConflictBuild() {
+  // The same bitmap-row ball walk, serial vs split over a ThreadPool with
+  // ParallelFor (one AND-scratch vector per chunk). Edge counts must
+  // agree — the parallel build is a partitioning of the same row loop,
+  // not an approximation.
   constexpr uint32_t kVertices = 20'000;
   constexpr HopDistance kK = 2;
   Rng rng(0xBA11);
@@ -299,16 +298,11 @@ void BenchShardedConflictBuild() {
   KHopBitmapChecker bitmap(graph, kK);
 
   const uint32_t threads = std::max(2u, BenchThreads());
-  exec::ShardedPoolOptions popts;
-  popts.num_threads = threads;
-  popts.shards = BenchShards();
-  popts.pin_threads = BenchPinThreads();
-  exec::ShardedThreadPool pool(popts);
+  ThreadPool pool(threads);
 
-  PrintHeader("Conflict-graph construction: serial vs sharded pool",
+  PrintHeader("Conflict-graph construction: serial vs thread pool",
               "BarabasiAlbert n=20000 m0=3, k=2, bitmap rows; pool: " +
-                  std::to_string(threads) + " worker(s), " +
-                  std::to_string(pool.num_shards()) + " shard(s)");
+                  std::to_string(threads) + " worker(s)");
   const std::vector<int> widths = {12, 12, 12, 10, 14};
   PrintRow({"candidates", "serial ms", "pooled ms", "speedup", "edges"},
            widths);
@@ -321,7 +315,7 @@ void BenchShardedConflictBuild() {
       c.vertex = static_cast<VertexId>(i * 2);
       cands.push_back(c);
     }
-    auto time_build = [&](exec::ShardedThreadPool* p, uint64_t* edges) {
+    auto time_build = [&](ThreadPool* p, uint64_t* edges) {
       double best_ms = -1.0;
       for (uint32_t rep = 0; rep < BenchRepeats(); ++rep) {
         Stopwatch watch;
@@ -357,11 +351,9 @@ int main(int argc, char** argv) {
   ktg::bench::InstallBenchSignalFlush("bench_kernels");
   ktg::bench::ConsumeRepeatFlag(&argc, argv);
   ktg::bench::ConsumeReorderFlag(&argc, argv);
-  ktg::bench::ConsumeShardsFlag(&argc, argv);
-  ktg::bench::ConsumePinFlag(&argc, argv);
   ktg::bench::BenchWordKernels();
   ktg::bench::BenchConflictConstruction();
-  ktg::bench::BenchShardedConflictBuild();
+  ktg::bench::BenchPooledConflictBuild();
   ktg::bench::BenchReorderLocality();
   ktg::bench::WriteMetricsSidecar("bench_kernels");
   return 0;

@@ -32,12 +32,9 @@ obs::MetricsRegistry& Metrics() {
 }
 
 void WriteMetricsSidecar(const std::string& bench_name) {
-  // Every sidecar names the kernel tier it was measured under, plus the
-  // sharded-execution configuration (so a sweep's numbers are attributable
-  // to their shard/pin setting without consulting the invocation).
+  // Every sidecar names the kernel tier and thread count it was measured
+  // under.
   RecordKernelDispatchMetrics(&Metrics());
-  Metrics().gauge("exec.bench.shards").Set(static_cast<double>(BenchShards()));
-  Metrics().gauge("exec.bench.pin").Set(BenchPinThreads() ? 1.0 : 0.0);
   Metrics().gauge("exec.bench.threads").Set(static_cast<double>(BenchThreads()));
   const char* env = std::getenv("KTG_BENCH_METRICS_PATH");
   const std::string path = (env != nullptr && env[0] != '\0')
@@ -78,8 +75,6 @@ namespace {
 int g_threads_override = -1;
 int g_repeat_override = -1;   // same single-threaded-startup contract
 int g_reorder_override = -1;  // same single-threaded-startup contract
-int g_shards_override = -1;   // same single-threaded-startup contract
-int g_pin_override = -1;      // same single-threaded-startup contract
 }  // namespace
 
 uint32_t BenchThreads() {
@@ -131,55 +126,6 @@ void ConsumeRepeatFlag(int* argc, char** argv) {
       g_repeat_override = std::max(1, std::atoi(argv[++i]));
     } else if (arg.rfind("--repeat=", 0) == 0) {
       g_repeat_override = std::max(1, std::atoi(arg.c_str() + 9));
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-}
-
-uint32_t BenchShards() {
-  if (g_shards_override >= 0) return static_cast<uint32_t>(g_shards_override);
-  static const uint32_t n = [] {
-    const char* env = std::getenv("KTG_BENCH_SHARDS");
-    if (env != nullptr) {
-      const int v = std::atoi(env);
-      if (v >= 0) return static_cast<uint32_t>(v);
-    }
-    return 0u;  // one shard per topology node (baseline on single-node)
-  }();
-  return n;
-}
-
-void ConsumeShardsFlag(int* argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--shards" && i + 1 < *argc) {
-      g_shards_override = std::max(0, std::atoi(argv[++i]));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      g_shards_override = std::max(0, std::atoi(arg.c_str() + 9));
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-}
-
-bool BenchPinThreads() {
-  if (g_pin_override >= 0) return g_pin_override != 0;
-  static const bool pin = [] {
-    const char* env = std::getenv("KTG_BENCH_PIN");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-  }();
-  return pin;
-}
-
-void ConsumePinFlag(int* argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::string(argv[i]) == "--pin-threads") {
-      g_pin_override = 1;
     } else {
       argv[out++] = argv[i];
     }
@@ -356,8 +302,6 @@ Measurement RunBatch(BenchDataset& dataset, const AlgoConfig& config,
       EngineOptions opts = config.engine;
       opts.sort = config.sort;
       opts.num_threads = BenchThreads();
-      opts.shards = BenchShards();
-      opts.pin_threads = BenchPinThreads();
       opts.metrics = &Metrics();
       SearchStats stats;
       double best = 0.0;

@@ -82,23 +82,6 @@ uint32_t BenchRepeats();
 /// ConsumeThreadsFlag.
 void ConsumeRepeatFlag(int* argc, char** argv);
 
-/// Shard count for the engines' sharded root search (env KTG_BENCH_SHARDS,
-/// `--shards S` wins; default 0 = one shard per topology node, which on a
-/// single-node machine keeps the shared-bound baseline). Fake topologies
-/// via KTG_FAKE_TOPOLOGY compose with this: the bench process probes
-/// topology exactly like the engines do.
-uint32_t BenchShards();
-
-/// Consumes `--shards S` (and `--shards=S`), mirroring ConsumeThreadsFlag.
-void ConsumeShardsFlag(int* argc, char** argv);
-
-/// Whether engine workers are pinned to their shard's CPUs (env
-/// KTG_BENCH_PIN=1, `--pin-threads` wins; default off).
-bool BenchPinThreads();
-
-/// Consumes `--pin-threads` (a bare flag), mirroring ConsumeThreadsFlag.
-void ConsumePinFlag(int* argc, char** argv);
-
 /// Dataset relabeling BenchDataset applies at load time (env
 /// KTG_BENCH_REORDER, `--reorder M` wins; default none). Applied before
 /// the inverted index and the checkers are built, so every measurement in

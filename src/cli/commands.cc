@@ -105,14 +105,6 @@ Result<uint32_t> ParseThreads(const Args& args, int64_t default_value) {
   return static_cast<uint32_t>(std::max<int64_t>(0, threads.value()));
 }
 
-// Parses --shards: 0 means "one shard per topology node" (the
-// exec::ResolveShardCount convention); negative values clamp to 0.
-Result<uint32_t> ParseShards(const Args& args) {
-  const auto shards = args.GetInt("shards", 0);
-  if (!shards.ok()) return shards.status();
-  return static_cast<uint32_t>(std::max<int64_t>(0, shards.value()));
-}
-
 // Builds or loads the distance checker requested by --index / --checker.
 Result<std::unique_ptr<DistanceChecker>> MakeQueryChecker(
     const Args& args, const Graph& graph, HopDistance k,
@@ -515,10 +507,6 @@ Status CmdQuery(const Args& args) {
                                    " (expected exact|anytime|portfolio)");
   }
   options.num_threads = threads.value();
-  const auto shards = ParseShards(args);
-  if (!shards.ok()) return shards.status();
-  options.shards = shards.value();
-  options.pin_threads = args.GetBool("pin-threads", false);
   options.metrics = metrics;
   options.trace = trace;
   if (algo == "vkc-deg") {
@@ -631,10 +619,6 @@ Status CmdWorkload(const Args& args) {
 
   BatchOptions bopts;
   bopts.threads = threads.value();
-  const auto shards = ParseShards(args);
-  if (!shards.ok()) return shards.status();
-  bopts.engine.shards = shards.value();
-  bopts.engine.pin_threads = args.GetBool("pin-threads", false);
   bopts.engine.cache = cache.get();
   if (!metrics_path.empty()) {
     bopts.engine.metrics = &registry;
@@ -784,10 +768,6 @@ Status CmdServe(const Args& args) {
   sopts.default_deadline_ms = deadline.value();
   sopts.checker = kind.value();
   sopts.build_threads = threads.value();
-  const auto shards = ParseShards(args);
-  if (!shards.ok()) return shards.status();
-  sopts.shards = shards.value();
-  sopts.pin_threads = args.GetBool("pin-threads", false);
   // Default execution mode for requests that carry no "mode" member.
   const std::string mode_name = args.GetString("mode", "exact");
   if (!ParseEngineMode(mode_name, &sopts.engine.mode)) {
@@ -1068,22 +1048,20 @@ const std::vector<CommandSpec>& CommandRegistry() {
        "               [--explain] [--threads T] [--metrics-json F] [--trace]\n"
        "               [--cache-mb M] [--budget-ms B]\n"
        "               [--mode exact|anytime|portfolio]\n"
-       "               [--reorder none|degree|bfs|degeneracy]\n"
-       "               [--shards S] [--pin-threads]\n",
+       "               [--reorder none|degree|bfs|degeneracy]\n",
        {"edges", "attrs", "keywords", "p", "k", "n", "algo", "index",
         "checker", "authors", "gamma", "max-nodes", "json", "explain",
         "threads", "metrics-json", "trace", "cache-mb", "budget-ms",
-        "mode", "reorder", "shards", "pin-threads"}},
+        "mode", "reorder"}},
       {"workload", &CmdWorkload,
        "  workload     latency summary over a generated workload\n"
        "               --preset NAME --scale S [--queries Q] [--p P] [--k K]\n"
        "               [--n N] [--wq W] [--checker C] [--seed S] [--banded B]\n"
        "               [--threads T] [--metrics-json F] [--cache-mb M]\n"
-       "               [--batches B] [--reorder none|degree|bfs|degeneracy]\n"
-       "               [--shards S] [--pin-threads]\n",
+       "               [--batches B] [--reorder none|degree|bfs|degeneracy]\n",
        {"preset", "scale", "queries", "p", "k", "n", "wq", "checker", "seed",
         "banded", "threads", "metrics-json", "cache-mb", "batches",
-        "reorder", "shards", "pin-threads"}},
+        "reorder"}},
       {"serve", &CmdServe,
        "  serve        run ktgd, the resident query service (docs/server.md)\n"
        "               [--preset NAME --scale S --seed S | --edges F --attrs F]\n"
@@ -1091,12 +1069,11 @@ const std::vector<CommandSpec>& CommandRegistry() {
        "               [--batch-max B] [--batch-window W] [--cache-mb M]\n"
        "               [--deadline-ms D] [--checker C] [--threads T]\n"
        "               [--metrics-json F] [--mode exact|anytime|portfolio]\n"
-       "               [--reorder none|degree|bfs|degeneracy]\n"
-       "               [--shards S] [--pin-threads]\n",
+       "               [--reorder none|degree|bfs|degeneracy]\n",
        {"preset", "scale", "seed", "edges", "attrs", "port", "port-file",
         "workers", "queue", "batch-max", "batch-window", "cache-mb",
         "deadline-ms", "checker", "threads", "metrics-json", "mode",
-        "reorder", "shards", "pin-threads"}},
+        "reorder"}},
       {"loadgen", &CmdLoadgen,
        "  loadgen      drive a running ktgd with a generated workload\n"
        "               [--preset NAME --scale S | --edges F --attrs F]\n"
@@ -1142,13 +1119,6 @@ std::string UsageText() {
       "index build and the search itself (default 1 = fully serial,\n"
       "bit-for-bit reproducible). For workload it runs whole queries on\n"
       "parallel workers (default 1).\n"
-      "\n"
-      "--shards S groups parallel search workers (and ktgd's worker pool)\n"
-      "into S topology shards with per-shard pruning-bound replicas and\n"
-      "scratch arenas (docs/sharding.md). 0 = one shard per NUMA node;\n"
-      "single-node machines keep the shared-bound baseline. --pin-threads\n"
-      "pins each shard's workers to its node's CPUs (Linux only; pinning\n"
-      "failures are counted, never fatal).\n"
       "\n"
       "--metrics-json F writes a ktg.metrics.v1 snapshot (counters, phase\n"
       "timings, checker statistics) to F; --trace prints the query's\n"

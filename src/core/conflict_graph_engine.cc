@@ -3,21 +3,21 @@
 #include "core/conflict_graph_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <numeric>
 
 #include "cache/ktg_cache.h"
 #include "cache/query_key.h"
 #include "core/obs_bridge.h"
+#include "core/root_parallel.h"
 #include "core/topn.h"
-#include "exec/sharded_topn.h"
 #include "graph/bfs.h"
 #include "index/khop_bitmap.h"
 #include "obs/phase_timer.h"
 #include "obs/query_trace.h"
-#include "util/align.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -72,17 +72,17 @@ std::vector<uint32_t> DegeneracyRemovalOrder(const ConflictAdjacency& cg) {
 }
 
 struct SearchState {
-  const std::vector<Candidate>* cands;
-  const std::vector<Bitset>* conflicts;
+  const std::vector<Candidate>* cands = nullptr;
+  const std::vector<Bitset>* conflicts = nullptr;
   // Per-keyword transposes: kw_pos[b] holds the candidate positions whose
   // mask covers query keyword b. The residual bound intersects these with
   // a child's surviving bitset — word-parallel reachability, no gather.
-  const std::vector<Bitset>* kw_pos;
+  const std::vector<Bitset>* kw_pos = nullptr;
   CoverMask all_kw_mask = 0;  // union of every candidate's mask
-  const ConflictEngineOptions* options;
-  uint32_t p;
-  TopNCollector* collector;
-  SearchStats* stats;
+  const ConflictEngineOptions* options = nullptr;
+  uint32_t p = 0;
+  TopNCollector* collector = nullptr;  // serial runs only
+  SearchStats* stats = nullptr;
   obs::QueryTrace* trace = nullptr;
   bool stop = false;
   // Deadline clock (mirrors KtgEngine::kTimeBudgetCheckMask): polled every
@@ -90,31 +90,30 @@ struct SearchState {
   Stopwatch run_watch;
 
   // Set only on per-worker states of a parallel run (mirrors KtgEngine's
-  // clone indirection): the shard-replica view replaces the collector, and
-  // the node budget / stop flag become process-wide.
-  exec::ShardedTopN::View* view = nullptr;
-  std::atomic<uint64_t>* shared_nodes = nullptr;
-  std::atomic<bool>* shared_stop = nullptr;
+  // clone indirection): the run's shared top-N replaces the collector, and
+  // the node budget / stop flag become run-wide.
+  RootParallelShared* shared = nullptr;
 
   std::vector<VertexId> members;
 
   bool CollectorFull() {
-    return view != nullptr ? view->full() : collector->full();
+    return shared != nullptr ? shared->topn.full() : collector->full();
   }
   int Threshold() {
-    return view != nullptr ? view->threshold() : collector->threshold();
+    return shared != nullptr ? shared->topn.threshold()
+                             : collector->threshold();
   }
   void OfferGroup(Group g) {
-    if (view != nullptr) {
-      view->Offer(std::move(g));
+    if (shared != nullptr) {
+      shared->topn.Offer(std::move(g));
     } else {
       collector->Offer(std::move(g));
     }
   }
   bool StopRequested() {
     if (stop) return true;
-    if (shared_stop != nullptr &&
-        shared_stop->load(std::memory_order_relaxed)) {
+    if (shared != nullptr &&
+        shared->stop.value.load(std::memory_order_relaxed)) {
       stop = true;
       return true;
     }
@@ -122,8 +121,8 @@ struct SearchState {
   }
   void RequestStop() {
     stop = true;
-    if (shared_stop != nullptr) {
-      shared_stop->store(true, std::memory_order_relaxed);
+    if (shared != nullptr) {
+      shared->stop.value.store(true, std::memory_order_relaxed);
     }
   }
 
@@ -160,9 +159,10 @@ struct SearchState {
     if (options->max_nodes != 0) {
       // Parallel runs charge the global budget; serial runs the local count.
       const uint64_t expanded =
-          shared_nodes == nullptr
+          shared == nullptr
               ? stats->nodes_expanded
-              : shared_nodes->fetch_add(1, std::memory_order_relaxed) + 1;
+              : shared->nodes.value.fetch_add(1, std::memory_order_relaxed) +
+                    1;
       if (expanded > options->max_nodes) {
         RequestStop();
         return;
@@ -324,14 +324,14 @@ ConflictAdjacency BuildConflictAdjacency(const Graph& graph,
                                          DistanceChecker& checker,
                                          const std::vector<Candidate>& cands,
                                          HopDistance k, ConflictBuild build,
-                                         exec::ShardedThreadPool* pool) {
+                                         ThreadPool* pool) {
   const auto n = static_cast<uint32_t>(cands.size());
   ConflictAdjacency out;
+  out.adj.assign(n, Bitset(n));
 
   if (build == ConflictBuild::kPairwise) {
     // Serial by contract: the checker is not required to be
     // concurrent-read-safe, and this path exists for the ablation.
-    out.adj.assign(n, Bitset(n));
     for (uint32_t i = 0; i < n; ++i) {
       for (uint32_t j = i + 1; j < n; ++j) {
         if (!checker.IsFartherThan(cands[i].vertex, cands[j].vertex, k)) {
@@ -350,113 +350,65 @@ ConflictAdjacency BuildConflictAdjacency(const Graph& graph,
   std::vector<uint32_t> pos_of(nv, kNoPos);
   for (uint32_t i = 0; i < n; ++i) pos_of[cands[i].vertex] = i;
 
-  // Parallel row construction: candidate rows are partitioned into
-  // contiguous per-shard ranges; each worker allocates AND fills the rows
-  // it owns, so first-touch places every row on the builder's node — the
-  // same node whose search workers scan it later (ranges are contiguous in
-  // the candidate rank, matching the search partition). Per-worker edge
-  // subtotals avoid a shared counter. Rows are disjoint, so the only
-  // synchronization is the pool's own Wait().
-  const auto run_rows = [&](auto&& build_row) {
-    if (pool == nullptr || n == 0) {
-      out.adj.assign(n, Bitset(n));
-      uint64_t edges = 0;
-      exec::ScratchArena arena;
-      for (uint32_t i = 0; i < n; ++i) build_row(i, &arena, &edges);
-      out.edges = edges;
-      return;
-    }
-    out.adj.assign(n, Bitset());
-    exec::ShardedPartition rows(n, pool->plan().worker_counts());
-    std::vector<PaddedAtomic<uint64_t>> edge_subtotals(pool->num_shards());
-    for (uint32_t w = 0; w < pool->num_threads(); ++w) {
-      pool->Submit(pool->shard_of_worker(w),
-                   [&](const exec::WorkerContext& ctx) {
-                     uint64_t edges = 0;
-                     uint64_t i = 0;
-                     bool stolen = false;
-                     while (rows.Claim(ctx.shard, &i, &stolen)) {
-                       out.adj[i] = Bitset(n);  // first touch by the builder
-                       build_row(static_cast<uint32_t>(i), ctx.arena, &edges);
-                     }
-                     edge_subtotals[ctx.shard].value.fetch_add(
-                         edges, std::memory_order_relaxed);
-                   });
-    }
-    pool->Wait();
-    for (const auto& sub : edge_subtotals) {
-      out.edges += sub.value.load(std::memory_order_relaxed);
-    }
-  };
+  // Row construction over contiguous chunks of candidate positions: one
+  // chunk inline without a pool, about four per worker with one. Each
+  // chunk owns its scratch and writes only its own rows, so the edge total
+  // is the only shared state.
+  std::atomic<uint64_t> edges{0};
+  const auto for_row_chunks =
+      [&](const std::function<void(uint64_t, uint64_t)>& chunk) {
+        if (pool == nullptr) {
+          chunk(0, n);
+          return;
+        }
+        const uint64_t chunks = uint64_t{4} * pool->num_threads();
+        pool->ParallelFor(0, n, (n + chunks - 1) / chunks, chunk);
+      };
 
   if (auto* bitmap = dynamic_cast<KHopBitmapChecker*>(&checker);
       bitmap != nullptr && bitmap->built_k() == k) {
     // Balls are already materialized as matrix rows: adjacency row i is
     // row(v_i) ∩ members, one AND kernel per candidate — no BFS, no
-    // per-pair probes. The AND scratch comes from the worker's arena
-    // (node-local, no shared vector).
+    // per-pair probes.
     Bitset members(nv);
     for (uint32_t i = 0; i < n; ++i) members.Set(cands[i].vertex);
     const size_t num_words = members.num_words();
-    run_rows([&](uint32_t i, exec::ScratchArena* arena, uint64_t* edges) {
-      uint64_t* scratch = arena->AllocWords(num_words);
-      const auto row = bitmap->RowWords(cands[i].vertex);
-      BitAnd(scratch, row.data(), members.words(), num_words);
-      ForEachSetBit(scratch, num_words, [&](uint32_t w) {
-        const uint32_t j = pos_of[w];
-        out.adj[i].Set(j);
-        if (j > i) ++*edges;
-      });
-      arena->Reset();
+    for_row_chunks([&](uint64_t begin, uint64_t end) {
+      std::vector<uint64_t> scratch(num_words);
+      uint64_t chunk_edges = 0;
+      for (uint64_t i = begin; i < end; ++i) {
+        const auto row = bitmap->RowWords(cands[i].vertex);
+        BitAnd(scratch.data(), row.data(), members.words(), num_words);
+        ForEachSetBit(scratch.data(), num_words, [&](uint32_t w) {
+          const uint32_t j = pos_of[w];
+          out.adj[i].Set(j);
+          if (j > i) ++chunk_edges;
+        });
+      }
+      edges.fetch_add(chunk_edges, std::memory_order_relaxed);
     });
+    out.edges = edges.load(std::memory_order_relaxed);
     return out;
   }
 
   // One bounded BFS per candidate over the social graph: O(n · ball)
   // traversal work replaces O(n²) checker probes, and symmetry is free
-  // (j ∈ ball(i) ⇔ i ∈ ball(j) on an undirected graph). Each worker keeps
+  // (j ∈ ball(i) ⇔ i ∈ ball(j) on an undirected graph). Each chunk keeps
   // its own BoundedBfs (the visited scratch is stateful).
-  if (pool == nullptr) {
+  for_row_chunks([&](uint64_t begin, uint64_t end) {
     BoundedBfs bfs(graph);
-    out.adj.assign(n, Bitset(n));
-    for (uint32_t i = 0; i < n; ++i) {
+    uint64_t chunk_edges = 0;
+    for (uint64_t i = begin; i < end; ++i) {
       for (const VertexId w : bfs.Ball(cands[i].vertex, k)) {
         const uint32_t j = pos_of[w];
         if (j == kNoPos) continue;
         out.adj[i].Set(j);
-        if (j > i) ++out.edges;
+        if (j > i) ++chunk_edges;
       }
     }
-    return out;
-  }
-  out.adj.assign(n, Bitset());
-  exec::ShardedPartition rows(n, pool->plan().worker_counts());
-  std::vector<PaddedAtomic<uint64_t>> edge_subtotals(pool->num_shards());
-  for (uint32_t w = 0; w < pool->num_threads(); ++w) {
-    pool->Submit(pool->shard_of_worker(w),
-                 [&](const exec::WorkerContext& ctx) {
-                   BoundedBfs bfs(graph);
-                   uint64_t edges = 0;
-                   uint64_t i = 0;
-                   bool stolen = false;
-                   while (rows.Claim(ctx.shard, &i, &stolen)) {
-                     out.adj[i] = Bitset(n);  // first touch by the builder
-                     for (const VertexId v :
-                          bfs.Ball(cands[i].vertex, k)) {
-                       const uint32_t j = pos_of[v];
-                       if (j == kNoPos) continue;
-                       out.adj[i].Set(j);
-                       if (j > i) ++edges;
-                     }
-                   }
-                   edge_subtotals[ctx.shard].value.fetch_add(
-                       edges, std::memory_order_relaxed);
-                 });
-  }
-  pool->Wait();
-  for (const auto& sub : edge_subtotals) {
-    out.edges += sub.value.load(std::memory_order_relaxed);
-  }
+    edges.fetch_add(chunk_edges, std::memory_order_relaxed);
+  });
+  out.edges = edges.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -478,7 +430,7 @@ Result<KtgResult> RunKtgConflictGraph(const AttributedGraph& graph,
   // (same coverage profile, possibly different representative members) —
   // as do time-budgeted runs (truncation is best-effort), non-exact
   // modes (seed groups claim collector slots first), and parallel runs
-  // (shard interleaving reorders tie representatives too).
+  // (worker interleaving reorders tie representatives too).
   const bool cacheable = options.cache != nullptr && options.max_nodes == 0 &&
                          options.time_budget_ms == 0 &&
                          options.mode == EngineMode::kExact &&
@@ -548,37 +500,32 @@ Result<KtgResult> RunKtgConflictGraph(const AttributedGraph& graph,
                         PopCount(union_mask), additive});
   }
 
-  // Root-parallel dispatch: one worker per first-level subtree, grouped
-  // into topology shards. The pool also fans out the adjacency build.
+  // Root-parallel dispatch: one worker per first-level subtree (see
+  // core/root_parallel.h). The adjacency build fans out over its own pool.
   const uint32_t num_roots = n >= query.group_size
                                  ? n - query.group_size + 1
                                  : 0;
   const uint32_t workers = static_cast<uint32_t>(
       std::min<uint64_t>(max_workers, std::max<uint32_t>(num_roots, 1)));
-  std::unique_ptr<exec::ShardedThreadPool> pool;
-  if (workers > 1) {
-    exec::ShardedPoolOptions popts;
-    popts.num_threads = workers;
-    popts.shards = options.shards;
-    popts.pin_threads = options.pin_threads;
-    popts.metrics = options.metrics;
-    pool = std::make_unique<exec::ShardedThreadPool>(popts);
-  }
 
   ConflictAdjacency cg;
-  TopNCollector collector(query.top_n);
-  std::unique_ptr<exec::ShardedTopN> shared;
   size_t seeded = 0;
   bool truncated = false;
+  KtgResult result;
   {
     // The build + walk together are this engine's "search"; the build alone
     // additionally charges the kKlineFilter sub-phase — the same Theorem-3
     // work the paper's engines spread over the tree walk, paid up front.
+    // A parallel walk charges its own bb_search time (the driver times it),
+    // so this timer stops before the driver starts.
     obs::PhaseTimer bb_timer(&stats.phases, obs::Phase::kBbSearch);
     {
       obs::PhaseTimer timer(&stats.phases, obs::Phase::kKlineFilter);
+      std::unique_ptr<ThreadPool> build_pool;
+      if (workers > 1) build_pool = std::make_unique<ThreadPool>(workers);
       cg = BuildConflictAdjacency(graph.graph(), checker, cands,
-                                  query.tenuity, options.build, pool.get());
+                                  query.tenuity, options.build,
+                                  build_pool.get());
       stats.kline_filtered = cg.edges;
     }
 
@@ -635,41 +582,41 @@ Result<KtgResult> RunKtgConflictGraph(const AttributedGraph& graph,
       stats.groups_completed += seeds.size();
     }
 
-    if (pool == nullptr) {
-      SearchState state;
-      state.cands = &cands;
-      state.conflicts = &cg.adj;
-      state.kw_pos = &kw_pos;
-      state.all_kw_mask = all_kw_mask;
-      state.options = &options;
-      state.p = query.group_size;
+    const auto make_state = [&](SearchStats* state_stats) {
+      SearchState st;
+      st.cands = &cands;
+      st.conflicts = &cg.adj;
+      st.kw_pos = &kw_pos;
+      st.all_kw_mask = all_kw_mask;
+      st.options = &options;
+      st.p = query.group_size;
+      st.stats = state_stats;
+      st.trace = options.trace;  // QueryTrace records are mutex-guarded
+      st.run_watch = watch;      // deadline origin == the run's entry
+      return st;
+    };
+
+    if (workers <= 1) {
+      TopNCollector collector(query.top_n);
+      SearchState state = make_state(&stats);
       state.collector = &collector;
-      state.stats = &stats;
-      state.trace = options.trace;
-      state.run_watch = watch;  // deadline origin == the run's entry
       for (Group& g : seeds) collector.Offer(std::move(g));
       Bitset all(n);
       all.SetAll();
       state.Search(std::move(all), 0);
       truncated = state.stop;
+      bb_timer.Stop();
+      obs::PhaseTimer timer(&stats.phases, obs::Phase::kTopNMerge);
+      result.groups = collector.Take();
     } else {
-      // Root-parallel search over the sharded pool: root i is the subtree
-      // selecting candidate i first; its pool is the positions after i
-      // minus i's conflicts. Roots are in the static (VKC desc) rank, so
-      // the serial root ordering is the identity permutation and the
-      // contiguous shard ranges are bands of like-strength roots.
-      shared = std::make_unique<exec::ShardedTopN>(query.top_n,
-                                                   pool->num_shards());
-      shared->SeedGlobal(seeds);
-      exec::ShardedPartition partition(num_roots,
-                                       pool->plan().worker_counts());
-      PaddedAtomic<uint64_t> nodes{1};  // the (virtual) root node itself
-      PaddedAtomic<bool> stop{false};
-
+      // Root i is the subtree selecting candidate i first; its pool is the
+      // positions after i minus i's conflicts. Roots are in the static
+      // (VKC desc) rank, so the serial root ordering is the identity.
+      //
       // Root-level bounds, shared by every worker: the additive Theorem-2
-      // sum over a window of p consecutive vkcs (non-increasing in the
-      // root index — the break-on-failure rule depends on that), and the
-      // reachable-coverage ceiling (constant at the root).
+      // sum over a window of p consecutive vkcs and the reachable-coverage
+      // ceiling (constant at the root). Both are non-increasing in the root
+      // index, so a failure stops the claim loop.
       std::vector<int> vkc_prefix(n + 1, 0);
       CoverMask union_mask = 0;
       for (uint32_t i = 0; i < n; ++i) {
@@ -679,55 +626,19 @@ Result<KtgResult> RunKtgConflictGraph(const AttributedGraph& graph,
       const int root_ceiling = PopCount(union_mask);
       const uint32_t p = query.group_size;
 
-      std::mutex agg_mu;
-      SearchStats agg;
-      bool complete = true;
-
-      auto worker_fn = [&](const exec::WorkerContext& ctx) {
-        Stopwatch worker_watch;
+      const auto worker = [&](RootParallelShared& shared) {
         SearchStats wstats;
-        SearchState st;
-        st.cands = &cands;
-        st.conflicts = &cg.adj;
-        st.kw_pos = &kw_pos;
-        st.all_kw_mask = all_kw_mask;
-        st.options = &options;
-        st.p = p;
-        st.collector = nullptr;  // all access goes through the view
-        st.stats = &wstats;
-        st.trace = options.trace;  // QueryTrace records are mutex-guarded
-        st.run_watch = watch;
-        exec::ShardedTopN::View view = shared->MakeView(ctx.shard);
-        st.view = &view;
-        st.shared_nodes = &nodes.value;
-        st.shared_stop = &stop.value;
-
-        uint64_t root = 0;
-        bool stolen = false;
-        while (!st.StopRequested() &&
-               partition.Claim(ctx.shard, &root, &stolen)) {
+        SearchState st = make_state(&wstats);
+        st.shared = &shared;
+        shared.ClaimRoots([&](size_t root) {
           const auto i = static_cast<uint32_t>(root);
           if (options.keyword_pruning && st.CollectorFull()) {
             const int threshold = st.Threshold();
-            if (root_ceiling <= threshold) {
-              // The ceiling is constant across roots: nothing anywhere can
-              // beat the N-th result anymore. Close every range and stop.
-              ++wstats.keyword_prunes;
-              partition.CloseFrom(0);
-              break;
-            }
             const int additive =
                 vkc_prefix[std::min(n, i + p)] - vkc_prefix[i];
-            if (additive <= threshold) {
-              // The window sums are non-increasing in the root index, so
-              // this proves the whole tail [root, n) redundant — but not
-              // earlier unclaimed roots in other shards' ranges, which
-              // this worker may be the only one to reach (ring-order
-              // stealing under task pile-up). Close the tail and keep
-              // claiming instead of breaking; see docs/sharding.md.
+            if (root_ceiling <= threshold || additive <= threshold) {
               ++wstats.keyword_prunes;
-              partition.CloseFrom(root);
-              continue;
+              return RootStep::kStop;
             }
           }
           // allowed = positions after i, minus i's conflicts (the serial
@@ -747,46 +658,23 @@ Result<KtgResult> RunKtgConflictGraph(const AttributedGraph& graph,
               st.ResidualBoundPrunes(allowed, child_covered,
                                      st.Threshold())) {
             ++wstats.ub_prunes;
-            continue;  // later roots survive different conflict sets
+            return RootStep::kSkip;  // later roots survive other conflicts
           }
           st.members.push_back(cands[i].vertex);
           st.Search(std::move(allowed), child_covered);
           st.members.pop_back();
-          if (st.stop) break;
-        }
-        wstats.cpu_ms = worker_watch.ElapsedMillis();
-        std::lock_guard<std::mutex> lock(agg_mu);
-        agg += wstats;
-        complete = complete && !st.stop;
+          return RootStep::kContinue;
+        });
+        return wstats;
       };
-
-      for (uint32_t w = 0; w < pool->num_threads(); ++w) {
-        pool->Submit(pool->shard_of_worker(w), worker_fn);
-      }
-      pool->Wait();
-
-      agg.elapsed_ms = 0.0;  // wall-clock is measured below, not by workers
-      stats += agg;
-      ++stats.nodes_expanded;  // the virtual root accounted in `nodes`
+      bb_timer.Stop();
+      bool complete = true;
+      result.groups = RunRootParallel(workers, query.top_n, num_roots, seeds,
+                                      worker, &stats, &complete);
       truncated = !complete;
-      if (options.metrics != nullptr) {
-        options.metrics->counter("exec.bound.publish")
-            .Add(shared->publishes());
-        options.metrics->counter("exec.bound.refresh")
-            .Add(shared->refreshes());
-        options.metrics->counter("exec.shard.steals")
-            .Add(partition.steals());
-        options.metrics->counter("exec.shard.local_claims")
-            .Add(partition.local_claims());
-      }
     }
   }
 
-  KtgResult result;
-  {
-    obs::PhaseTimer timer(&stats.phases, obs::Phase::kTopNMerge);
-    result.groups = shared != nullptr ? shared->Take() : collector.Take();
-  }
   result.query_keyword_count = query.num_keywords();
   const int best_found =
       result.groups.empty() ? 0 : result.groups.front().covered();
@@ -798,16 +686,9 @@ Result<KtgResult> RunKtgConflictGraph(const AttributedGraph& graph,
     stats.gap = std::max(0, root_ub - best_found);
   }
   stats.distance_checks = checker.num_checks() - checker_before.checks;
-  stats.elapsed_ms = watch.ElapsedMillis();
-  if (pool == nullptr) {
-    stats.cpu_ms = stats.elapsed_ms;  // serial run: all compute on this thread
-  } else {
-    // Workers contributed their wall-clocks; add the coordinator's serial
-    // prologue so cpu covers the whole query (the parallel build's worker
-    // time is charged to the kKlineFilter wall instead).
-    stats.cpu_ms += stats.phases[obs::Phase::kCandidateGen] +
-                    stats.phases[obs::Phase::kTopNMerge];
-  }
+  // The parallel build's worker time is charged to the kline_filter wall,
+  // not to cpu_ms.
+  FinishRunClocks(watch, workers > 1, &stats);
   result.stats = stats;
   if (cacheable && !truncated) {
     options.cache->StoreQuery(cache_key, result, options.snapshot_epoch);

@@ -22,7 +22,6 @@
 #include "core/candidates.h"
 #include "core/options.h"
 #include "core/query.h"
-#include "exec/sharded_pool.h"
 #include "index/distance_checker.h"
 #include "keywords/attributed_graph.h"
 #include "keywords/inverted_index.h"
@@ -30,6 +29,8 @@
 #include "util/status.h"
 
 namespace ktg {
+
+class ThreadPool;
 
 /// How the conflict adjacency bitsets are materialized.
 enum class ConflictBuild {
@@ -53,17 +54,11 @@ struct ConflictEngineOptions {
   /// Worker threads for the search and the conflict-graph build (0 =
   /// hardware concurrency). With 1 (the default) the engine is serial,
   /// bit-for-bit. With more, the first level of the search tree is split
-  /// across a topology-aware sharded pool (see docs/sharding.md): the
+  /// across workers by the root-parallel driver (core/root_parallel.h): the
   /// result is still the exact top-N coverage multiset, but which members
   /// represent a tied coverage value can differ from the serial order —
   /// so parallel runs bypass the result cache, like degeneracy runs.
   uint32_t num_threads = 1;
-  /// Shards for the parallel search/build (0 = auto: one per NUMA node).
-  /// Semantics match EngineOptions::shards.
-  uint32_t shards = 0;
-  /// Pin workers to their shard's CPU set (best-effort; see
-  /// EngineOptions::pin_threads).
-  bool pin_threads = false;
   /// Theorem-2 pruning (with the reachable-coverage clamp; this engine is
   /// an extension, so it always uses the tighter bound).
   bool keyword_pruning = true;
@@ -127,18 +122,16 @@ struct ConflictAdjacency {
 /// directly when `checker` is one built for this `k`). Exposed for
 /// bench_kernels and the construction-equivalence tests; the engine calls
 /// it internally.
-/// When `pool` is non-null, the ball-walk and bitmap constructions fan the
-/// per-candidate row work out across its shards — each worker first-touches
-/// the rows it builds (node-local pages) and AND-scratch comes from the
-/// worker's arena. The pairwise construction stays serial (the checker is
-/// not required to be concurrent-read-safe). The matrix is bit-identical
-/// either way.
+/// When `pool` is non-null, the ball-walk and bitmap constructions split
+/// the per-candidate row work over it with ParallelFor, one BoundedBfs or
+/// AND-scratch vector per chunk. The pairwise construction stays serial
+/// (the checker is not required to be concurrent-read-safe). The matrix is
+/// bit-identical either way.
 ConflictAdjacency BuildConflictAdjacency(const Graph& graph,
                                          DistanceChecker& checker,
                                          const std::vector<Candidate>& cands,
                                          HopDistance k, ConflictBuild build,
-                                         exec::ShardedThreadPool* pool =
-                                             nullptr);
+                                         ThreadPool* pool = nullptr);
 
 /// Runs a KTG query on the materialized conflict graph. Exact: returns the
 /// same coverage profile as the paper's engines (property-tested).

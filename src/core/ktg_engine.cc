@@ -4,15 +4,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
 #include <optional>
 
 #include "cache/ktg_cache.h"
 #include "cache/query_key.h"
 #include "core/obs_bridge.h"
-#include "exec/sharded_pool.h"
 #include "obs/phase_timer.h"
-#include "util/align.h"
 #include "util/sorted_vector.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -199,20 +196,18 @@ int KtgEngine::OptimisticGain(const std::vector<Candidate>& cands, size_t from,
 }
 
 bool KtgEngine::CollectorFull() const {
-  if (shard_view_ != nullptr) return shard_view_->full();
-  return shared_topn_ != nullptr ? shared_topn_->full() : collector_.full();
+  return shared_ != nullptr ? shared_->topn.full() : collector_.full();
 }
 
 int KtgEngine::PruneThreshold() const {
-  if (shard_view_ != nullptr) return shard_view_->threshold();
-  return shared_topn_ != nullptr ? shared_topn_->threshold()
-                                 : collector_.threshold();
+  return shared_ != nullptr ? shared_->topn.threshold()
+                            : collector_.threshold();
 }
 
 bool KtgEngine::StopRequested() {
   if (stop_) return true;
-  if (shared_stop_ != nullptr &&
-      shared_stop_->load(std::memory_order_relaxed)) {
+  if (shared_ != nullptr &&
+      shared_->stop.value.load(std::memory_order_relaxed)) {
     stop_ = true;
     return true;
   }
@@ -222,8 +217,8 @@ bool KtgEngine::StopRequested() {
 void KtgEngine::RequestStop() {
   stop_ = true;
   last_run_complete_ = false;
-  if (shared_stop_ != nullptr) {
-    shared_stop_->store(true, std::memory_order_relaxed);
+  if (shared_ != nullptr) {
+    shared_->stop.value.store(true, std::memory_order_relaxed);
   }
 }
 
@@ -237,10 +232,8 @@ void KtgEngine::OfferCurrent(CoverMask covered) {
   g.members = members_;
   std::sort(g.members.begin(), g.members.end());
   g.mask = covered;
-  if (shard_view_ != nullptr) {
-    shard_view_->Offer(std::move(g));
-  } else if (shared_topn_ != nullptr) {
-    shared_topn_->Offer(std::move(g));
+  if (shared_ != nullptr) {
+    shared_->topn.Offer(std::move(g));
   } else {
     collector_.Offer(std::move(g));
   }
@@ -310,9 +303,9 @@ void KtgEngine::Search(const std::vector<Candidate>& sr, CoverMask covered,
   if (options_.max_nodes != 0) {
     // Parallel runs charge the global budget; serial runs the local count.
     const uint64_t expanded =
-        shared_nodes_ == nullptr
+        shared_ == nullptr
             ? stats_.nodes_expanded
-            : shared_nodes_->fetch_add(1, std::memory_order_relaxed) + 1;
+            : shared_->nodes.value.fetch_add(1, std::memory_order_relaxed) + 1;
     if (expanded > options_.max_nodes) {
       RequestStop();
       return;
@@ -528,160 +521,33 @@ bool KtgEngine::SearchRoot(const std::vector<Candidate>& sr, size_t i,
 std::vector<Group> KtgEngine::ParallelRootSearch(
     const std::vector<Candidate>& sr, CoverMask sr_union, uint32_t workers,
     const std::vector<Group>& seeds) {
-  SharedTopN shared(top_n_);
-  // Anytime warm start: seed before any worker claims a root, so the first
-  // shared-threshold snapshot already reflects the greedy bound.
-  for (const Group& g : seeds) shared.Offer(g);
-  const size_t num_roots = sr.size() - p_ + 1;
   // Suffix masks for the per-root residual clamp, built once for every
   // worker (see Search(); O(|sr|) here instead of O(|sr|) per root).
   std::vector<CoverMask> suffix(sr.size() + 1, 0);
   if (options_.residual_bound && options_.keyword_pruning) {
     for (size_t j = sr.size(); j-- > 0;) suffix[j] = sr[j].mask | suffix[j + 1];
   }
-  // Padded: the root cursor, node budget and stop flag are each hammered
-  // by every worker; sharing a line would false-share them against each
-  // other (and whatever the stack happens to place next to them).
-  PaddedAtomic<size_t> next_root{0};
-  PaddedAtomic<uint64_t> nodes{1};  // the (virtual) root node itself
-  PaddedAtomic<bool> stop{false};
-
-  std::mutex agg_mu;
-  SearchStats agg;
-  bool complete = true;
-
-  auto worker_fn = [&] {
-    Stopwatch worker_watch;
+  const auto worker = [&](RootParallelShared& shared) {
     KtgEngine clone(graph_, index_, checker_, options_);
     clone.p_ = p_;
     clone.k_ = k_;
     clone.top_n_ = top_n_;
     clone.run_watch_ = run_watch_;  // same deadline origin as Run()
-    clone.shared_topn_ = &shared;
-    clone.shared_nodes_ = &nodes.value;
-    clone.shared_stop_ = &stop.value;
-    while (!clone.StopRequested()) {
-      const size_t i = next_root.value.fetch_add(1, std::memory_order_relaxed);
-      if (i >= num_roots) break;
-      if (!clone.SearchRoot(sr, i, sr_union, suffix[i])) break;
-    }
-    // Worker wall-clock is this worker's compute time; SearchStats merges
-    // cpu_ms additively (and elapsed_ms by max), so the aggregate reports
-    // total work next to the query's wall-clock.
-    clone.stats_.cpu_ms = worker_watch.ElapsedMillis();
-    std::lock_guard<std::mutex> lock(agg_mu);
-    agg += clone.stats_;
-    complete = complete && clone.last_run_complete_;
+    clone.shared_ = &shared;
+    // Every SearchRoot bound is non-increasing in the root index, so a
+    // failed bound stops the claim loop (see core/root_parallel.h).
+    shared.ClaimRoots([&](size_t i) {
+      return clone.SearchRoot(sr, i, sr_union, suffix[i]) ? RootStep::kContinue
+                                                          : RootStep::kStop;
+    });
+    return clone.stats_;
   };
-
-  {
-    obs::PhaseTimer bb_timer(&stats_.phases, obs::Phase::kBbSearch);
-    ThreadPool pool(workers);
-    for (uint32_t w = 0; w < workers; ++w) pool.Submit(worker_fn);
-    pool.Wait();
-  }
-
-  agg.elapsed_ms = 0.0;  // wall-clock is measured by Run(), not by workers
-  // Clone phase entries only hold the kKlineFilter sub-phase (their
-  // top-level timers never ran); summing them attributes worker CPU.
-  stats_ += agg;
-  ++stats_.nodes_expanded;  // the virtual root accounted in `nodes`
-  if (!complete) last_run_complete_ = false;
-  obs::PhaseTimer merge_timer(&stats_.phases, obs::Phase::kTopNMerge);
-  return shared.Take();
-}
-
-std::vector<Group> KtgEngine::ShardedRootSearch(
-    const std::vector<Candidate>& sr, CoverMask sr_union, uint32_t workers,
-    uint32_t shards, const std::vector<Group>& seeds) {
-  exec::ShardedPoolOptions popts;
-  popts.num_threads = workers;
-  popts.shards = shards;
-  popts.pin_threads = options_.pin_threads;
-  popts.metrics = options_.metrics;
-  exec::ShardedThreadPool pool(popts);
-
-  exec::ShardedTopN shared(top_n_, pool.num_shards());
-  // Seeds go round-robin across the replicas (never duplicated — Take()
-  // merges, it does not dedup) and, when there are >= top_n_ of them, warm
-  // the global bound immediately.
-  shared.SeedGlobal(seeds);
-
-  const size_t num_roots = sr.size() - p_ + 1;
-  std::vector<CoverMask> suffix(sr.size() + 1, 0);
-  if (options_.residual_bound && options_.keyword_pruning) {
-    for (size_t j = sr.size(); j-- > 0;) suffix[j] = sr[j].mask | suffix[j + 1];
-  }
-  // Contiguous root ranges, weighted by each shard's worker count. Roots
-  // are vkc-descending, so a range is a band of like-strength roots —
-  // post-reorder, also a band of nearby vertices, which is the locality
-  // the shard's first-touch pages exploit.
-  exec::ShardedPartition partition(num_roots, pool.plan().worker_counts());
-
-  PaddedAtomic<uint64_t> nodes{1};  // the (virtual) root node itself
-  PaddedAtomic<bool> stop{false};
-
-  std::mutex agg_mu;
-  SearchStats agg;
   bool complete = true;
-
-  auto worker_fn = [&](const exec::WorkerContext& ctx) {
-    Stopwatch worker_watch;
-    KtgEngine clone(graph_, index_, checker_, options_);
-    clone.p_ = p_;
-    clone.k_ = k_;
-    clone.top_n_ = top_n_;
-    clone.run_watch_ = run_watch_;  // same deadline origin as Run()
-    exec::ShardedTopN::View view = shared.MakeView(ctx.shard);
-    clone.shard_view_ = &view;
-    clone.shared_nodes_ = &nodes.value;
-    clone.shared_stop_ = &stop.value;
-    uint64_t root = 0;
-    bool stolen = false;
-    while (!clone.StopRequested() &&
-           partition.Claim(ctx.shard, &root, &stolen)) {
-      // A failed root bound proves every root >= this index redundant
-      // (bounds are non-increasing in root index, the threshold never
-      // decreases) — but nothing about *earlier* unclaimed roots in other
-      // shards' ranges. Closing the partition tail keeps the claim loop
-      // alive for those: a plain `break` here is unsound once tasks pile
-      // onto one worker (e.g. pinned oversubscription) and ring-order
-      // stealing would have been the only path to a lower range. See
-      // docs/sharding.md.
-      if (!clone.SearchRoot(sr, root, sr_union, suffix[root])) {
-        partition.CloseFrom(root);
-      }
-    }
-    clone.stats_.cpu_ms = worker_watch.ElapsedMillis();
-    std::lock_guard<std::mutex> lock(agg_mu);
-    agg += clone.stats_;
-    complete = complete && clone.last_run_complete_;
-  };
-
-  {
-    obs::PhaseTimer bb_timer(&stats_.phases, obs::Phase::kBbSearch);
-    // One resident claim-loop task per worker, queued on its home shard.
-    // The loop keys off the *executing* worker's context, so a task that
-    // gets stolen across queues still works its own shard's range first.
-    for (uint32_t w = 0; w < pool.num_threads(); ++w) {
-      pool.Submit(pool.shard_of_worker(w), worker_fn);
-    }
-    pool.Wait();
-  }
-
-  agg.elapsed_ms = 0.0;  // wall-clock is measured by Run(), not by workers
-  stats_ += agg;
-  ++stats_.nodes_expanded;  // the virtual root accounted in `nodes`
+  std::vector<Group> groups =
+      RunRootParallel(workers, top_n_, sr.size() - p_ + 1, seeds, worker,
+                      &stats_, &complete);
   if (!complete) last_run_complete_ = false;
-  if (options_.metrics != nullptr) {
-    options_.metrics->counter("exec.bound.publish").Add(shared.publishes());
-    options_.metrics->counter("exec.bound.refresh").Add(shared.refreshes());
-    options_.metrics->counter("exec.shard.steals").Add(partition.steals());
-    options_.metrics->counter("exec.shard.local_claims")
-        .Add(partition.local_claims());
-  }
-  obs::PhaseTimer merge_timer(&stats_.phases, obs::Phase::kTopNMerge);
-  return shared.Take();
+  return groups;
 }
 
 Result<KtgResult> KtgEngine::Run(const KtgQuery& query) {
@@ -765,15 +631,7 @@ Result<KtgResult> KtgEngine::Run(const KtgQuery& query) {
     obs::PhaseTimer timer(&stats_.phases, obs::Phase::kTopNMerge);
     result.groups = collector_.Take();
   } else {
-    // Topology dispatch: 2+ effective shards engage the sharded search;
-    // otherwise (single-node machines with shards=0, or shards=1 forced)
-    // the shared-collector baseline runs unchanged.
-    const uint32_t shards = exec::ResolveShardCount(
-        options_.shards, exec::ProcessTopology(), workers);
-    result.groups =
-        shards >= 2
-            ? ShardedRootSearch(sr, sr_union, workers, options_.shards, seeds)
-            : ParallelRootSearch(sr, sr_union, workers, seeds);
+    result.groups = ParallelRootSearch(sr, sr_union, workers, seeds);
   }
   result.query_keyword_count = query.num_keywords();
   const int best_found =
@@ -787,16 +645,7 @@ Result<KtgResult> KtgEngine::Run(const KtgQuery& query) {
     stats_.gap = std::max(0, root_ub - best_found);
   }
   stats_.distance_checks = checker_.num_checks() - checker_before.checks;
-  stats_.elapsed_ms = watch.ElapsedMillis();
-  if (workers <= 1) {
-    // Serial run: all compute happened on this thread.
-    stats_.cpu_ms = stats_.elapsed_ms;
-  } else {
-    // Parallel run: workers contributed their wall-clocks; add the
-    // coordinator's serial prologue so cpu covers the whole query.
-    stats_.cpu_ms += stats_.phases[obs::Phase::kCandidateGen] +
-                     stats_.phases[obs::Phase::kTopNMerge];
-  }
+  FinishRunClocks(watch, workers > 1, &stats_);
   result.stats = stats_;
   if (cacheable && last_run_complete_) {
     options_.cache->StoreQuery(cache_key, result, options_.snapshot_epoch);

@@ -21,14 +21,13 @@
 #ifndef KTG_CORE_KTG_ENGINE_H_
 #define KTG_CORE_KTG_ENGINE_H_
 
-#include <atomic>
 #include <vector>
 
 #include "core/candidates.h"
 #include "core/options.h"
 #include "core/query.h"
+#include "core/root_parallel.h"
 #include "core/topn.h"
-#include "exec/sharded_topn.h"
 #include "index/distance_checker.h"
 #include "keywords/attributed_graph.h"
 #include "keywords/inverted_index.h"
@@ -96,24 +95,14 @@ class KtgEngine {
   // Worker count Run() will actually use for this query (1 unless
   // num_threads, the checker, and the candidate count all allow more).
   uint32_t EffectiveWorkers(size_t num_candidates) const;
-  // Runs the first tree level across `workers` threads; returns the final
-  // ordered groups (the parallel counterpart of collector_.Take()). `seeds`
-  // are pre-search groups (anytime warm start) offered into the shared
-  // top-N before any worker claims a root.
+  // Runs the first tree level across `workers` threads on the root-
+  // parallel driver (core/root_parallel.h); returns the final ordered
+  // groups (the parallel counterpart of collector_.Take()). `seeds` are
+  // pre-search groups (anytime warm start) offered into the shared top-N
+  // before any worker claims a root.
   std::vector<Group> ParallelRootSearch(const std::vector<Candidate>& sr,
                                         CoverMask sr_union, uint32_t workers,
                                         const std::vector<Group>& seeds);
-  // Topology-aware variant of ParallelRootSearch used when the effective
-  // shard count is 2+: workers are grouped into shards on a
-  // exec::ShardedThreadPool, roots are partitioned into contiguous
-  // per-shard ranges (with cross-shard stealing), and the pruning bound
-  // flows through exec::ShardedTopN's two-level replica/global scheme
-  // instead of one SharedTopN. Same result contract: the exact top-N
-  // coverage multiset (see docs/sharding.md for the argument).
-  std::vector<Group> ShardedRootSearch(const std::vector<Candidate>& sr,
-                                       CoverMask sr_union, uint32_t workers,
-                                       uint32_t shards,
-                                       const std::vector<Group>& seeds);
   // One first-level subtree: selects sr[i] as the sole member and runs the
   // serial search below it. `root_suffix` is ∪ masks of sr[i..] (the
   // residual-bound clamp for this root; ignored unless residual_bound).
@@ -122,8 +111,8 @@ class KtgEngine {
   bool SearchRoot(const std::vector<Candidate>& sr, size_t i,
                   CoverMask sr_union, CoverMask root_suffix);
   // Shared-state indirection: these fold to the plain serial members when
-  // the pointers are null (the serial path), and to the shared structures
-  // on worker clones.
+  // shared_ is null (the serial path), and to the run's shared state on
+  // worker clones.
   bool CollectorFull() const;
   int PruneThreshold() const;
   bool StopRequested();
@@ -155,14 +144,9 @@ class KtgEngine {
   Stopwatch run_watch_;
 
   // Set only on the per-worker clones of a parallel run; null on the
-  // serial path and on the coordinating engine itself. Exactly one of
-  // shared_topn_ / shard_view_ is set on a clone: the former under the
-  // single shared-collector baseline, the latter (a worker-local handle
-  // onto the shard's replica) under the sharded search.
-  SharedTopN* shared_topn_ = nullptr;
-  exec::ShardedTopN::View* shard_view_ = nullptr;
-  std::atomic<uint64_t>* shared_nodes_ = nullptr;
-  std::atomic<bool>* shared_stop_ = nullptr;
+  // serial path and on the coordinating engine itself. Replaces the
+  // collector, node count and stop flag with the run's shared ones.
+  RootParallelShared* shared_ = nullptr;
 };
 
 /// Convenience wrapper: builds a transient engine and runs one query.

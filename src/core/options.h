@@ -117,22 +117,6 @@ struct EngineOptions {
   /// serially.
   uint32_t num_threads = 1;
 
-  /// Shards for the topology-aware parallel search (0 = auto: one shard
-  /// per NUMA node, so single-node machines resolve to 1 and keep the
-  /// shared-bound baseline). With 2+ effective shards, workers are grouped
-  /// per shard with their own candidate ranges, scratch arenas and top-N
-  /// replicas, exchanging a pruning bound through a low-contention global
-  /// atomic (see docs/sharding.md). Only meaningful when the parallel
-  /// engine engages (num_threads != 1); results keep the same exact
-  /// coverage-multiset contract as the unsharded parallel search. Clamped
-  /// to the worker count.
-  uint32_t shards = 0;
-
-  /// Pin each worker thread to its shard's CPU set. Best-effort: pinning
-  /// failures (restricted container masks, fake topologies) are counted in
-  /// exec.shard.pin_failures and otherwise ignored.
-  bool pin_threads = false;
-
   /// Stop the search after this many branch-and-bound nodes (0 = unlimited).
   /// When hit, the result is marked incomplete. The budget is global across
   /// the parallel workers.

@@ -342,14 +342,6 @@ std::string RejectResponseJson(uint64_t id, double retry_after_ms,
   return w.str();
 }
 
-std::string TimeoutResponseJson(uint64_t id, double waited_ms) {
-  JsonWriter w;
-  BeginResponse(w, id, "timeout");
-  w.KV("waited_ms", waited_ms);
-  w.EndObject();
-  return w.str();
-}
-
 std::string ErrorResponseJson(uint64_t id, const std::string& message) {
   JsonWriter w;
   BeginResponse(w, id, "error");

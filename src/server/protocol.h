@@ -115,7 +115,6 @@ std::string QueryResponseJson(uint64_t id, const AttributedGraph& graph,
                               const ServingInfo& serving);
 std::string RejectResponseJson(uint64_t id, double retry_after_ms,
                                uint64_t queue_depth);
-std::string TimeoutResponseJson(uint64_t id, double waited_ms);
 std::string ErrorResponseJson(uint64_t id, const std::string& message);
 std::string PongResponseJson(uint64_t id);
 /// Embeds a pre-serialized ktg.metrics.v1 document under "metrics".

@@ -74,22 +74,9 @@ Status KtgServer::Start() {
     std::lock_guard<std::mutex> lock(mu_);
     started_ = true;
   }
-  // Resident worker loops on the sharded pool (it always spawns real
-  // threads — util/thread_pool.h's size-1 pool runs Submit inline by
-  // contract, which can never host a worker loop). One loop per worker,
-  // parked on its home shard's queue; the loop's shard identity is what
-  // ClaimBatch's keyword affinity steers toward.
-  exec::ShardedPoolOptions popts;
-  popts.num_threads = workers_;
-  popts.shards = options_.shards;
-  popts.pin_threads = options_.pin_threads;
-  popts.metrics = &metrics_;
-  pool_ = std::make_unique<exec::ShardedThreadPool>(popts);
-  workers_ = pool_->num_threads();
-  num_shards_ = pool_->num_shards();
+  threads_.reserve(workers_);
   for (uint32_t w = 0; w < workers_; ++w) {
-    pool_->Submit(pool_->shard_of_worker(w),
-                  [this](const exec::WorkerContext& ctx) { WorkerLoop(ctx); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
   return Status::OK();
 }
@@ -101,10 +88,8 @@ void KtgServer::Stop() {
     stopping_ = true;
   }
   work_ready_.notify_all();
-  if (pool_ != nullptr) {
-    pool_->Wait();  // every WorkerLoop task has returned (queue drained)
-    pool_.reset();  // joins the pool threads
-  }
+  for (std::thread& t : threads_) t.join();  // each loop drains, then returns
+  threads_.clear();
 }
 
 size_t KtgServer::queue_depth() const {
@@ -201,15 +186,6 @@ void KtgServer::SubmitQuery(uint64_t id, KtgQuery query, SortStrategy sort,
   p.deadline_ms = deadline_ms > 0 ? deadline_ms : options_.default_deadline_ms;
   p.key = CanonicalQueryKey(query, kEngineTagKtg, sort,
                             options_.engine.degree_ascending);
-  // FNV-1a over the sorted keyword ids: requests sharing their keyword set
-  // hash to the same shard, so their balls/results warm one shard's
-  // workers. (Requests sharing only *some* keywords still meet via the
-  // batch-affinity scan once a leader claims them.)
-  uint64_t h = 1469598103934665603ULL;
-  for (const uint32_t kw : p.key.keywords) {
-    h = (h ^ kw) * 1099511628211ULL;
-  }
-  p.preferred_shard = static_cast<uint32_t>(h % num_shards_);
   p.query = std::move(query);
   p.cb = std::move(cb);
 
@@ -259,37 +235,13 @@ void KtgServer::RecordLatency(double request_ms) {
   }
 }
 
-bool KtgServer::ClaimBatch(uint32_t shard, Pending* leader,
-                           std::vector<Pending>* coalesced,
+bool KtgServer::ClaimBatch(Pending* leader, std::vector<Pending>* coalesced,
                            std::vector<Pending>* affinity) {
   std::unique_lock<std::mutex> lock(mu_);
   work_ready_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
   if (queue_.empty()) return false;  // stopping_ and fully drained
-  // Leader choice: the queue front, unless a request homed on this
-  // worker's shard sits within the batch window AND the front has not
-  // already been passed over kMaxLeaderSkips times (starvation bound: a
-  // skipped front request is taken unconditionally on the next pop after
-  // its budget is spent, preserving bounded-delay FIFO).
-  size_t pick = 0;
-  if (num_shards_ > 1 && queue_.front().preferred_shard != shard &&
-      queue_.front().skips < kMaxLeaderSkips) {
-    const size_t window = std::min(queue_.size(), options_.batch_window);
-    for (size_t i = 1; i < window; ++i) {
-      if (queue_[i].preferred_shard == shard) {
-        pick = i;
-        break;
-      }
-    }
-  }
-  if (pick != 0) {
-    // Everything jumped over was passed up once in favor of affinity.
-    for (size_t i = 0; i < pick; ++i) ++queue_[i].skips;
-  }
-  *leader = std::move(queue_[pick]);
-  queue_.erase(queue_.begin() + static_cast<int64_t>(pick));
-  if (num_shards_ > 1 && leader->preferred_shard == shard) {
-    metrics_.counter("server.shard.affinity_hits").Add();
-  }
+  *leader = std::move(queue_.front());
+  queue_.pop_front();
 
   size_t scanned = 0;
   for (auto it = queue_.begin();
@@ -317,12 +269,12 @@ bool KtgServer::ClaimBatch(uint32_t shard, Pending* leader,
   return true;
 }
 
-void KtgServer::WorkerLoop(const exec::WorkerContext& ctx) {
+void KtgServer::WorkerLoop() {
   for (;;) {
     Pending leader;
     std::vector<Pending> coalesced;
     std::vector<Pending> affinity;
-    if (!ClaimBatch(ctx.shard, &leader, &coalesced, &affinity)) return;
+    if (!ClaimBatch(&leader, &coalesced, &affinity)) return;
     ExecuteOne(std::move(leader), std::move(coalesced));
     // Affinity followers run back-to-back on this worker so the cache
     // entries the leader warmed (balls around shared-keyword candidates,
@@ -486,7 +438,6 @@ std::string KtgServer::InfoJson() const {
   w.EndObject();
   w.Key("serving").BeginObject();
   w.KV("workers", workers_)
-      .KV("shards", num_shards_)
       .KV("max_queue", static_cast<uint64_t>(options_.max_queue))
       .KV("batch_max", options_.batch_max)
       .KV("batch_window", static_cast<uint64_t>(options_.batch_window))

@@ -56,7 +56,6 @@
 
 #include "cache/ktg_cache.h"
 #include "cache/query_key.h"
-#include "exec/sharded_pool.h"
 #include "core/options.h"
 #include "core/query.h"
 #include "core/reorder_boundary.h"
@@ -105,15 +104,6 @@ struct ServerOptions {
 
   /// Threads for index/checker construction at Start() (0 = hardware).
   uint32_t build_threads = 0;
-
-  /// Shards for the worker pool (0 = auto: one per NUMA node; see
-  /// docs/sharding.md). Workers are grouped so keyword-affine batches land
-  /// on one shard's workers — and therefore one node's cache/arena pages.
-  uint32_t shards = 0;
-
-  /// Pin workers to their shard's CPU set (best-effort; failures are
-  /// counted in exec.shard.pin_failures).
-  bool pin_threads = false;
 
   /// Locality reorder applied to the dataset at Start() (graph/reorder.h).
   /// The wire protocol keeps speaking original vertex ids: authors and
@@ -200,28 +190,14 @@ class KtgServer {
     double deadline_ms = 0.0;  // effective total deadline; 0 = none
     Stopwatch waited;          // started at admission
     QueryKey key;              // canonical identity for coalescing
-    // Shard whose workers should prefer this request (stable hash of the
-    // sorted keyword ids): same-keyword requests land on the same shard's
-    // workers, so the cache lines and arena pages they warm stay node-
-    // local. Purely advisory — any worker may take any request.
-    uint32_t preferred_shard = 0;
-    // Times a worker passed this request over at the queue front in favor
-    // of a shard-affine leader behind it; bounded by kMaxLeaderSkips.
-    uint32_t skips = 0;
     ResponseCallback cb;
   };
 
-  // A passed-over queue-front request is taken unconditionally once it has
-  // been skipped this many times (starvation bound for shard affinity).
-  static constexpr uint32_t kMaxLeaderSkips = 2;
-
-  void WorkerLoop(const exec::WorkerContext& ctx);
-  // Claims a batch under the lock: leader + identical-key `coalesced` +
-  // keyword-affine `affinity`. The worker's home `shard` steers leader
-  // choice toward shard-affine requests (bounded look-ahead, starvation-
-  // guarded). Returns false when stopping and empty.
-  bool ClaimBatch(uint32_t shard, Pending* leader,
-                  std::vector<Pending>* coalesced,
+  void WorkerLoop();
+  // Claims a batch under the lock: the queue-front leader + identical-key
+  // `coalesced` + keyword-affine `affinity`. Returns false when stopping
+  // and empty.
+  bool ClaimBatch(Pending* leader, std::vector<Pending>* coalesced,
                   std::vector<Pending>* affinity);
   // One engine run answering `leader` and every coalesced duplicate. Pins
   // the current snapshot for the whole run.
@@ -241,12 +217,7 @@ class KtgServer {
   obs::MetricsRegistry metrics_;
   std::unique_ptr<KtgCache> cache_;
   std::unique_ptr<SnapshotStore> store_;
-  // Resident worker loops live on a sharded pool (it always spawns real
-  // threads, unlike util/thread_pool.h's size-1 inline contract), so batch
-  // affinity can steer same-keyword requests onto one shard's workers.
-  std::unique_ptr<exec::ShardedThreadPool> pool_;
   uint32_t workers_ = 1;
-  uint32_t num_shards_ = 1;
 
   mutable std::mutex mu_;
   std::condition_variable work_ready_;
@@ -256,6 +227,11 @@ class KtgServer {
   // EMA of end-to-end request latency (ms), the retry_after basis.
   double ema_request_ms_ = 0.0;
   bool ema_seeded_ = false;
+
+  // One resident WorkerLoop per thread. Plain threads, not a ThreadPool: a
+  // size-1 pool runs Submit inline by contract and could never host a
+  // loop. Declared last so every member a loop touches outlives it.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace ktg::server

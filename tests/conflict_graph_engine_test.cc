@@ -14,6 +14,7 @@
 #include "index/bfs_checker.h"
 #include "index/khop_bitmap.h"
 #include "keywords/inverted_index.h"
+#include "util/thread_pool.h"
 
 namespace ktg {
 namespace {
@@ -173,14 +174,21 @@ TEST(ConflictGraphEngineTest, ConstructionStrategiesBitIdentical) {
     KHopBitmapChecker bitmap(g.graph(), k);
     const ConflictAdjacency rows = BuildConflictAdjacency(
         g.graph(), bitmap, cands, k, ConflictBuild::kBallWalk);
+    // The pooled builds split the same row loops into chunks.
+    ThreadPool pool(4);
+    const ConflictAdjacency pooled_ball = BuildConflictAdjacency(
+        g.graph(), bfs, cands, k, ConflictBuild::kBallWalk, &pool);
+    const ConflictAdjacency pooled_rows = BuildConflictAdjacency(
+        g.graph(), bitmap, cands, k, ConflictBuild::kBallWalk, &pool);
 
-    EXPECT_EQ(pw.edges, ball.edges) << "round " << round << " k=" << int{k};
-    EXPECT_EQ(pw.edges, rows.edges) << "round " << round << " k=" << int{k};
-    ASSERT_EQ(pw.adj.size(), ball.adj.size());
-    ASSERT_EQ(pw.adj.size(), rows.adj.size());
-    for (size_t i = 0; i < pw.adj.size(); ++i) {
-      EXPECT_TRUE(pw.adj[i] == ball.adj[i]) << "row " << i;
-      EXPECT_TRUE(pw.adj[i] == rows.adj[i]) << "row " << i;
+    for (const ConflictAdjacency* other :
+         {&ball, &rows, &pooled_ball, &pooled_rows}) {
+      EXPECT_EQ(pw.edges, other->edges)
+          << "round " << round << " k=" << int{k};
+      ASSERT_EQ(pw.adj.size(), other->adj.size());
+      for (size_t i = 0; i < pw.adj.size(); ++i) {
+        EXPECT_TRUE(pw.adj[i] == other->adj[i]) << "row " << i;
+      }
     }
   }
 }

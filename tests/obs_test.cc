@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/conflict_graph_engine.h"
 #include "core/ktg_engine.h"
 #include "core/obs_bridge.h"
 #include "core/paper_example.h"
@@ -254,6 +255,15 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   // partition can only undershoot by timer overhead).
   EXPECT_GT(s.phases[Phase::kBbSearch], 0.0);
   EXPECT_LE(s.phases.TopLevelTotalMs(), s.elapsed_ms + 0.5);
+
+  // Same partition for the conflict engine's root-parallel path, whose
+  // elapsed_ms is read after the driver's pool has joined.
+  ConflictEngineOptions copts;
+  copts.num_threads = 4;
+  const auto c = RunKtgConflictGraph(g, idx, checker, q, copts);
+  ASSERT_TRUE(c.ok());
+  EXPECT_GT(c->stats.phases[Phase::kBbSearch], 0.0);
+  EXPECT_LE(c->stats.phases.TopLevelTotalMs(), c->stats.elapsed_ms + 0.5);
 }
 
 // Per-pair checkers (no bulk path) keep the strict invariant: every check
