@@ -141,6 +141,7 @@ void RunAblation() {
     for (const bool degeneracy : {false, true}) {
       ConflictEngineOptions copts;
       copts.degeneracy_order = degeneracy;
+      copts.metrics = &Metrics();  // conflict.* and kernel.* in the sidecar
       SummaryStats ms, nodes, checks;
       for (const auto& query : workload) {
         const auto r = RunKtgConflictGraph(ds.graph(), ds.index(), checker,

@@ -35,7 +35,8 @@ class ThreadPool;
 /// How the conflict adjacency bitsets are materialized.
 enum class ConflictBuild {
   /// All-pairs checker probes: C(n, 2) IsFartherThan calls (the original
-  /// construction; kept for the ablation/microbench comparison).
+  /// construction; kept as the reference for the construction tests and
+  /// bench_kernels).
   kPairwise,
   /// Ball walk: one bounded BFS per candidate over the social graph,
   /// intersected with the candidate-membership map — O(n · ball) instead
@@ -46,32 +47,24 @@ enum class ConflictBuild {
   kBallWalk,
 };
 
-/// Knobs for the conflict-graph engine.
-struct ConflictEngineOptions {
-  /// Refuse queries whose candidate set exceeds this (the conflict graph
-  /// is quadratic in candidates). 0 = unlimited.
-  uint32_t max_candidates = 20000;
-  /// Worker threads for the search and the conflict-graph build (0 =
-  /// hardware concurrency). With 1 (the default) the engine is serial,
-  /// bit-for-bit. With more, the first level of the search tree is split
-  /// across workers by the root-parallel driver (core/root_parallel.h): the
-  /// result is still the exact top-N coverage multiset, but which members
-  /// represent a tied coverage value can differ from the serial order —
-  /// so parallel runs bypass the result cache, like degeneracy runs.
-  uint32_t num_threads = 1;
-  /// Theorem-2 pruning (with the reachable-coverage clamp; this engine is
-  /// an extension, so it always uses the tighter bound).
-  bool keyword_pruning = true;
-  /// Per-child residual-coverage upper bound (ON by default): before
-  /// recursing into a child, clamp its bound by the coverage reachable
-  /// from the child's *surviving* candidate bitset, computed word-parallel
-  /// from per-keyword position bitmaps with early exit. Strictly tighter
-  /// than the node-level reachable ceiling because the child set has
-  /// already lost the selected candidate's conflicts. Exact; prunes count
-  /// as SearchStats::ub_prunes. See docs/kernels.md.
-  bool residual_bound = true;
-  /// Conflict-graph construction strategy (see ConflictBuild).
-  ConflictBuild build = ConflictBuild::kBallWalk;
+/// Knobs for the conflict-graph engine: the shared core (see
+/// SearchOptions) plus the degeneracy branching order. Notes on the core
+/// fields as this engine reads them:
+///   * keyword_pruning always uses the reachable-coverage clamp (this
+///     engine is an extension, so it takes the tighter bound);
+///   * num_threads also splits the conflict-adjacency build;
+///   * kAnytime (and kPortfolio reaching this engine directly) warm-starts
+///     the collector with greedy seed groups built word-parallel on the
+///     conflict adjacency;
+///   * conflict-graph construction time is attributed to the kline_filter
+///     phase — it is the same pairwise k-line work, paid up front;
+///   * cached results live under their own engine tag, so conflict-engine
+///     results never serve a KtgEngine lookup or vice versa.
+/// Candidate sets larger than kMaxConflictCandidates (core/run_frame.h)
+/// are refused with ResourceExhausted: the conflict graph is quadratic in
+/// candidates. The adjacency is built by the ball walk
+/// (ConflictBuild::kBallWalk).
+struct ConflictEngineOptions : SearchOptions {
   /// Branch in reverse degeneracy order of the conflict graph instead of
   /// the static (VKC, degree, id) rank: candidates in the densest core —
   /// the ones conflicting with most others — are tried first, so infeasible
@@ -79,32 +72,6 @@ struct ConflictEngineOptions {
   /// unchanged; which members represent a tied coverage value may differ,
   /// so degeneracy runs bypass the result cache).
   bool degeneracy_order = false;
-  /// Node budget (0 = unlimited).
-  uint64_t max_nodes = 0;
-  /// Wall-clock budget for one run in milliseconds (0 = unlimited), polled
-  /// every 64 node expansions like EngineOptions::time_budget_ms. A run
-  /// that exceeds it stops with the best groups found so far; the result's
-  /// stats carry the optimality gap (SearchStats::gap).
-  double time_budget_ms = 0.0;
-  /// Completeness/latency trade-off (see EngineMode). kAnytime (and
-  /// kPortfolio reaching this engine directly) warm-starts the collector
-  /// with greedy seed groups built word-parallel on the conflict adjacency,
-  /// and bypasses the result cache.
-  EngineMode mode = EngineMode::kExact;
-  /// Observability sinks, borrowed; null = disabled (see EngineOptions).
-  /// Conflict-graph construction time is attributed to the kline_filter
-  /// phase — it is the same pairwise k-line work, paid up front.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::QueryTrace* trace = nullptr;
-  /// Cross-query result cache, borrowed (see EngineOptions::cache). Keyed
-  /// under a distinct engine tag, so conflict-engine results never serve a
-  /// KtgEngine lookup or vice versa. Truncated runs (max_nodes) bypass it.
-  KtgCache* cache = nullptr;
-  /// Epoch the run's graph/index state is pinned at; tags every cache
-  /// access (see EngineOptions::snapshot_epoch). Defaults to "follow the
-  /// cache's current epoch" — the value of cache/ktg_cache.h's
-  /// kCurrentEpoch, spelled out to keep this header cache-free.
-  uint64_t snapshot_epoch = ~uint64_t{0};
 };
 
 /// The materialized conflict graph over a candidate set: adj[i] is the
@@ -136,7 +103,7 @@ ConflictAdjacency BuildConflictAdjacency(const Graph& graph,
 /// Runs a KTG query on the materialized conflict graph. Exact: returns the
 /// same coverage profile as the paper's engines (property-tested).
 /// `checker` is only used to build the conflict graph (and not even for
-/// that under the default ball-walk construction).
+/// that unless it is a KHopBitmapChecker built for the query's k).
 Result<KtgResult> RunKtgConflictGraph(const AttributedGraph& graph,
                                       const InvertedIndex& index,
                                       DistanceChecker& checker,

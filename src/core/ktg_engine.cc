@@ -6,12 +6,9 @@
 #include <limits>
 #include <optional>
 
-#include "cache/ktg_cache.h"
 #include "cache/query_key.h"
-#include "core/obs_bridge.h"
 #include "obs/phase_timer.h"
 #include "util/sorted_vector.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ktg {
@@ -119,7 +116,6 @@ KtgEngine::KtgEngine(const AttributedGraph& graph, const InvertedIndex& index,
                      DistanceChecker& checker, EngineOptions options)
     : graph_(graph), index_(index), checker_(checker), options_(options) {
   instrument_ = options_.metrics != nullptr || options_.trace != nullptr;
-  if (options_.metrics != nullptr) checker_.EnableDetailStats();
 }
 
 void KtgEngine::RecordTrace(obs::TraceEventKind kind, VertexId vertex,
@@ -130,36 +126,22 @@ void KtgEngine::RecordTrace(obs::TraceEventKind kind, VertexId vertex,
 }
 
 void KtgEngine::SortCandidates(std::vector<Candidate>& cands) const {
-  switch (options_.sort) {
-    case SortStrategy::kQkc:
-      // Static order: never re-sorted after the initial call (the engine
-      // only calls this once for kQkc, with vkc == QKC counts).
-      std::sort(cands.begin(), cands.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  if (a.vkc != b.vkc) return a.vkc > b.vkc;
-                  return a.vertex < b.vertex;
-                });
-      break;
-    case SortStrategy::kVkc:
-      std::sort(cands.begin(), cands.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  if (a.vkc != b.vkc) return a.vkc > b.vkc;
-                  return a.vertex < b.vertex;
-                });
-      break;
-    case SortStrategy::kVkcDeg: {
-      const bool asc = options_.degree_ascending;
-      std::sort(cands.begin(), cands.end(),
-                [asc](const Candidate& a, const Candidate& b) {
-                  if (a.vkc != b.vkc) return a.vkc > b.vkc;
-                  if (a.degree != b.degree) {
-                    return asc ? a.degree < b.degree : a.degree > b.degree;
-                  }
-                  return a.vertex < b.vertex;
-                });
-      break;
-    }
+  if (options_.sort == SortStrategy::kVkcDeg && options_.degree_ascending) {
+    std::sort(cands.begin(), cands.end(), StaticRankLess{});
+    return;
   }
+  // kQkc and kVkc rank by vkc then id (kQkc is sorted once, with vkc ==
+  // QKC counts, and never re-sorted); kVkcDeg here breaks vkc ties by
+  // degree descending.
+  const bool by_degree = options_.sort == SortStrategy::kVkcDeg;
+  std::sort(cands.begin(), cands.end(),
+            [by_degree](const Candidate& a, const Candidate& b) {
+              if (a.vkc != b.vkc) return a.vkc > b.vkc;
+              if (by_degree && a.degree != b.degree) {
+                return a.degree > b.degree;
+              }
+              return a.vertex < b.vertex;
+            });
 }
 
 int KtgEngine::OptimisticGain(const std::vector<Candidate>& cands, size_t from,
@@ -195,33 +177,6 @@ int KtgEngine::OptimisticGain(const std::vector<Candidate>& cands, size_t from,
   return gain;
 }
 
-bool KtgEngine::CollectorFull() const {
-  return shared_ != nullptr ? shared_->topn.full() : collector_.full();
-}
-
-int KtgEngine::PruneThreshold() const {
-  return shared_ != nullptr ? shared_->topn.threshold()
-                            : collector_.threshold();
-}
-
-bool KtgEngine::StopRequested() {
-  if (stop_) return true;
-  if (shared_ != nullptr &&
-      shared_->stop.value.load(std::memory_order_relaxed)) {
-    stop_ = true;
-    return true;
-  }
-  return false;
-}
-
-void KtgEngine::RequestStop() {
-  stop_ = true;
-  last_run_complete_ = false;
-  if (shared_ != nullptr) {
-    shared_->stop.value.store(true, std::memory_order_relaxed);
-  }
-}
-
 void KtgEngine::OfferCurrent(CoverMask covered) {
   ++stats_.groups_completed;
   if (instrument_) {
@@ -232,14 +187,10 @@ void KtgEngine::OfferCurrent(CoverMask covered) {
   g.members = members_;
   std::sort(g.members.begin(), g.members.end());
   g.mask = covered;
-  if (shared_ != nullptr) {
-    shared_->topn.Offer(std::move(g));
-  } else {
-    collector_.Offer(std::move(g));
-  }
-  if (options_.stop_at_count > 0 && CollectorFull() &&
-      PruneThreshold() >= options_.stop_at_count) {
-    RequestStop();
+  controls_.Offer(std::move(g));
+  if (options_.stop_at_count > 0 && controls_.Full() &&
+      controls_.Threshold() >= options_.stop_at_count) {
+    controls_.RequestStop();
   }
 }
 
@@ -293,33 +244,14 @@ std::vector<Candidate> KtgEngine::BuildChildCandidates(
 
 void KtgEngine::Search(const std::vector<Candidate>& sr, CoverMask covered,
                        CoverMask sr_union) {
-  if (StopRequested()) return;
+  if (controls_.StopRequested()) return;
   ++stats_.nodes_expanded;
   if (instrument_) {
     RecordTrace(obs::TraceEventKind::kExpand,
                 members_.empty() ? kInvalidVertex : members_.back(),
                 static_cast<int64_t>(sr.size()));
   }
-  if (options_.max_nodes != 0) {
-    // Parallel runs charge the global budget; serial runs the local count.
-    const uint64_t expanded =
-        shared_ == nullptr
-            ? stats_.nodes_expanded
-            : shared_->nodes.value.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (expanded > options_.max_nodes) {
-      RequestStop();
-      return;
-    }
-  }
-  // Deadline: the clock read is amortized over a node batch; each worker
-  // polls its own expansion count, so the shared stop flag fans the
-  // timeout out to the others within one batch.
-  if (options_.time_budget_ms > 0 &&
-      (stats_.nodes_expanded & kTimeBudgetCheckMask) == 0 &&
-      run_watch_.ElapsedMillis() > options_.time_budget_ms) {
-    RequestStop();
-    return;
-  }
+  if (!controls_.ChargeNode(stats_.nodes_expanded)) return;
 
   if (members_.size() == p_) {
     OfferCurrent(covered);
@@ -329,7 +261,6 @@ void KtgEngine::Search(const std::vector<Candidate>& sr, CoverMask covered,
   const uint32_t need = p_ - static_cast<uint32_t>(members_.size());
   if (sr.size() < need) return;
 
-  const int covered_count = PopCount(covered);
   // The reachable-coverage ceiling: no descendant can cover keywords outside
   // covered ∪ (union of remaining masks). It clamps the additive Theorem-2
   // bound, which otherwise exceeds |W_Q| on popular-keyword queries and
@@ -337,9 +268,9 @@ void KtgEngine::Search(const std::vector<Candidate>& sr, CoverMask covered,
   const int ceiling = options_.ceiling_prune
                           ? PopCount(covered | sr_union)
                           : std::numeric_limits<int>::max();
-  if (options_.keyword_pruning && CollectorFull()) {
-    const int additive = covered_count + OptimisticGain(sr, 0, need);
-    if (std::min(additive, ceiling) <= PruneThreshold()) {
+  if (options_.keyword_pruning && controls_.Full()) {
+    const int additive = PopCount(covered) + OptimisticGain(sr, 0, need);
+    if (std::min(additive, ceiling) <= controls_.Threshold()) {
       ++stats_.keyword_prunes;
       if (instrument_) {
         RecordTrace(obs::TraceEventKind::kKeywordPrune,
@@ -362,73 +293,79 @@ void KtgEngine::Search(const std::vector<Candidate>& sr, CoverMask covered,
   const bool residual = options_.residual_bound && options_.keyword_pruning;
 
   for (size_t i = 0; i + need <= sr.size(); ++i) {
-    if (StopRequested()) return;
-    const Candidate& v = sr[i];
+    if (controls_.StopRequested()) return;
+    if (residual && suffix.empty() && controls_.Full()) {
+      suffix.resize(sr.size() + 1);
+      suffix[sr.size()] = 0;
+      for (size_t j = sr.size(); j-- > i;) {
+        suffix[j] = sr[j].mask | suffix[j + 1];
+      }
+    }
+    if (!Branch(sr, i, covered, ceiling, need,
+                suffix.empty() ? nullptr : &suffix[i])) {
+      return;
+    }
+  }
+}
 
-    // Parent-side bound for this child (cheap for VKC orders; skipped for
-    // the static QKC order where it would cost a scan per child).
-    if (options_.keyword_pruning && CollectorFull()) {
-      if (ceiling <= PruneThreshold()) {
+bool KtgEngine::Branch(const std::vector<Candidate>& sr, size_t i,
+                       CoverMask covered, int ceiling, uint32_t need,
+                       const CoverMask* suffix) {
+  const Candidate& v = sr[i];
+
+  // Parent-side bound for this child (cheap for VKC orders; skipped for
+  // the static QKC order where it would cost a scan per child).
+  if (options_.keyword_pruning && controls_.Full()) {
+    const int threshold = controls_.Threshold();
+    if (ceiling <= threshold) {
+      ++stats_.keyword_prunes;
+      if (instrument_) {
+        RecordTrace(obs::TraceEventKind::kKeywordPrune, v.vertex, ceiling);
+      }
+      return false;  // no child can beat the N-th result
+    }
+    if (options_.sort != SortStrategy::kQkc) {
+      const int bound =
+          PopCount(covered) + v.vkc + OptimisticGain(sr, i + 1, need - 1);
+      if (bound <= threshold) {
         ++stats_.keyword_prunes;
         if (instrument_) {
-          RecordTrace(obs::TraceEventKind::kKeywordPrune, v.vertex, ceiling);
+          RecordTrace(obs::TraceEventKind::kKeywordPrune, v.vertex, bound);
         }
-        return;  // no child can beat the N-th result
-      }
-      if (options_.sort != SortStrategy::kQkc) {
-        const int bound =
-            covered_count + v.vkc + OptimisticGain(sr, i + 1, need - 1);
-        if (bound <= PruneThreshold()) {
-          ++stats_.keyword_prunes;
-          if (instrument_) {
-            RecordTrace(obs::TraceEventKind::kKeywordPrune, v.vertex, bound);
-          }
-          // sr is vkc-descending: later children only bound lower.
-          return;
-        }
-      }
-      if (residual) {
-        if (suffix.empty()) {
-          suffix.resize(sr.size() + 1);
-          suffix[sr.size()] = 0;
-          for (size_t j = sr.size(); j-- > i;) {
-            suffix[j] = sr[j].mask | suffix[j + 1];
-          }
-        }
-        const int clamp = PopCount(covered | suffix[i]);
-        if (clamp <= PruneThreshold()) {
-          // The additive bound passed but the child's own suffix cannot
-          // reach past the N-th coverage.
-          ++stats_.ub_prunes;
-          if (instrument_) {
-            RecordTrace(obs::TraceEventKind::kKeywordPrune, v.vertex, clamp);
-          }
-          return;  // suffix[i] ⊇ suffix[i+1]: later children clamp lower
-        }
+        // sr is vkc-descending: later children only bound lower.
+        return false;
       }
     }
-
-    // Lazy feasibility check (ablation mode): validate v against S_I now.
-    if (!options_.eager_kline_filtering) {
-      bool feasible = true;
-      for (const VertexId m : members_) {
-        if (!checker_.IsFartherThan(v.vertex, m, k_)) {
-          feasible = false;
-          break;
+    if (suffix != nullptr) {
+      const int clamp = PopCount(covered | *suffix);
+      if (clamp <= threshold) {
+        // The additive bound passed but the child's own suffix cannot
+        // reach past the N-th coverage.
+        ++stats_.ub_prunes;
+        if (instrument_) {
+          RecordTrace(obs::TraceEventKind::kKeywordPrune, v.vertex, clamp);
         }
+        return false;  // suffix[i] ⊇ suffix[i+1]: later children clamp lower
       }
-      if (!feasible) continue;
     }
-
-    const CoverMask child_covered = covered | v.mask;
-    CoverMask child_union = 0;
-    std::vector<Candidate> child =
-        BuildChildCandidates(sr, i, child_covered, &child_union);
-
-    members_.push_back(v.vertex);
-    Search(child, child_covered, child_union);
-    members_.pop_back();
   }
+
+  // Lazy feasibility check (ablation mode): validate v against S_I now.
+  if (!options_.eager_kline_filtering) {
+    for (const VertexId m : members_) {
+      if (!checker_.IsFartherThan(v.vertex, m, k_)) return true;
+    }
+  }
+
+  const CoverMask child_covered = covered | v.mask;
+  CoverMask child_union = 0;
+  std::vector<Candidate> child =
+      BuildChildCandidates(sr, i, child_covered, &child_union);
+
+  members_.push_back(v.vertex);
+  Search(child, child_covered, child_union);
+  members_.pop_back();
+  return true;
 }
 
 std::vector<Group> KtgEngine::GreedySeeds(const std::vector<Candidate>& sr) {
@@ -454,162 +391,80 @@ std::vector<Group> KtgEngine::GreedySeeds(const std::vector<Candidate>& sr) {
 }
 
 uint32_t KtgEngine::EffectiveWorkers(size_t num_candidates) const {
-  if (options_.num_threads == 1) return 1;
   if (!checker_.concurrent_read_safe()) return 1;
   if (num_candidates < p_) return 1;  // no feasible group at all
-  const size_t num_roots = num_candidates - p_ + 1;
-  const uint32_t requested = ThreadPool::Resolve(options_.num_threads);
-  return static_cast<uint32_t>(
-      std::max<size_t>(1, std::min<size_t>(requested, num_roots)));
-}
-
-bool KtgEngine::SearchRoot(const std::vector<Candidate>& sr, size_t i,
-                           CoverMask sr_union, CoverMask root_suffix) {
-  // One iteration of the Search() first-level loop: members_ is empty,
-  // covered == 0, need == p_. Kept in lockstep with the serial loop body so
-  // the explored subtree is identical (the recursive Search() call below
-  // accounts the subtree's node, exactly as the serial loop does).
-  const uint32_t need = p_;
-  const Candidate& v = sr[i];
-  const int ceiling = options_.ceiling_prune ? PopCount(sr_union)
-                                             : std::numeric_limits<int>::max();
-  if (options_.keyword_pruning && CollectorFull()) {
-    const int threshold = PruneThreshold();
-    if (ceiling <= threshold) {
-      ++stats_.keyword_prunes;
-      if (instrument_) {
-        RecordTrace(obs::TraceEventKind::kKeywordPrune, v.vertex, ceiling);
-      }
-      return false;  // no root can beat the N-th result anymore
-    }
-    if (options_.sort != SortStrategy::kQkc) {
-      const int bound = v.vkc + OptimisticGain(sr, i + 1, need - 1);
-      if (bound <= threshold) {
-        ++stats_.keyword_prunes;
-        if (instrument_) {
-          RecordTrace(obs::TraceEventKind::kKeywordPrune, v.vertex, bound);
-        }
-        return false;  // sr is vkc-descending: later roots bound lower
-      }
-    }
-    if (options_.residual_bound) {
-      // Residual clamp for this root (mirrors Search(); the coordinator
-      // precomputed the suffix masks once for all roots).
-      const int clamp = PopCount(root_suffix);
-      if (clamp <= threshold) {
-        ++stats_.ub_prunes;
-        if (instrument_) {
-          RecordTrace(obs::TraceEventKind::kKeywordPrune, v.vertex, clamp);
-        }
-        return false;  // suffix masks shrink with i: later roots clamp lower
-      }
-    }
-  }
-
-  // (The lazy-mode feasibility check is vacuous here: S_I is empty.)
-  const CoverMask child_covered = v.mask;
-  CoverMask child_union = 0;
-  std::vector<Candidate> child =
-      BuildChildCandidates(sr, i, child_covered, &child_union);
-
-  members_.push_back(v.vertex);
-  Search(child, child_covered, child_union);
-  members_.pop_back();
-  return true;
+  return RootWorkers(options_.num_threads, num_candidates - p_ + 1);
 }
 
 std::vector<Group> KtgEngine::ParallelRootSearch(
     const std::vector<Candidate>& sr, CoverMask sr_union, uint32_t workers,
-    const std::vector<Group>& seeds) {
+    const std::vector<Group>& seeds, const Stopwatch& run_watch,
+    bool* complete) {
   // Suffix masks for the per-root residual clamp, built once for every
   // worker (see Search(); O(|sr|) here instead of O(|sr|) per root).
   std::vector<CoverMask> suffix(sr.size() + 1, 0);
-  if (options_.residual_bound && options_.keyword_pruning) {
+  const bool residual = options_.residual_bound && options_.keyword_pruning;
+  if (residual) {
     for (size_t j = sr.size(); j-- > 0;) suffix[j] = sr[j].mask | suffix[j + 1];
   }
+  const int ceiling = options_.ceiling_prune ? PopCount(sr_union)
+                                             : std::numeric_limits<int>::max();
   const auto worker = [&](RootParallelShared& shared) {
     KtgEngine clone(graph_, index_, checker_, options_);
     clone.p_ = p_;
     clone.k_ = k_;
     clone.top_n_ = top_n_;
-    clone.run_watch_ = run_watch_;  // same deadline origin as Run()
-    clone.shared_ = &shared;
-    // Every SearchRoot bound is non-increasing in the root index, so a
-    // failed bound stops the claim loop (see core/root_parallel.h).
+    clone.controls_ = RunControls(options_, run_watch, nullptr, &shared);
+    // Root i is the serial first level's child i (members_ empty, covered
+    // 0, need p_). Every Branch bound is non-increasing in the root index,
+    // so a failed bound stops the claim loop (see core/root_parallel.h).
     shared.ClaimRoots([&](size_t i) {
-      return clone.SearchRoot(sr, i, sr_union, suffix[i]) ? RootStep::kContinue
-                                                          : RootStep::kStop;
+      return clone.Branch(sr, i, 0, ceiling, p_,
+                          residual ? &suffix[i] : nullptr)
+                 ? RootStep::kContinue
+                 : RootStep::kStop;
     });
     return clone.stats_;
   };
-  bool complete = true;
-  std::vector<Group> groups =
-      RunRootParallel(workers, top_n_, sr.size() - p_ + 1, seeds, worker,
-                      &stats_, &complete);
-  if (!complete) last_run_complete_ = false;
-  return groups;
+  return RunRootParallel(workers, top_n_, sr.size() - p_ + 1, seeds, worker,
+                         &stats_, complete);
 }
 
 Result<KtgResult> KtgEngine::Run(const KtgQuery& query) {
-  KTG_RETURN_IF_ERROR(ValidateQuery(query, graph_));
-
-  Stopwatch watch;
-  run_watch_ = watch;  // deadline origin == the query's wall-clock origin
-
-  // Cross-query result cache: truncated searches (max_nodes/stop_at_count)
-  // produce best-effort groups, so they neither consult nor populate it.
-  // Non-exact modes bypass it too — a completed anytime run has the exact
-  // coverage profile but possibly different tie representatives (the seeds
-  // claim slots first), and cached entries must be mode-independent.
-  QueryKey cache_key;
-  const bool cacheable = options_.cache != nullptr && options_.max_nodes == 0 &&
-                         options_.stop_at_count == 0 &&
-                         options_.mode == EngineMode::kExact;
-  if (cacheable) {
-    cache_key = CanonicalQueryKey(query, kEngineTagKtg, options_.sort,
-                                  options_.degree_ascending);
-    KtgResult cached;
-    if (options_.cache->LookupQuery(cache_key, graph_, query, &cached,
-                                    options_.snapshot_epoch)) {
-      cached.stats.elapsed_ms = watch.ElapsedMillis();
-      cached.stats.cpu_ms = cached.stats.elapsed_ms;
-      last_run_complete_ = true;
-      RecordSearchStats(options_.metrics, cached.stats, "engine");
-      return cached;
-    }
+  // stop_at_count runs are truncated by design: they supply no cache key.
+  std::optional<CacheKeySpec> key;
+  if (options_.stop_at_count == 0) {
+    key = CacheKeySpec{kEngineTagKtg, options_.sort,
+                       options_.degree_ascending};
   }
+  Result<KtgResult> result = RunInFrame(
+      graph_, index_, checker_, query, options_, "engine", key,
+      [&](std::vector<Candidate>& sr, const Stopwatch& run_watch,
+          SearchStats* stats) {
+        return SearchCandidates(query, sr, run_watch, stats);
+      });
+  if (result.ok()) last_run_complete_ = result->stats.complete;
+  return result;
+}
+
+Result<SearchOutcome> KtgEngine::SearchCandidates(const KtgQuery& query,
+                                                  std::vector<Candidate>& sr,
+                                                  const Stopwatch& run_watch,
+                                                  SearchStats* stats) {
   p_ = query.group_size;
   k_ = query.tenuity;
   top_n_ = query.top_n;
   collector_ = TopNCollector(query.top_n);
+  controls_ = RunControls(options_, run_watch, &collector_);
   members_.clear();
-  stats_ = SearchStats{};
-  stop_ = false;
-  last_run_complete_ = true;
-
-  const CheckerCounters checker_before = SnapshotChecker(checker_);
-
-  uint64_t excluded = 0;
-  std::vector<Candidate> sr;
+  stats_ = *stats;
   {
     obs::PhaseTimer timer(&stats_.phases, obs::Phase::kCandidateGen);
-    sr = ExtractCandidates(graph_, index_, query, checker_, &excluded);
-    stats_.candidates = sr.size();
-    stats_.kline_filtered += excluded;
     SortCandidates(sr);
   }
 
   CoverMask sr_union = 0;
   for (const Candidate& c : sr) sr_union |= c.mask;
-
-  // Root upper bound on any feasible group's coverage: |W_Q|, the reachable
-  // union, and the additive sum of the p best initial coverages are each
-  // sound, so their min is. Truncated runs report gap = root_ub - best.
-  const int root_ub =
-      sr.size() < p_
-          ? 0
-          : std::min({static_cast<int>(query.num_keywords()),
-                      PopCount(sr_union), OptimisticGain(sr, 0, p_)});
 
   // Anytime warm start (greedy seeds; see GreedySeeds). kPortfolio reaching
   // the engine directly is treated the same — the portfolio itself lives in
@@ -620,7 +475,8 @@ Result<KtgResult> KtgEngine::Run(const KtgQuery& query) {
     seeds = GreedySeeds(sr);
   }
 
-  KtgResult result;
+  SearchOutcome out;
+  out.seeded = seeds.size();
   const uint32_t workers = EffectiveWorkers(sr.size());
   if (workers <= 1) {
     {
@@ -629,35 +485,15 @@ Result<KtgResult> KtgEngine::Run(const KtgQuery& query) {
       Search(sr, 0, sr_union);
     }
     obs::PhaseTimer timer(&stats_.phases, obs::Phase::kTopNMerge);
-    result.groups = collector_.Take();
+    out.groups = collector_.Take();
+    out.complete = !controls_.stopped();
   } else {
-    result.groups = ParallelRootSearch(sr, sr_union, workers, seeds);
+    out.groups = ParallelRootSearch(sr, sr_union, workers, seeds, run_watch,
+                                    &out.complete);
+    out.parallel = true;
   }
-  result.query_keyword_count = query.num_keywords();
-  const int best_found =
-      result.groups.empty() ? 0 : result.groups.front().covered();
-  if (last_run_complete_) {
-    // Complete search: best_found is the optimum, the bound collapses.
-    stats_.upper_bound = best_found;
-    stats_.gap = 0;
-  } else {
-    stats_.upper_bound = root_ub;
-    stats_.gap = std::max(0, root_ub - best_found);
-  }
-  stats_.distance_checks = checker_.num_checks() - checker_before.checks;
-  FinishRunClocks(watch, workers > 1, &stats_);
-  result.stats = stats_;
-  if (cacheable && last_run_complete_) {
-    options_.cache->StoreQuery(cache_key, result, options_.snapshot_epoch);
-  }
-  RecordSearchStats(options_.metrics, stats_, "engine");
-  if (options_.mode != EngineMode::kExact || options_.time_budget_ms > 0 ||
-      options_.max_nodes != 0) {
-    RecordAnytimeStats(options_.metrics, stats_, last_run_complete_,
-                       seeds.size());
-  }
-  RecordCheckerDelta(options_.metrics, checker_, checker_before);
-  return result;
+  *stats = stats_;
+  return out;
 }
 
 Result<KtgResult> RunKtg(const AttributedGraph& graph,

@@ -27,6 +27,7 @@
 #include "core/options.h"
 #include "core/query.h"
 #include "core/root_parallel.h"
+#include "core/run_frame.h"
 #include "core/topn.h"
 #include "index/distance_checker.h"
 #include "keywords/attributed_graph.h"
@@ -51,24 +52,39 @@ class KtgEngine {
   KtgEngine(const AttributedGraph& graph, const InvertedIndex& index,
             DistanceChecker& checker, EngineOptions options = {});
 
-  /// Runs one KTG query. Returns InvalidArgument/OutOfRange on malformed
-  /// queries. The result's groups are exact top-N unless options.max_nodes
-  /// truncated the search (then `complete()` on the result stats is false —
-  /// see KtgResult::stats and `last_run_complete()`).
+  /// Runs one KTG query in the query run frame (core/run_frame.h).
+  /// Returns InvalidArgument/OutOfRange on malformed queries. The result's
+  /// groups are the exact top-N unless a budget (max_nodes,
+  /// time_budget_ms) or stop_at_count truncated the search; the result's
+  /// `stats.complete` is then false.
   Result<KtgResult> Run(const KtgQuery& query);
 
-  /// False when the previous Run() stopped early (max_nodes or
-  /// stop_at_count); the returned groups are then best-effort.
+  /// The previous successful Run()'s `stats.complete`: false when it
+  /// stopped early, and the returned groups are then best-effort.
   bool last_run_complete() const { return last_run_complete_; }
 
-  const EngineOptions& options() const { return options_; }
-
  private:
+  // The engine's part of a run (see FrameSearch): ranks S_R, then runs the
+  // serial search or the root-parallel one.
+  Result<SearchOutcome> SearchCandidates(const KtgQuery& query,
+                                         std::vector<Candidate>& sr,
+                                         const Stopwatch& run_watch,
+                                         SearchStats* stats);
   void Search(const std::vector<Candidate>& sr, CoverMask covered,
               CoverMask sr_union);
-  // The shared child-construction step of Search()/SearchRoot(): candidates
-  // after `i`, k-line-filtered against sr[i] (Theorem 3), VKC refreshed
-  // against `child_covered`, re-sorted for VKC strategies. Charges filter
+  // One child of a node: the parent-side bounds for branching on sr[i],
+  // the lazy feasibility check, then the child's subtree. `covered` is the
+  // node's coverage, `ceiling` its reachable-coverage ceiling, `need` the
+  // members still missing and `suffix` ∪ masks of sr[i..] for the
+  // residual clamp (null when the clamp is off or not yet built). Returns false when a bound that only
+  // falls with i pruned the child, so no later child can contribute. The
+  // serial loop and the root-parallel step both run it, so a root's
+  // subtree is exactly the serial first level's.
+  bool Branch(const std::vector<Candidate>& sr, size_t i, CoverMask covered,
+              int ceiling, uint32_t need, const CoverMask* suffix);
+  // The child-construction step of Branch(): candidates after `i`,
+  // k-line-filtered against sr[i] (Theorem 3), VKC refreshed against
+  // `child_covered`, re-sorted for VKC strategies. Charges filter
   // time to the kKlineFilter sub-phase and emits a trace event when
   // observability is attached.
   std::vector<Candidate> BuildChildCandidates(const std::vector<Candidate>& sr,
@@ -97,26 +113,14 @@ class KtgEngine {
   uint32_t EffectiveWorkers(size_t num_candidates) const;
   // Runs the first tree level across `workers` threads on the root-
   // parallel driver (core/root_parallel.h); returns the final ordered
-  // groups (the parallel counterpart of collector_.Take()). `seeds` are
-  // pre-search groups (anytime warm start) offered into the shared top-N
-  // before any worker claims a root.
+  // groups (the parallel counterpart of collector_.Take()) and whether the
+  // run completed. `seeds` are pre-search groups (anytime warm start)
+  // offered into the shared top-N before any worker claims a root.
   std::vector<Group> ParallelRootSearch(const std::vector<Candidate>& sr,
                                         CoverMask sr_union, uint32_t workers,
-                                        const std::vector<Group>& seeds);
-  // One first-level subtree: selects sr[i] as the sole member and runs the
-  // serial search below it. `root_suffix` is ∪ masks of sr[i..] (the
-  // residual-bound clamp for this root; ignored unless residual_bound).
-  // Returns false when the shared bound proves no later root can contribute
-  // (callers stop claiming roots).
-  bool SearchRoot(const std::vector<Candidate>& sr, size_t i,
-                  CoverMask sr_union, CoverMask root_suffix);
-  // Shared-state indirection: these fold to the plain serial members when
-  // shared_ is null (the serial path), and to the run's shared state on
-  // worker clones.
-  bool CollectorFull() const;
-  int PruneThreshold() const;
-  bool StopRequested();
-  void RequestStop();
+                                        const std::vector<Group>& seeds,
+                                        const Stopwatch& run_watch,
+                                        bool* complete);
 
   const AttributedGraph& graph_;
   const InvertedIndex& index_;
@@ -134,19 +138,11 @@ class KtgEngine {
   TopNCollector collector_{1};
   std::vector<VertexId> members_;
   SearchStats stats_;
-  bool stop_ = false;
   bool last_run_complete_ = true;
 
-  // Deadline clock for options_.time_budget_ms: reset when Run() starts,
-  // copied into worker clones so every worker measures from the same
-  // origin. Polled every kTimeBudgetCheckMask+1 expansions.
-  static constexpr uint64_t kTimeBudgetCheckMask = 0x3F;
-  Stopwatch run_watch_;
-
-  // Set only on the per-worker clones of a parallel run; null on the
-  // serial path and on the coordinating engine itself. Replaces the
-  // collector, node count and stop flag with the run's shared ones.
-  RootParallelShared* shared_ = nullptr;
+  // The search's run controls: over collector_ on the serial path, over
+  // the run's shared state on the per-worker clones of a parallel run.
+  RunControls controls_;
 };
 
 /// Convenience wrapper: builds a transient engine and runs one query.

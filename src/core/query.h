@@ -104,6 +104,12 @@ struct SearchStats {
   /// mode ran. Always >= 0 — the bound is sound (tests certify this
   /// against brute force).
   int gap = 0;
+  /// True when an exact engine's search ran to the end (or the result was
+  /// served from the cache): the groups are then the query's exact top-N.
+  /// False when a node budget, deadline or stop_at_count cut the search,
+  /// and always false for the portfolio and greedy, which never claim
+  /// completeness. A per-run flag: operator+= leaves it unchanged.
+  bool complete = false;
   double elapsed_ms = 0.0;          ///< wall-clock of the search
   /// Compute time: per-worker wall-clocks summed. Equals elapsed_ms for a
   /// serial run; exceeds it under the root-parallel engine (and that ratio

@@ -2,6 +2,7 @@
 
 #include "core/root_parallel.h"
 
+#include <algorithm>
 #include <mutex>
 
 #include "obs/phase_timer.h"
@@ -17,6 +18,12 @@ void RootParallelShared::ClaimRoots(
     if (root >= num_roots_) return;
     if (step(root) == RootStep::kStop) return;
   }
+}
+
+uint32_t RootWorkers(uint32_t num_threads, size_t num_roots) {
+  if (num_threads == 1 || num_roots <= 1) return 1;
+  return static_cast<uint32_t>(
+      std::min<size_t>(ThreadPool::Resolve(num_threads), num_roots));
 }
 
 std::vector<Group> RunRootParallel(uint32_t workers, uint32_t top_n,
@@ -53,17 +60,6 @@ std::vector<Group> RunRootParallel(uint32_t workers, uint32_t top_n,
   *complete = !shared.stop.value.load(std::memory_order_relaxed);
   obs::PhaseTimer merge_timer(&stats->phases, obs::Phase::kTopNMerge);
   return shared.topn.Take();
-}
-
-void FinishRunClocks(const Stopwatch& watch, bool parallel,
-                     SearchStats* stats) {
-  stats->elapsed_ms = watch.ElapsedMillis();
-  if (!parallel) {
-    stats->cpu_ms = stats->elapsed_ms;
-    return;
-  }
-  stats->cpu_ms += stats->phases[obs::Phase::kCandidateGen] +
-                   stats->phases[obs::Phase::kTopNMerge];
 }
 
 }  // namespace ktg

@@ -1,6 +1,7 @@
 // Copyright (c) 2026 The ktg Authors.
 // Root-parallel branch-and-bound: the one driver both exact engines use
-// when a query runs on more than one thread.
+// when a query runs on more than one thread, and the per-node run controls
+// every search (serial or one worker) consults.
 //
 // The first level of the search tree is split by root: root i is the
 // subtree whose first member is candidate i in the engine's root rank.
@@ -30,6 +31,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/options.h"
 #include "core/query.h"
 #include "core/topn.h"
 #include "util/align.h"
@@ -79,6 +81,11 @@ class RootParallelShared {
 /// pool thread.
 using RootWorkerFn = std::function<SearchStats(RootParallelShared& shared)>;
 
+/// Worker count of a root-parallel run: 1 when `num_threads` is 1 or at
+/// most one root exists, else ThreadPool::Resolve(num_threads) capped at
+/// `num_roots`.
+uint32_t RootWorkers(uint32_t num_threads, size_t num_roots);
+
 /// Searches roots [0, num_roots) on `workers` threads. `seeds` are offered
 /// into the shared top-N before any root is claimed. After every worker
 /// has joined: the workers' counters are merged into `*stats` (their
@@ -93,13 +100,102 @@ std::vector<Group> RunRootParallel(uint32_t workers, uint32_t top_n,
                                    const RootWorkerFn& worker,
                                    SearchStats* stats, bool* complete);
 
-/// Closes a run's clocks; call after every worker has joined. elapsed_ms
-/// is the wall-clock since `watch` started. cpu_ms equals elapsed_ms for a
-/// serial run; for a parallel run it is the workers' summed wall-clocks
-/// (already in stats->cpu_ms) plus the coordinator's serial candidate_gen
-/// and topn_merge phases.
-void FinishRunClocks(const Stopwatch& watch, bool parallel,
-                     SearchStats* stats);
+/// The per-node run controls of one search: a serial run, or one worker of
+/// a root-parallel run. Both exact engines call them on every node. They
+/// route offers and the pruning threshold to the serial TopNCollector or
+/// to the run's SharedTopN, charge the node budget (the search's own count
+/// serially, the shared count in parallel), poll the deadline, and hold
+/// the truncation flag. Header-inline: they sit on the search's hot path.
+class RunControls {
+ public:
+  /// The deadline is polled every kDeadlinePollMask+1 node expansions, so
+  /// the clock read is amortized over a node batch.
+  static constexpr uint64_t kDeadlinePollMask = 0x3F;
+
+  RunControls() = default;
+  /// Controls of a serial search offering into `collector`, or, when
+  /// `shared` is set, of one worker of that root-parallel run. `run_watch`
+  /// is the run clock, the origin of options.time_budget_ms.
+  RunControls(const SearchOptions& options, const Stopwatch& run_watch,
+              TopNCollector* collector, RootParallelShared* shared = nullptr)
+      : collector_(collector),
+        shared_(shared),
+        max_nodes_(options.max_nodes),
+        time_budget_ms_(options.time_budget_ms),
+        run_watch_(run_watch) {}
+
+  /// True once N groups are held (the pruning threshold is live).
+  bool Full() const {
+    return shared_ != nullptr ? shared_->topn.full() : collector_->full();
+  }
+  /// The N-th coverage count once Full(), -1 before.
+  int Threshold() const {
+    return shared_ != nullptr ? shared_->topn.threshold()
+                              : collector_->threshold();
+  }
+  void Offer(Group g) {
+    if (shared_ != nullptr) {
+      shared_->topn.Offer(std::move(g));
+    } else {
+      collector_->Offer(std::move(g));
+    }
+  }
+
+  /// True once this search stopped the run or saw another worker stop it.
+  bool StopRequested() {
+    if (stop_) return true;
+    if (shared_ != nullptr &&
+        shared_->stop.value.load(std::memory_order_relaxed)) {
+      stop_ = true;
+      return true;
+    }
+    return false;
+  }
+  /// Truncates the run: this search stops, and so does every worker.
+  void RequestStop() {
+    stop_ = true;
+    if (shared_ != nullptr) {
+      shared_->stop.value.store(true, std::memory_order_relaxed);
+    }
+  }
+
+  /// Charges the node the search just expanded (`expanded` is the search's
+  /// own running count, this node included) against the node budget, and
+  /// polls the deadline. Each worker polls on its own count, so the shared
+  /// stop flag fans a timeout out to the others within one batch. Returns
+  /// false, with the run stopped, when either budget is spent.
+  bool ChargeNode(uint64_t expanded) {
+    if (max_nodes_ != 0) {
+      const uint64_t charged =
+          shared_ == nullptr
+              ? expanded
+              : shared_->nodes.value.fetch_add(1, std::memory_order_relaxed) +
+                    1;
+      if (charged > max_nodes_) {
+        RequestStop();
+        return false;
+      }
+    }
+    if (time_budget_ms_ > 0 && (expanded & kDeadlinePollMask) == 0 &&
+        run_watch_.ElapsedMillis() > time_budget_ms_) {
+      RequestStop();
+      return false;
+    }
+    return true;
+  }
+
+  /// True when this search was truncated. A serial run is complete iff
+  /// this stays false; a parallel run's completeness is the driver's.
+  bool stopped() const { return stop_; }
+
+ private:
+  TopNCollector* collector_ = nullptr;
+  RootParallelShared* shared_ = nullptr;
+  uint64_t max_nodes_ = 0;
+  double time_budget_ms_ = 0.0;
+  Stopwatch run_watch_;
+  bool stop_ = false;
+};
 
 }  // namespace ktg
 

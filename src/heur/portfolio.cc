@@ -8,7 +8,7 @@
 #include <string>
 
 #include "core/ktg_engine.h"
-#include "core/obs_bridge.h"
+#include "core/run_frame.h"
 #include "core/topn.h"
 #include "heur/heuristics.h"
 #include "obs/metrics.h"
@@ -115,48 +115,25 @@ Result<KtgResult> RunKtgPortfolio(const AttributedGraph& graph,
                                   DistanceChecker& checker,
                                   const KtgQuery& query,
                                   PortfolioOptions options) {
+  // The run frame's prologue (core/run_frame.h) without the cache: the
+  // portfolio never claims completeness, so it is never cached.
   KTG_RETURN_IF_ERROR(ValidateQuery(query, graph));
   Stopwatch watch;
-  if (options.metrics != nullptr) checker.EnableDetailStats();
-  const CheckerCounters checker_before = SnapshotChecker(checker);
   SearchStats stats;
-
-  uint64_t excluded = 0;
-  std::vector<Candidate> cands;
+  CheckerCounters checker_before;
+  std::vector<Candidate> cands =
+      ExtractRunCandidates(graph, index, checker, query, options.metrics,
+                           &stats, &checker_before);
+  KTG_RETURN_IF_ERROR(CheckConflictCandidates(cands.size(), "portfolio"));
   {
     obs::PhaseTimer timer(&stats.phases, obs::Phase::kCandidateGen);
-    cands = ExtractCandidates(graph, index, query, checker, &excluded);
-  }
-  stats.candidates = cands.size();
-  if (options.max_candidates != 0 && cands.size() > options.max_candidates) {
-    return Status::ResourceExhausted(
-        "candidate set too large for the portfolio: " +
-        std::to_string(cands.size()));
-  }
-  {
-    obs::PhaseTimer timer(&stats.phases, obs::Phase::kCandidateGen);
-    // Static rank: initial VKC desc, degree asc, id asc (the same root
-    // rank the engines use; GreedyConstruct's skip semantics rely on it).
-    std::sort(cands.begin(), cands.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.vkc != b.vkc) return a.vkc > b.vkc;
-                if (a.degree != b.degree) return a.degree < b.degree;
-                return a.vertex < b.vertex;
-              });
+    // The engines' static root rank; GreedyConstruct's skip semantics rely
+    // on it.
+    std::sort(cands.begin(), cands.end(), StaticRankLess{});
   }
   const auto n = static_cast<uint32_t>(cands.size());
-
-  int root_ub = 0;
-  if (n >= query.group_size) {
-    CoverMask union_mask = 0;
-    int additive = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-      union_mask |= cands[i].mask;
-      if (i < query.group_size) additive += PopCount(cands[i].mask);
-    }
-    root_ub = std::min({static_cast<int>(query.num_keywords()),
-                        PopCount(union_mask), additive});
-  }
+  const int root_ub =
+      RootUpperBound(cands, query.group_size, query.num_keywords());
 
   ConflictAdjacency cg;
   SharedTopN incumbent(query.top_n);
@@ -166,8 +143,8 @@ Result<KtgResult> RunKtgPortfolio(const AttributedGraph& graph,
     {
       obs::PhaseTimer timer(&stats.phases, obs::Phase::kKlineFilter);
       cg = BuildConflictAdjacency(graph.graph(), checker, cands,
-                                  query.tenuity, options.build);
-      stats.kline_filtered = cg.edges;
+                                  query.tenuity, ConflictBuild::kBallWalk);
+      stats.kline_filtered += cg.edges;
     }
 
     RaceContext rc;

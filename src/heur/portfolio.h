@@ -58,11 +58,6 @@ struct PortfolioOptions {
   double rcl_alpha = 0.5;
   /// Tabu tenure in steps for the dropped-member recency list.
   uint32_t tabu_tenure = 7;
-  /// Candidate-set ceiling (the conflict adjacency is quadratic); 0 =
-  /// unlimited. Mirrors ConflictEngineOptions::max_candidates.
-  uint32_t max_candidates = 20000;
-  /// Conflict-adjacency construction strategy.
-  ConflictBuild build = ConflictBuild::kBallWalk;
   /// Observability sink, borrowed; null = disabled. Receives the
   /// portfolio.* run stats, the search.anytime.* family, and per-strategy
   /// heur.<name>.iterations/.improvements counters.
@@ -70,8 +65,9 @@ struct PortfolioOptions {
 };
 
 /// Runs the portfolio for `query`. The result's groups satisfy every KTG
-/// constraint; stats.upper_bound/gap report provable quality. Errors on
-/// malformed queries and over-limit candidate sets.
+/// constraint; stats.upper_bound/gap report provable quality, and
+/// stats.complete stays false. Errors on malformed queries and on
+/// candidate sets over kMaxConflictCandidates (core/run_frame.h).
 Result<KtgResult> RunKtgPortfolio(const AttributedGraph& graph,
                                   const InvertedIndex& index,
                                   DistanceChecker& checker,

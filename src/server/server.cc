@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "cache/caching_checker.h"
-#include "core/ktg_engine.h"
 #include "core/obs_bridge.h"
 #include "heur/portfolio.h"
 #include "index/bfs_checker.h"
@@ -365,27 +364,16 @@ void KtgServer::ExecuteOne(Pending leader, std::vector<Pending> coalesced) {
     checker = wrapped.get();
   }
 
+  // The portfolio inherits num_threads = 1 (one worker = one serial run,
+  // like the engine), the deadline and the registry. It never claims
+  // completeness (stats.complete stays false; stats.gap reports how far
+  // from optimal the groups can be), so differential checkers skip
+  // representative-sensitive comparisons against the exact oracle.
   Stopwatch exec;
-  bool complete = false;
-  Result<KtgResult> result = [&]() -> Result<KtgResult> {
-    if (eopts.mode == EngineMode::kPortfolio) {
-      // The portfolio never claims completeness; stats.gap reports how far
-      // from optimal the groups can be (0 = proved optimal). `complete`
-      // stays false so differential checkers skip representative-sensitive
-      // comparisons against the exact oracle.
-      heur::PortfolioOptions popts;
-      popts.num_threads = 1;  // one worker = one serial run, like the engine
-      popts.time_budget_ms = eopts.time_budget_ms;
-      popts.metrics = &metrics_;
-      return heur::RunKtgPortfolio(snap->graph(), snap->index(), *checker,
-                                   leader.query, popts);
-    }
-    KtgEngine engine(snap->graph(), snap->index(), *checker, eopts);
-    auto run = engine.Run(leader.query);
-    complete = engine.last_run_complete();
-    return run;
-  }();
+  Result<KtgResult> result = heur::RunKtgWithMode(
+      snap->graph(), snap->index(), *checker, leader.query, eopts);
   const double exec_ms = exec.ElapsedMillis();
+  const bool complete = result.ok() && result->stats.complete;
 
   if (!result.ok()) {
     metrics_.counter("server.errors").Add(live.size());

@@ -24,6 +24,7 @@
 #include "graph/bfs.h"
 #include "index/affected.h"
 #include "index/bfs_checker.h"
+#include "index/checker_factory.h"
 #include "keywords/inverted_index.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -485,6 +486,90 @@ TEST(EngineCacheTest, TruncatedSearchesBypassTheCache) {
   ASSERT_TRUE(RunKtg(g, idx, checker, query, opts).ok());
   EXPECT_EQ(cache.QueryStats().entries, 0u);
   EXPECT_EQ(cache.QueryStats().misses, 0u);
+}
+
+// The cache rule (core/run_frame.h), stated once for both engines: look up
+// only in exact mode, without a node budget, when the engine supplies a
+// key; store only complete one-worker runs. Drives one engine through the
+// rule's sequence, checking the cache's hit/miss/entry counts after every
+// step and that every hit is bit-identical to an uncached serial run.
+// `keyless` is the engine's own option that withholds the key.
+template <typename Options, typename RunFn>
+void ExpectCacheRule(const RunFn& run, const KtgQuery& query,
+                     const KtgQuery& other, Options keyless) {
+  const Result<KtgResult> serial = run(Options{}, query);
+  ASSERT_TRUE(serial.ok());
+  KtgCache cache;
+  const auto expect_counts = [&](const char* step, uint64_t hits,
+                                 uint64_t misses, uint64_t entries) {
+    const CacheTierStats st = cache.QueryStats();
+    EXPECT_EQ(st.hits, hits) << step;
+    EXPECT_EQ(st.misses, misses) << step;
+    EXPECT_EQ(st.entries, entries) << step;
+  };
+  const auto expect_serial_answer = [&](const Result<KtgResult>& r,
+                                        const char* step) {
+    ASSERT_TRUE(r.ok()) << step;
+    EXPECT_EQ(r->groups, serial->groups) << step;
+    EXPECT_EQ(r->query_keyword_count, serial->query_keyword_count) << step;
+    EXPECT_TRUE(r->stats.complete) << step;
+  };
+
+  Options cached;
+  cached.cache = &cache;
+  expect_serial_answer(run(cached, query), "serial exact");
+  expect_counts("serial exact stores", 0, 1, 1);
+  expect_serial_answer(run(cached, query), "repeat");
+  expect_counts("repeat hits", 1, 1, 1);
+
+  Options parallel = cached;
+  parallel.num_threads = 4;
+  expect_serial_answer(run(parallel, query), "threads=4");
+  expect_counts("threads=4 hits", 2, 1, 1);
+  const Result<KtgResult> fresh = run(parallel, other);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_GT(fresh->stats.candidates, other.group_size) << "must run parallel";
+  expect_counts("threads=4 never stores", 2, 2, 1);
+
+  Options budgeted = cached;
+  budgeted.time_budget_ms = 60000.0;
+  expect_serial_answer(run(budgeted, query), "time budget");
+  expect_counts("time budget hits", 3, 2, 1);
+
+  Options node_budget = cached;
+  node_budget.max_nodes = uint64_t{1} << 30;
+  Options anytime = cached;
+  anytime.mode = EngineMode::kAnytime;
+  keyless.cache = &cache;
+  for (const Options& bypass : {node_budget, anytime, keyless}) {
+    ASSERT_TRUE(run(bypass, query).ok());
+  }
+  expect_counts("max_nodes, anytime and keyless runs bypass", 3, 2, 1);
+}
+
+TEST(EngineCacheTest, BothEnginesFollowOneCacheRule) {
+  const AttributedGraph g = SmallGraph(0xCAC4E);
+  const InvertedIndex idx(g);
+  // Concurrent-read-safe, so KtgEngine really runs root-parallel.
+  const auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph(), 2);
+  const KtgQuery query = SimpleQuery({0, 1, 2, 3}, 2, 2, 3);
+  const KtgQuery other = SimpleQuery({4, 5, 6, 7}, 2, 2, 3);
+
+  EngineOptions stop_early;
+  stop_early.stop_at_count = 1;
+  ExpectCacheRule(
+      [&](const EngineOptions& o, const KtgQuery& q) {
+        return RunKtg(g, idx, *checker, q, o);
+      },
+      query, other, stop_early);
+
+  ConflictEngineOptions degeneracy;
+  degeneracy.degeneracy_order = true;
+  ExpectCacheRule(
+      [&](const ConflictEngineOptions& o, const KtgQuery& q) {
+        return RunKtgConflictGraph(g, idx, *checker, q, o);
+      },
+      query, other, degeneracy);
 }
 
 // --- Metrics export --------------------------------------------------------

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
+#include "core/candidates.h"
 #include "core/conflict_graph_engine.h"
 #include "core/ktg_engine.h"
 #include "core/paper_example.h"
+#include "core/run_frame.h"
 #include "datagen/generators.h"
 #include "datagen/keyword_assigner.h"
 #include "datagen/query_gen.h"
@@ -99,13 +101,21 @@ TEST(ConflictGraphEngineTest, AgreesWithPaperEngine) {
 }
 
 TEST(ConflictGraphEngineTest, CandidateBudgetEnforced) {
-  const AttributedGraph g = PaperExampleGraph();
+  // One candidate over the ceiling: isolated vertices sharing a keyword.
+  AttributedGraphBuilder builder;
+  KeywordId kw = kInvalidKeyword;
+  for (VertexId v = 0; v <= kMaxConflictCandidates; ++v) {
+    kw = builder.AddKeyword(v, "shared");
+  }
+  const AttributedGraph g = builder.Build();
   const InvertedIndex idx(g);
   BfsChecker checker(g.graph());
-  ConflictEngineOptions opts;
-  opts.max_candidates = 3;  // the example has 10 candidates
-  const auto r =
-      RunKtgConflictGraph(g, idx, checker, PaperExampleQuery(g), opts);
+  KtgQuery q;
+  q.keywords = {kw};
+  q.group_size = 2;
+  q.tenuity = 1;
+  q.top_n = 1;
+  const auto r = RunKtgConflictGraph(g, idx, checker, q);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
@@ -125,24 +135,24 @@ TEST(ConflictGraphEngineTest, NodeBudgetStopsSearch) {
 TEST(ConflictGraphEngineTest, CountsConflictEdges) {
   const AttributedGraph g = PaperExampleGraph();
   const InvertedIndex idx(g);
+  const KtgQuery q = PaperExampleQuery(g);
+
+  // The pairwise reference construction pays C(n,2) checker probes.
+  BfsChecker probe(g.graph());
+  const std::vector<Candidate> cands = ExtractCandidates(g, idx, q, probe);
+  const uint64_t n = cands.size();
+  const uint64_t before = probe.num_checks();
+  const ConflictAdjacency pw = BuildConflictAdjacency(
+      g.graph(), probe, cands, q.tenuity, ConflictBuild::kPairwise);
+  EXPECT_EQ(probe.num_checks() - before, n * (n - 1) / 2);
+  EXPECT_GT(pw.edges, 0u);
+
+  // The engine's ball walk finds the same edges with zero checker probes.
   BfsChecker checker(g.graph());
-
-  // Pairwise construction pays C(10,2) checker probes up front.
-  ConflictEngineOptions pairwise;
-  pairwise.build = ConflictBuild::kPairwise;
-  const auto rp =
-      RunKtgConflictGraph(g, idx, checker, PaperExampleQuery(g), pairwise);
-  ASSERT_TRUE(rp.ok());
-  EXPECT_GT(rp->stats.kline_filtered, 0u);
-  EXPECT_GT(rp->stats.distance_checks, 40u);  // C(10,2) pairwise checks
-
-  // The default ball walk finds the same edges with zero checker probes.
-  BfsChecker checker2(g.graph());
-  const auto rb = RunKtgConflictGraph(g, idx, checker2, PaperExampleQuery(g));
+  const auto rb = RunKtgConflictGraph(g, idx, checker, q);
   ASSERT_TRUE(rb.ok());
-  EXPECT_EQ(rb->stats.kline_filtered, rp->stats.kline_filtered);
+  EXPECT_EQ(rb->stats.kline_filtered, pw.edges);
   EXPECT_EQ(rb->stats.distance_checks, 0u);
-  EXPECT_EQ(Counts(rb->groups), Counts(rp->groups));
 }
 
 // Property: all three constructions — pairwise probes, per-candidate BFS

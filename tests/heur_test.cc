@@ -16,6 +16,7 @@
 #include "core/candidates.h"
 #include "core/conflict_graph_engine.h"
 #include "core/ktg_engine.h"
+#include "core/run_frame.h"
 #include "datagen/generators.h"
 #include "datagen/keyword_assigner.h"
 #include "datagen/query_gen.h"
@@ -176,11 +177,23 @@ TEST(PortfolioTest, RejectsMalformedQueriesAndOversizedCandidateSets) {
   bad.group_size = 0;
   EXPECT_FALSE(heur::RunKtgPortfolio(inst.graph, idx, checker, bad).ok());
 
-  heur::PortfolioOptions tiny;
-  tiny.max_candidates = 1;
-  const auto st = heur::RunKtgPortfolio(inst.graph, idx, checker,
-                                        inst.queries.at(0), tiny);
-  EXPECT_FALSE(st.ok());
+  // One candidate over the ceiling: isolated vertices sharing a keyword.
+  AttributedGraphBuilder builder;
+  KeywordId kw = kInvalidKeyword;
+  for (VertexId v = 0; v <= kMaxConflictCandidates; ++v) {
+    kw = builder.AddKeyword(v, "shared");
+  }
+  const AttributedGraph wide = builder.Build();
+  const InvertedIndex wide_idx(wide);
+  BfsChecker wide_checker(wide.graph());
+  KtgQuery q;
+  q.keywords = {kw};
+  q.group_size = 2;
+  q.tenuity = 1;
+  q.top_n = 1;
+  const auto st = heur::RunKtgPortfolio(wide, wide_idx, wide_checker, q);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.status().code(), StatusCode::kResourceExhausted);
 }
 
 // RunKtgWithMode is the CLI/server dispatch: exact and anytime go through
@@ -195,6 +208,7 @@ TEST(PortfolioTest, ModeDispatchRoutesAllThreeModes) {
   const auto exact_r = heur::RunKtgWithMode(inst.graph, idx, c1, q, exact);
   ASSERT_TRUE(exact_r.ok());
   EXPECT_EQ(exact_r->stats.gap, 0);
+  EXPECT_TRUE(exact_r->stats.complete);
 
   BfsChecker c2(inst.graph.graph());
   EngineOptions anytime;
@@ -212,6 +226,7 @@ TEST(PortfolioTest, ModeDispatchRoutesAllThreeModes) {
       heur::RunKtgWithMode(inst.graph, idx, c3, q, portfolio);
   ASSERT_TRUE(port_r.ok());
   EXPECT_GE(port_r->stats.upper_bound, BestCovered(*port_r));
+  EXPECT_FALSE(port_r->stats.complete) << "the portfolio never claims it";
 }
 
 // ---------------------------------------------------------------------------

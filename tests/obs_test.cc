@@ -9,10 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "core/candidates.h"
 #include "core/conflict_graph_engine.h"
 #include "core/ktg_engine.h"
 #include "core/obs_bridge.h"
 #include "core/paper_example.h"
+#include "heur/portfolio.h"
 #include "index/bfs_checker.h"
 #include "index/checker_factory.h"
 #include "keywords/inverted_index.h"
@@ -208,9 +210,24 @@ TEST(QueryTraceTest, JsonSchema) {
   EXPECT_TRUE(problems.empty()) << problems.front();
 }
 
+// One run flushed into `reg` under `prefix` agrees with its SearchStats.
+void ExpectRunFlushed(const MetricsRegistry& reg, const std::string& prefix,
+                      const SearchStats& s) {
+  EXPECT_EQ(reg.CounterValue(prefix + ".queries"), 1u);
+  EXPECT_EQ(reg.CounterValue(prefix + ".candidates"), s.candidates);
+  EXPECT_EQ(reg.CounterValue(prefix + ".nodes_expanded"), s.nodes_expanded);
+  EXPECT_EQ(reg.CounterValue(prefix + ".groups_completed"),
+            s.groups_completed);
+  EXPECT_EQ(reg.CounterValue(prefix + ".prune.keyword"), s.keyword_prunes);
+  EXPECT_EQ(reg.CounterValue(prefix + ".prune.ub"), s.ub_prunes);
+  EXPECT_EQ(reg.CounterValue(prefix + ".prune.kline"), s.kline_filtered);
+  EXPECT_EQ(reg.CounterValue(prefix + ".distance_checks"), s.distance_checks);
+}
+
 // The engine wiring: counters flushed into an attached registry must agree
-// exactly with the SearchStats the engine returns, and an attached trace
-// must narrate the search.
+// exactly with the SearchStats the engine returns (for the paper's engine,
+// the conflict engine and the portfolio), and an attached trace must
+// narrate the search.
 TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   const AttributedGraph g = PaperExampleGraph();
   const InvertedIndex idx(g);
@@ -226,13 +243,7 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   ASSERT_TRUE(r.ok());
   const SearchStats& s = r->stats;
 
-  EXPECT_EQ(reg.CounterValue("engine.queries"), 1u);
-  EXPECT_EQ(reg.CounterValue("engine.candidates"), s.candidates);
-  EXPECT_EQ(reg.CounterValue("engine.nodes_expanded"), s.nodes_expanded);
-  EXPECT_EQ(reg.CounterValue("engine.groups_completed"), s.groups_completed);
-  EXPECT_EQ(reg.CounterValue("engine.prune.keyword"), s.keyword_prunes);
-  EXPECT_EQ(reg.CounterValue("engine.prune.kline"), s.kline_filtered);
-  EXPECT_EQ(reg.CounterValue("engine.distance_checks"), s.distance_checks);
+  ExpectRunFlushed(reg, "engine", s);
 
   // Detail stats were enabled on attach. BFS answers mostly through the
   // bulk BallWithinK path whose traversals count as checks but toward
@@ -264,6 +275,46 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   ASSERT_TRUE(c.ok());
   EXPECT_GT(c->stats.phases[Phase::kBbSearch], 0.0);
   EXPECT_LE(c->stats.phases.TopLevelTotalMs(), c->stats.elapsed_ms + 0.5);
+
+  // The conflict engine and the portfolio flush the same family under
+  // their own prefixes.
+  MetricsRegistry conflict_reg;
+  ConflictEngineOptions conflict_opts;
+  conflict_opts.metrics = &conflict_reg;
+  const auto cr = RunKtgConflictGraph(g, idx, checker, q, conflict_opts);
+  ASSERT_TRUE(cr.ok());
+  ExpectRunFlushed(conflict_reg, "conflict", cr->stats);
+
+  MetricsRegistry portfolio_reg;
+  heur::PortfolioOptions portfolio_opts;
+  portfolio_opts.num_threads = 1;
+  portfolio_opts.metrics = &portfolio_reg;
+  const auto pr = heur::RunKtgPortfolio(g, idx, checker, q, portfolio_opts);
+  ASSERT_TRUE(pr.ok());
+  ExpectRunFlushed(portfolio_reg, "portfolio", pr->stats);
+
+  // Query vertices shrink S_R by their k-neighbourhoods, and every engine
+  // counts those exclusions as k-line removals: the conflict engine's
+  // kline_filtered is its conflict edges plus the excluded count, and the
+  // portfolio (same candidates, same adjacency) reports the same total.
+  KtgQuery with_vertices = q;
+  with_vertices.query_vertices = {0};
+  uint64_t excluded = 0;
+  ExtractCandidates(g, idx, with_vertices, checker, &excluded);
+  ASSERT_GT(excluded, 0u);
+  MetricsRegistry vertex_reg;
+  ConflictEngineOptions vertex_opts;
+  vertex_opts.metrics = &vertex_reg;
+  const auto vr =
+      RunKtgConflictGraph(g, idx, checker, with_vertices, vertex_opts);
+  ASSERT_TRUE(vr.ok());
+  ExpectRunFlushed(vertex_reg, "conflict", vr->stats);
+  EXPECT_EQ(vr->stats.kline_filtered,
+            vertex_reg.CounterValue("kernel.conflict.edges") + excluded);
+  const auto vp =
+      heur::RunKtgPortfolio(g, idx, checker, with_vertices, portfolio_opts);
+  ASSERT_TRUE(vp.ok());
+  EXPECT_EQ(vp->stats.kline_filtered, vr->stats.kline_filtered);
 }
 
 // Per-pair checkers (no bulk path) keep the strict invariant: every check
