@@ -1,5 +1,5 @@
 // Copyright (c) 2026 The ktg Authors.
-// Kernel microbench (docs/kernels.md): three questions, one binary.
+// Kernel microbench (docs/kernels.md): two questions, one binary.
 //
 //   1. What does each SIMD dispatch tier (AVX2, AVX-512, NEON) buy over
 //      the scalar loops at the word counts the engines actually see?
@@ -9,10 +9,6 @@
 //   2. What does the ball-walk conflict-graph construction buy over the
 //      all-pairs probe loop as the candidate set grows? (The acceptance
 //      bar for the rewrite: >= 3x at >= 5k candidates.)
-//   3. What does a locality-aware vertex relabeling (graph/reorder.h) buy
-//      the ball-walk construction — the most layout-sensitive kernel —
-//      at a fixed candidate workload? (The full per-mode sweep lives in
-//      bench_reorder; this section is the one-graph summary.)
 //
 // Honors --repeat R / KTG_BENCH_REPEAT (min/median across repeats) and
 // writes the standard metrics sidecar.
@@ -25,7 +21,6 @@
 #include "bench/common.h"
 #include "core/conflict_graph_engine.h"
 #include "datagen/generators.h"
-#include "graph/reorder.h"
 #include "index/bfs_checker.h"
 #include "index/khop_bitmap.h"
 #include "util/bitset_ops.h"
@@ -141,75 +136,6 @@ void BenchWordKernels() {
             .Set(c.ns);
       }
     }
-  }
-}
-
-void BenchReorderLocality() {
-  // The layout-sensitivity summary: the same candidate workload (the same
-  // vertices, followed through each relabeling) against the index-free
-  // BFS ball walk, whose traversal order is exactly the id order the
-  // reorder pass optimizes. Conflict-edge counts must agree across modes
-  // — the instance is isomorphic, only the labels move.
-  constexpr uint32_t kVertices = 10'000;
-  constexpr HopDistance kK = 2;
-  Rng rng(0x12E0);
-  const Graph original = BarabasiAlbert(kVertices, 3, rng);
-
-  PrintHeader("Graph reordering: ball-walk construction vs vertex layout",
-              "BarabasiAlbert n=10000 m0=3, k=2, 5000 candidates; same "
-              "vertex set under every labeling (bench_reorder has the "
-              "full per-dataset sweep)");
-  const std::vector<int> widths = {12, 14, 14, 12, 14};
-  PrintRow({"mode", "mean |u-v|", "mean log2 gap", "ballwalk ms", "edges"},
-           widths);
-
-  uint64_t baseline_edges = 0;
-  for (const ReorderMode mode :
-       {ReorderMode::kNone, ReorderMode::kDegree, ReorderMode::kBfs,
-        ReorderMode::kDegeneracy}) {
-    const VertexRemap remap = ComputeReorder(original, mode);
-    const Graph graph = ApplyRemap(original, remap);
-    const LocalityStats locality = ComputeLocality(graph);
-
-    // The same 5000 vertices (every other original id), relabeled and
-    // re-sorted the way candidate generation would enumerate them.
-    std::vector<VertexId> members;
-    for (uint32_t v = 0; v < kVertices; v += 2) {
-      members.push_back(remap.ToNew(v));
-    }
-    std::sort(members.begin(), members.end());
-    std::vector<Candidate> cands;
-    cands.reserve(members.size());
-    for (const VertexId v : members) {
-      Candidate c;
-      c.vertex = v;
-      cands.push_back(c);
-    }
-
-    BfsChecker bfs(graph);
-    double best_ms = -1.0;
-    uint64_t edges = 0;
-    for (uint32_t rep = 0; rep < BenchRepeats() + 1; ++rep) {
-      Stopwatch watch;
-      const auto cg = BuildConflictAdjacency(graph, bfs, cands, kK,
-                                             ConflictBuild::kBallWalk);
-      const double ms = watch.ElapsedMillis();
-      edges = cg.edges;
-      if (rep == 0) continue;  // warm-up
-      if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
-    }
-    if (mode == ReorderMode::kNone) baseline_edges = edges;
-    KTG_CHECK(edges == baseline_edges);
-
-    PrintRow({ReorderModeName(mode), Fmt(locality.mean_gap),
-              Fmt(locality.mean_log2_gap), Fmt(best_ms),
-              std::to_string(edges)},
-             widths);
-    const std::string prefix =
-        std::string("kernel.bench.reorder.") + ReorderModeName(mode);
-    Metrics().gauge(prefix + ".mean_gap").Set(locality.mean_gap);
-    Metrics().gauge(prefix + ".mean_log2_gap").Set(locality.mean_log2_gap);
-    Metrics().gauge(prefix + ".ballwalk_ms").Set(best_ms);
   }
 }
 
@@ -350,11 +276,9 @@ int main(int argc, char** argv) {
   ktg::bench::ConsumeThreadsFlag(&argc, argv);
   ktg::bench::InstallBenchSignalFlush("bench_kernels");
   ktg::bench::ConsumeRepeatFlag(&argc, argv);
-  ktg::bench::ConsumeReorderFlag(&argc, argv);
   ktg::bench::BenchWordKernels();
   ktg::bench::BenchConflictConstruction();
   ktg::bench::BenchPooledConflictBuild();
-  ktg::bench::BenchReorderLocality();
   ktg::bench::WriteMetricsSidecar("bench_kernels");
   return 0;
 }

@@ -73,8 +73,7 @@ namespace {
 // -1 = no --threads flag seen; ConsumeThreadsFlag runs before any
 // BenchThreads() call, so a plain int (no atomics) is enough.
 int g_threads_override = -1;
-int g_repeat_override = -1;   // same single-threaded-startup contract
-int g_reorder_override = -1;  // same single-threaded-startup contract
+int g_repeat_override = -1;  // same single-threaded-startup contract
 }  // namespace
 
 uint32_t BenchThreads() {
@@ -133,72 +132,9 @@ void ConsumeRepeatFlag(int* argc, char** argv) {
   *argc = out;
 }
 
-ReorderMode BenchReorder() {
-  if (g_reorder_override >= 0) {
-    return static_cast<ReorderMode>(g_reorder_override);
-  }
-  static const ReorderMode mode = [] {
-    const char* env = std::getenv("KTG_BENCH_REORDER");
-    ReorderMode m = ReorderMode::kNone;
-    if (env != nullptr && env[0] != '\0' && !ParseReorderMode(env, &m)) {
-      std::fprintf(stderr,
-                   "[bench] ignoring unknown KTG_BENCH_REORDER '%s' "
-                   "(expected none|degree|bfs|degeneracy)\n",
-                   env);
-    }
-    return m;
-  }();
-  return mode;
-}
-
-void ConsumeReorderFlag(int* argc, char** argv) {
-  const auto parse = [](const char* name) {
-    ReorderMode m = ReorderMode::kNone;
-    if (!ParseReorderMode(name, &m)) {
-      std::fprintf(stderr,
-                   "unknown --reorder '%s' (expected "
-                   "none|degree|bfs|degeneracy)\n",
-                   name);
-      std::exit(2);
-    }
-    g_reorder_override = static_cast<int>(m);
-  };
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--reorder" && i + 1 < *argc) {
-      parse(argv[++i]);
-    } else if (arg.rfind("--reorder=", 0) == 0) {
-      parse(arg.c_str() + 10);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-}
-
-namespace {
-/// The BenchReorder() relabeling, applied once per dataset before the
-/// index/checkers exist. Logs the locality delta and records the
-/// kernel.reorder.* gauges so every sidecar names the layout it measured.
-AttributedGraph MaybeReorder(AttributedGraph graph, const std::string& name) {
-  const ReorderMode mode = BenchReorder();
-  if (mode == ReorderMode::kNone) return graph;
-  const ReorderPlan plan = ReorderDataset(&graph, mode);
-  RecordReorderMetrics(&Metrics(), plan);
-  std::fprintf(stderr,
-               "[bench] reorder %s on %s: mean |u-v| %.1f -> %.1f, "
-               "mean log2 gap %.2f -> %.2f (%.1f ms)\n",
-               ReorderModeName(mode), name.c_str(), plan.before.mean_gap,
-               plan.after.mean_gap, plan.before.mean_log2_gap,
-               plan.after.mean_log2_gap, plan.compute_ms + plan.apply_ms);
-  return graph;
-}
-}  // namespace
-
 BenchDataset::BenchDataset(std::string name, AttributedGraph graph)
     : name_(std::move(name)),
-      graph_(MaybeReorder(std::move(graph), name_)),
+      graph_(std::move(graph)),
       index_(graph_) {}
 
 BenchDataset& BenchDataset::GetScaled(const std::string& preset_name,

@@ -19,7 +19,6 @@
 
 #include "core/dktg_greedy.h"
 #include "core/ktg_engine.h"
-#include "core/reorder_boundary.h"
 #include "datagen/presets.h"
 #include "datagen/query_gen.h"
 #include "index/checker_factory.h"
@@ -81,17 +80,6 @@ uint32_t BenchRepeats();
 /// Consumes `--repeat R` (and `--repeat=R`) from argv, mirroring
 /// ConsumeThreadsFlag.
 void ConsumeRepeatFlag(int* argc, char** argv);
-
-/// Dataset relabeling BenchDataset applies at load time (env
-/// KTG_BENCH_REORDER, `--reorder M` wins; default none). Applied before
-/// the inverted index and the checkers are built, so every measurement in
-/// the binary runs against the chosen layout; the kernel.reorder.* gauges
-/// land in Metrics() and thus in the sidecar.
-ReorderMode BenchReorder();
-
-/// Consumes `--reorder M` (and `--reorder=M`), mirroring
-/// ConsumeThreadsFlag. Unknown mode names abort with a usage message.
-void ConsumeReorderFlag(int* argc, char** argv);
 
 /// A cached dataset: attributed graph + inverted index + lazily built
 /// distance checkers shared by every configuration in the binary.

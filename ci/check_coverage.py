@@ -10,10 +10,6 @@ line coverage, and enforces the thresholds in ci/coverage_baseline.json:
                              kernel layer; both dispatch targets share these
                              sources, so the scalar CI leg keeps the floor
                              honest even when the gate machine has AVX2)
-  * reorder_min_line_rate  — floor for src/graph/reorder.* (the locality
-                             relabeling pass; certified by the
-                             permutation-metamorphic suite in
-                             tests/reorder_test.cc)
   * overall_min_line_rate  — ratchet for all of src/ (non-regression:
                              update the baseline when coverage rises,
                              never lower it to make a build pass)
@@ -36,7 +32,6 @@ import sys
 SOURCE_PREFIX = "src/"
 CACHE_PREFIX = "src/cache/"
 BITSET_PREFIX = "src/util/bitset_ops"
-REORDER_PREFIX = "src/graph/reorder"
 
 
 def find_gcda(build_dir):
@@ -128,7 +123,6 @@ def main():
     overall, o_cov, o_tot = line_rate(per_file, SOURCE_PREFIX)
     cache, c_cov, c_tot = line_rate(per_file, CACHE_PREFIX)
     bitset, b_cov, b_tot = line_rate(per_file, BITSET_PREFIX)
-    reorder, r_cov, r_tot = line_rate(per_file, REORDER_PREFIX)
 
     with open(args.report, "w") as fh:
         json.dump({"overall": {"line_rate": round(overall, 4),
@@ -137,8 +131,6 @@ def main():
                              "covered": c_cov, "lines": c_tot},
                    "bitset_ops": {"line_rate": round(bitset, 4),
                                   "covered": b_cov, "lines": b_tot},
-                   "reorder": {"line_rate": round(reorder, 4),
-                               "covered": r_cov, "lines": r_tot},
                    "files": report}, fh, indent=2)
         fh.write("\n")
 
@@ -152,14 +144,11 @@ def main():
           f"({c_cov}/{c_tot})")
     print(f"{'src/util/bitset_ops*':<{width}}  {100 * bitset:6.1f}%  "
           f"({b_cov}/{b_tot})")
-    print(f"{'src/graph/reorder.*':<{width}}  {100 * reorder:6.1f}%  "
-          f"({r_cov}/{r_tot})")
 
     if args.update_baseline:
         with open(args.baseline, "w") as fh:
             json.dump({"cache_min_line_rate": 0.90,
                        "bitset_min_line_rate": 0.90,
-                       "reorder_min_line_rate": 0.90,
                        # Ratchet: floor slightly under the measured rate so
                        # unrelated refactors don't flake, but regressions trip.
                        "overall_min_line_rate": round(overall - 0.02, 4)},
@@ -177,9 +166,6 @@ def main():
     if bitset < baseline.get("bitset_min_line_rate", 0.0):
         failures.append(f"src/util/bitset_ops* line rate {bitset:.3f} < "
                         f"{baseline['bitset_min_line_rate']} floor")
-    if reorder < baseline.get("reorder_min_line_rate", 0.0):
-        failures.append(f"src/graph/reorder.* line rate {reorder:.3f} < "
-                        f"{baseline['reorder_min_line_rate']} floor")
     if overall < baseline["overall_min_line_rate"]:
         failures.append(f"src/ line rate {overall:.3f} < "
                         f"{baseline['overall_min_line_rate']} baseline")

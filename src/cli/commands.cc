@@ -18,14 +18,12 @@
 #include "core/greedy_heuristic.h"
 #include "core/ktg_engine.h"
 #include "core/obs_bridge.h"
-#include "core/reorder_boundary.h"
 #include "core/snapshot.h"
 #include "core/tagq.h"
 #include "datagen/mutation_gen.h"
 #include "datagen/presets.h"
 #include "datagen/query_gen.h"
 #include "graph/graph_io.h"
-#include "graph/reorder.h"
 #include "graph/stats.h"
 #include "heur/portfolio.h"
 #include "index/bfs_checker.h"
@@ -83,26 +81,24 @@ Result<AttributedGraph> LoadInput(const Args& args, bool attrs_required) {
   return LoadAttributedGraph(std::move(graph).value(), attrs);
 }
 
-// Parses --reorder <none|degree|bfs|degeneracy> (default none). The same
-// value must be used by every command touching one dataset: build-index
-// persists indexes in the relabeled space, serve/loadgen must agree on the
-// bijection.
-Result<ReorderMode> ParseReorderFlag(const Args& args) {
-  const std::string name = args.GetString("reorder", "none");
-  ReorderMode mode;
-  if (!ParseReorderMode(name, &mode)) {
-    return Status::InvalidArgument("unknown --reorder: " + name +
-                                   " (expected none|degree|bfs|degeneracy)");
-  }
-  return mode;
-}
-
 // Parses --threads: 0 means "use hardware concurrency", the per-knob
 // convention of the library (negative values are clamped to 0).
 Result<uint32_t> ParseThreads(const Args& args, int64_t default_value) {
   const auto threads = args.GetInt("threads", default_value);
   if (!threads.ok()) return threads.status();
   return static_cast<uint32_t>(std::max<int64_t>(0, threads.value()));
+}
+
+// An index file answers distance checks for the graph it was built over;
+// against any other graph its answers are wrong, so refuse it.
+template <typename Index>
+Result<std::unique_ptr<DistanceChecker>> CheckIndexGraph(
+    Index index, const Graph& graph, const std::string& path) {
+  if (!(index.graph() == graph)) {
+    return Status::InvalidArgument(
+        "--index " + path + " was built over a different graph than --edges");
+  }
+  return std::unique_ptr<DistanceChecker>(new Index(std::move(index)));
 }
 
 // Builds or loads the distance checker requested by --index / --checker.
@@ -114,13 +110,11 @@ Result<std::unique_ptr<DistanceChecker>> MakeQueryChecker(
     // Try both kinds; the file header knows which one it is.
     auto nlrnl = LoadNlrnlIndex(index_path);
     if (nlrnl.ok()) {
-      return std::unique_ptr<DistanceChecker>(
-          new NlrnlIndex(std::move(nlrnl).value()));
+      return CheckIndexGraph(std::move(nlrnl).value(), graph, index_path);
     }
     auto nl = LoadNlIndex(index_path);
     if (nl.ok()) {
-      return std::unique_ptr<DistanceChecker>(
-          new NlIndex(std::move(nl).value()));
+      return CheckIndexGraph(std::move(nl).value(), graph, index_path);
     }
     return nlrnl.status();
   }
@@ -344,17 +338,6 @@ Status CmdBuildIndex(const Args& args) {
   const std::string kind = args.GetString("kind", "nlrnl");
   const auto threads = ParseThreads(args, /*default_value=*/0);
   if (!threads.ok()) return threads.status();
-  const auto rmode = ParseReorderFlag(args);
-  if (!rmode.ok()) return rmode.status();
-  const ReorderPlan plan = ReorderDataset(&*graph, rmode.value());
-  if (plan.active()) {
-    std::fprintf(stderr,
-                 "reordered (%s) in %.1f ms: mean edge gap %.1f -> %.1f; "
-                 "queries against this index need the same --reorder\n",
-                 ReorderModeName(plan.mode),
-                 plan.compute_ms + plan.apply_ms, plan.before.mean_gap,
-                 plan.after.mean_gap);
-  }
 
   Stopwatch watch;
   if (kind == "nl") {
@@ -382,21 +365,8 @@ Status CmdBuildIndex(const Args& args) {
 Status CmdQuery(const Args& args) {
   auto loaded = LoadInput(args, /*attrs_required=*/true);
   if (!loaded.ok()) return loaded.status();
-  const auto rmode = ParseReorderFlag(args);
-  if (!rmode.ok()) return rmode.status();
-  // `dataset` is what the checker, index and engines run on — relabeled
-  // when --reorder is active. `display` keeps original-id keyword lookups
-  // for output; it aliases `dataset` when no reorder happened.
-  AttributedGraph dataset = std::move(*loaded);
-  AttributedGraph original;
-  const AttributedGraph* display = &dataset;
-  ReorderPlan plan;
-  if (rmode.value() != ReorderMode::kNone) {
-    original = dataset;
-    display = &original;
-    plan = ReorderDataset(&dataset, rmode.value());
-  }
-  auto query = BuildQuery(args, *display);
+  const AttributedGraph& dataset = *loaded;
+  auto query = BuildQuery(args, dataset);
   if (!query.ok()) return query.status();
   const auto threads = ParseThreads(args, /*default_value=*/1);
   if (!threads.ok()) return threads.status();
@@ -404,17 +374,6 @@ Status CmdQuery(const Args& args) {
       MakeQueryChecker(args, dataset.graph(), query->tenuity, threads.value());
   if (!checker.ok()) return checker.status();
   const InvertedIndex index(dataset);
-
-  // Engines see the relabeled query; groups are mapped back to original
-  // ids before printing, and the relabeling cost is charged to the reorder
-  // phase of whatever stats the run reports.
-  const KtgQuery iq =
-      plan.active() ? MapQueryToInternal(*query, plan.remap) : *query;
-  const auto charge_reorder = [&](SearchStats* stats) {
-    if (plan.active()) {
-      stats->phases[obs::Phase::kReorder] = plan.compute_ms + plan.apply_ms;
-    }
-  };
 
   const auto max_nodes = args.GetInt("max-nodes", 0);
   if (!max_nodes.ok()) return max_nodes.status();
@@ -428,7 +387,6 @@ Status CmdQuery(const Args& args) {
   obs::QueryTrace query_trace;
   obs::MetricsRegistry* metrics = metrics_path.empty() ? nullptr : &registry;
   obs::QueryTrace* trace = trace_enabled ? &query_trace : nullptr;
-  RecordReorderMetrics(metrics, plan);
   RecordKernelDispatchMetrics(metrics);
 
   // Shared epilogue: dump the trace document to stdout, the metrics
@@ -452,11 +410,9 @@ Status CmdQuery(const Args& args) {
     options.gamma = gamma.value();
     options.engine.metrics = metrics;
     options.engine.trace = trace;
-    auto result = RunDktgGreedy(dataset, index, **checker, iq, options);
+    auto result = RunDktgGreedy(dataset, index, **checker, *query, options);
     if (!result.ok()) return result.status();
-    if (plan.active()) MapGroupsToOriginal(plan.remap, &result->groups);
-    charge_reorder(&result->stats);
-    PrintGroups(*display, *query, result->groups);
+    PrintGroups(dataset, *query, result->groups);
     std::printf("diversity=%.3f min_coverage=%.3f score=%.3f\n",
                 result->diversity, result->min_coverage, result->score);
     PrintStats(result->stats);
@@ -465,14 +421,8 @@ Status CmdQuery(const Args& args) {
   if (algo == "tagq") {
     TagqOptions options;
     options.max_nodes = static_cast<uint64_t>(max_nodes.value());
-    auto result = RunTagq(dataset, **checker, iq, options);
+    auto result = RunTagq(dataset, **checker, *query, options);
     if (!result.ok()) return result.status();
-    if (plan.active()) {
-      for (auto& g : result->groups) {
-        MapMembersToOriginal(plan.remap, &g.members);
-      }
-    }
-    charge_reorder(&result->stats);
     int rank = 1;
     for (const auto& g : result->groups) {
       std::printf("#%d total %d (zero-coverage members: %u):", rank++,
@@ -487,11 +437,9 @@ Status CmdQuery(const Args& args) {
     GreedyOptions options;
     options.metrics = metrics;
     options.trace = trace;
-    auto result = RunKtgGreedy(dataset, index, **checker, iq, options);
+    auto result = RunKtgGreedy(dataset, index, **checker, *query, options);
     if (!result.ok()) return result.status();
-    if (plan.active()) MapGroupsToOriginal(plan.remap, &result->groups);
-    charge_reorder(&result->stats);
-    PrintGroups(*display, *query, result->groups);
+    PrintGroups(dataset, *query, result->groups);
     PrintStats(result->stats);
     return finish();
   }
@@ -530,20 +478,18 @@ Status CmdQuery(const Args& args) {
     *checker = MaybeWrapWithCache(std::move(*checker), dataset.graph(),
                                   cache.get());
   }
-  auto result = heur::RunKtgWithMode(dataset, index, **checker, iq, options);
+  auto result = heur::RunKtgWithMode(dataset, index, **checker, *query, options);
   if (cache != nullptr && metrics != nullptr) cache->ExportMetrics(*metrics);
   if (!result.ok()) return result.status();
-  if (plan.active()) MapGroupsToOriginal(plan.remap, &result->groups);
-  charge_reorder(&result->stats);
   if (args.GetBool("json")) {
-    PrintGroupsJson(*display, *query, *result);
+    PrintGroupsJson(dataset, *query, *result);
   } else {
-    PrintGroups(*display, *query, result->groups);
+    PrintGroups(dataset, *query, result->groups);
     PrintStats(result->stats);
     if (args.GetBool("explain")) {
       for (const auto& grp : result->groups) {
         std::printf("%s",
-                    ExplainGroup(*display, *query, grp).ToString().c_str());
+                    ExplainGroup(dataset, *query, grp).ToString().c_str());
       }
     }
   }
@@ -556,13 +502,7 @@ Status CmdWorkload(const Args& args) {
   if (!scale.ok()) return scale.status();
   auto spec = GetPreset(preset, scale.value());
   if (!spec.ok()) return spec.status();
-  AttributedGraph graph = BuildDataset(*spec);
-  const auto rmode = ParseReorderFlag(args);
-  if (!rmode.ok()) return rmode.status();
-  // Workload queries are keyword-only and the output is aggregate, so the
-  // relabeling needs no boundary mapping here — just apply it before the
-  // index and checkers are built.
-  const ReorderPlan plan = ReorderDataset(&graph, rmode.value());
+  const AttributedGraph graph = BuildDataset(*spec);
   const InvertedIndex index(graph);
 
   WorkloadOptions wopts;
@@ -622,7 +562,6 @@ Status CmdWorkload(const Args& args) {
   bopts.engine.cache = cache.get();
   if (!metrics_path.empty()) {
     bopts.engine.metrics = &registry;
-    RecordReorderMetrics(&registry, plan);
     RecordKernelDispatchMetrics(&registry);
   }
 
@@ -756,9 +695,6 @@ Status CmdServe(const Args& args) {
   }
   const auto kind = ParseCheckerKind(args.GetString("checker", "nlrnl"));
   if (!kind.ok()) return kind.status();
-  const auto rmode = ParseReorderFlag(args);
-  if (!rmode.ok()) return rmode.status();
-  sopts.reorder = rmode.value();
 
   sopts.workers = static_cast<uint32_t>(std::max<int64_t>(0, workers.value()));
   sopts.max_queue = static_cast<size_t>(queue.value());
@@ -926,7 +862,6 @@ Status CmdLoadgen(const Args& args) {
   // (query index, epoch). A memo keyed by query alone would silently go
   // stale the moment the first mutation landed.
   std::unique_ptr<SnapshotStore> oracle;
-  ReorderPlan oplan;
   std::mutex ref_mu;
   std::map<uint64_t, size_t> epoch_batches;     // epoch -> mutation index
   std::map<uint64_t, SnapshotPin> oracle_pins;  // epochs replayed so far
@@ -937,15 +872,7 @@ Status CmdLoadgen(const Args& args) {
     SnapshotStore::Options oopts;
     oopts.checker = kind.value();
     oopts.bitmap_k = wopts->tenuity;
-    // When the server runs reordered (--reorder must match its serve
-    // invocation), the oracle replays the exact same bijection: tie-broken
-    // group choices depend on internal id order, so anything less than the
-    // identical relabeling would flag spurious mismatches.
-    const auto rmode = ParseReorderFlag(args);
-    if (!rmode.ok()) return rmode.status();
-    AttributedGraph ocopy(*graph);
-    oplan = ReorderDataset(&ocopy, rmode.value());
-    oracle = std::make_unique<SnapshotStore>(std::move(ocopy), oopts);
+    oracle = std::make_unique<SnapshotStore>(*graph, oopts);
     oracle_pins[oracle->epoch()] = oracle->Pin();
     lopts.on_mutation_applied = [&](uint64_t epoch, size_t mi) {
       std::lock_guard<std::mutex> lock(ref_mu);
@@ -962,8 +889,7 @@ Status CmdLoadgen(const Args& args) {
         const auto bi = epoch_batches.find(oracle->epoch() + 1);
         if (bi == epoch_batches.end()) return nullptr;
         const MutationBatch& mb = lopts.mutations[bi->second];
-        const auto applied = oracle->Apply(
-            oplan.active() ? MapBatchToInternal(mb, oplan.remap) : mb);
+        const auto applied = oracle->Apply(mb);
         if (!applied.ok()) return nullptr;
         oracle_pins[oracle->epoch()] = oracle->Pin();
       }
@@ -976,14 +902,9 @@ Status CmdLoadgen(const Args& args) {
         bfs = std::make_unique<BfsChecker>(snap.graph().graph());
         checker = bfs.get();
       }
-      const KtgQuery oq = oplan.active()
-                              ? MapQueryToInternal(workload[qi], oplan.remap)
-                              : workload[qi];
-      auto expected = RunKtg(snap.graph(), snap.index(), *checker, oq, {});
+      auto expected =
+          RunKtg(snap.graph(), snap.index(), *checker, workload[qi], {});
       if (!expected.ok()) return nullptr;
-      if (oplan.active()) {
-        MapGroupsToOriginal(oplan.remap, &expected->groups);
-      }
       return &memo.emplace(std::make_pair(qi, epoch), std::move(*expected))
                   .first->second;
     };
@@ -1036,9 +957,8 @@ const std::vector<CommandSpec>& CommandRegistry() {
        {"edges", "attrs"}},
       {"build-index", &CmdBuildIndex,
        "  build-index  build and persist a distance index\n"
-       "               --edges F --kind nl|nlrnl --out F [--threads T]\n"
-       "               [--reorder none|degree|bfs|degeneracy]\n",
-       {"edges", "attrs", "kind", "out", "threads", "reorder"}},
+       "               --edges F --kind nl|nlrnl --out F [--threads T]\n",
+       {"edges", "attrs", "kind", "out", "threads"}},
       {"query", &CmdQuery,
        "  query        run one query\n"
        "               --edges F --attrs F --keywords a,b,c [--p P] [--k K]\n"
@@ -1047,33 +967,29 @@ const std::vector<CommandSpec>& CommandRegistry() {
        "               [--authors v1,v2] [--gamma G] [--max-nodes M] [--json]\n"
        "               [--explain] [--threads T] [--metrics-json F] [--trace]\n"
        "               [--cache-mb M] [--budget-ms B]\n"
-       "               [--mode exact|anytime|portfolio]\n"
-       "               [--reorder none|degree|bfs|degeneracy]\n",
+       "               [--mode exact|anytime|portfolio]\n",
        {"edges", "attrs", "keywords", "p", "k", "n", "algo", "index",
         "checker", "authors", "gamma", "max-nodes", "json", "explain",
         "threads", "metrics-json", "trace", "cache-mb", "budget-ms",
-        "mode", "reorder"}},
+        "mode"}},
       {"workload", &CmdWorkload,
        "  workload     latency summary over a generated workload\n"
        "               --preset NAME --scale S [--queries Q] [--p P] [--k K]\n"
        "               [--n N] [--wq W] [--checker C] [--seed S] [--banded B]\n"
        "               [--threads T] [--metrics-json F] [--cache-mb M]\n"
-       "               [--batches B] [--reorder none|degree|bfs|degeneracy]\n",
+       "               [--batches B]\n",
        {"preset", "scale", "queries", "p", "k", "n", "wq", "checker", "seed",
-        "banded", "threads", "metrics-json", "cache-mb", "batches",
-        "reorder"}},
+        "banded", "threads", "metrics-json", "cache-mb", "batches"}},
       {"serve", &CmdServe,
        "  serve        run ktgd, the resident query service (docs/server.md)\n"
        "               [--preset NAME --scale S --seed S | --edges F --attrs F]\n"
        "               [--port P] [--port-file F] [--workers W] [--queue Q]\n"
        "               [--batch-max B] [--batch-window W] [--cache-mb M]\n"
        "               [--deadline-ms D] [--checker C] [--threads T]\n"
-       "               [--metrics-json F] [--mode exact|anytime|portfolio]\n"
-       "               [--reorder none|degree|bfs|degeneracy]\n",
+       "               [--metrics-json F] [--mode exact|anytime|portfolio]\n",
        {"preset", "scale", "seed", "edges", "attrs", "port", "port-file",
         "workers", "queue", "batch-max", "batch-window", "cache-mb",
-        "deadline-ms", "checker", "threads", "metrics-json", "mode",
-        "reorder"}},
+        "deadline-ms", "checker", "threads", "metrics-json", "mode"}},
       {"loadgen", &CmdLoadgen,
        "  loadgen      drive a running ktgd with a generated workload\n"
        "               [--preset NAME --scale S | --edges F --attrs F]\n"
@@ -1084,14 +1000,12 @@ const std::vector<CommandSpec>& CommandRegistry() {
        "               [--seed S] [--banded B] [--retry R] [--checker C]\n"
        "               [--write-ratio R] [--mutation-batches B]\n"
        "               [--mutation-edges E] [--mutation-keywords K]\n"
-       "               [--metrics-json F] [--mode exact|anytime|portfolio]\n"
-       "               [--reorder none|degree|bfs|degeneracy]\n",
+       "               [--metrics-json F] [--mode exact|anytime|portfolio]\n",
        {"preset", "scale", "seed", "edges", "attrs", "host", "port",
         "port-file", "check", "open-loop", "rate", "connections", "duration",
         "max-queries", "deadline-ms", "queries", "p", "k", "n", "wq",
         "banded", "retry", "checker", "write-ratio", "mutation-batches",
-        "mutation-edges", "mutation-keywords", "metrics-json", "mode",
-        "reorder"}},
+        "mutation-edges", "mutation-keywords", "metrics-json", "mode"}},
   };
   return *kRegistry;
 }
@@ -1130,12 +1044,6 @@ std::string UsageText() {
       "drawn from a seed derived from --seed, so batch 2+ measures warm\n"
       "reuse on fresh queries rather than replaying batch 1. See\n"
       "docs/caching.md.\n"
-      "\n"
-      "--reorder relabels vertices for memory locality before any index or\n"
-      "checker is built (docs/kernels.md): degree sorts hubs first, bfs is\n"
-      "reverse Cuthill-McKee, degeneracy peels k-cores. Results always come\n"
-      "back in original ids. Use the same value across build-index / query\n"
-      "/ serve / loadgen runs that share a dataset.\n"
       "\n"
       "--mode picks the execution strategy (docs/heuristics.md): exact\n"
       "(default) proves optimality; anytime seeds the search greedily and\n"

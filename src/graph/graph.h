@@ -64,6 +64,9 @@ class Graph {
   /// Returns all edges as (u, v) pairs with u < v, sorted.
   std::vector<std::pair<VertexId, VertexId>> EdgeList() const;
 
+  /// Same vertex count and edge set (the CSR form is canonical).
+  bool operator==(const Graph& other) const = default;
+
  private:
   friend class GraphBuilder;
   friend Graph WithEdgeAdded(const Graph& graph, VertexId a, VertexId b);

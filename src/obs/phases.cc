@@ -16,8 +16,6 @@ const char* PhaseName(Phase phase) {
       return "topn_merge";
     case Phase::kDiversify:
       return "diversify";
-    case Phase::kReorder:
-      return "reorder";
   }
   return "?";
 }

@@ -24,10 +24,9 @@ enum class Phase : int {
   kBbSearch,          ///< the branch-and-bound tree walk
   kTopNMerge,         ///< final collector drain/sort
   kDiversify,         ///< DKTG scoring + per-round bookkeeping
-  kReorder,           ///< locality relabeling preprocessing (graph/reorder.h)
 };
 
-inline constexpr int kNumPhases = 6;
+inline constexpr int kNumPhases = 5;
 
 const char* PhaseName(Phase phase);
 
@@ -41,12 +40,9 @@ struct PhaseBreakdown {
   double operator[](Phase p) const { return ms[static_cast<int>(p)]; }
 
   /// Sum over the top-level phases (excludes the kKlineFilter sub-phase).
-  /// kReorder is a preprocessing phase charged by the boundary layer, not
-  /// the engines, but it partitions the caller's wall-clock all the same.
   double TopLevelTotalMs() const {
     return (*this)[Phase::kCandidateGen] + (*this)[Phase::kBbSearch] +
-           (*this)[Phase::kTopNMerge] + (*this)[Phase::kDiversify] +
-           (*this)[Phase::kReorder];
+           (*this)[Phase::kTopNMerge] + (*this)[Phase::kDiversify];
   }
 
   PhaseBreakdown& operator+=(const PhaseBreakdown& o) {

@@ -63,9 +63,9 @@ void CheckNumericMap(const JsonValue& doc, const std::string& key,
 }
 
 /// True iff `name` is a histogram key the phase breakdown may legally
-/// emit: "phase.<known phase>_ms". Engines and the reorder boundary both
-/// derive these from obs::PhaseName, so any other phase.* key is a typo or
-/// a phase someone forgot to register here.
+/// emit: "phase.<known phase>_ms". Engines derive these from
+/// obs::PhaseName, so any other phase.* key is a typo or a phase someone
+/// forgot to register here.
 bool IsKnownPhaseKey(const std::string& name) {
   for (int i = 0; i < kNumPhases; ++i) {
     const std::string want =

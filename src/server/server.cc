@@ -53,12 +53,6 @@ Status KtgServer::Start() {
   if (options_.cache_mb > 0) {
     cache_ = std::make_unique<KtgCache>(CacheOptionsForMb(options_.cache_mb));
   }
-  // Relabel for locality before any index or checker is built, so every
-  // epoch's snapshot lives in the reordered id space. The remap outlives
-  // the store (vertex growth is forbidden), and the protocol boundary maps
-  // ids in both directions below.
-  reorder_ = ReorderDataset(&boot_graph_, options_.reorder);
-  RecordReorderMetrics(&metrics_, reorder_);
   RecordKernelDispatchMetrics(&metrics_);
   // The epoch-0 snapshot: inverted index plus one shared read-safe checker
   // every worker pins (per-run stateful wrappers are built in ExecuteOne).
@@ -147,8 +141,7 @@ Result<SnapshotStore::ApplyInfo> KtgServer::Apply(const MutationBatch& batch) {
       return Status::FailedPrecondition("server is not accepting requests");
     }
   }
-  auto info = store_->Apply(
-      reorder_.active() ? MapBatchToInternal(batch, reorder_.remap) : batch);
+  auto info = store_->Apply(batch);
   if (info.ok()) {
     metrics_.counter("server.mutations").Add();
     metrics_.counter("server.mutation_deltas")
@@ -160,10 +153,6 @@ Result<SnapshotStore::ApplyInfo> KtgServer::Apply(const MutationBatch& batch) {
 void KtgServer::SubmitQuery(uint64_t id, KtgQuery query, SortStrategy sort,
                             double deadline_ms, EngineMode mode,
                             ResponseCallback cb) {
-  // Callers (wire and in-process) speak original vertex ids; everything
-  // from here on — validation, QueryKey, the engine run — is in the
-  // relabeled space. Responses map group members back in ExecuteOne.
-  if (reorder_.active()) query = MapQueryToInternal(query, reorder_.remap);
   if (Status st = ValidateQuery(query, store_->Pin()->graph()); !st.ok()) {
     metrics_.counter("server.errors").Add();
     cb(ErrorResponseJson(id, st.message()));
@@ -382,10 +371,6 @@ void KtgServer::ExecuteOne(Pending leader, std::vector<Pending> coalesced) {
     }
     return;
   }
-  if (reorder_.active()) {
-    MapGroupsToOriginal(reorder_.remap, &result->groups);
-  }
-
   if (!complete && eopts.mode != EngineMode::kPortfolio) {
     metrics_.counter("server.incomplete").Add();
     // The per-request misses of an all-expired batch were already counted
@@ -431,8 +416,7 @@ std::string KtgServer::InfoJson() const {
       .KV("batch_window", static_cast<uint64_t>(options_.batch_window))
       .KV("checker", CheckerKindName(options_.checker))
       .KV("cache_mb", static_cast<uint64_t>(options_.cache_mb))
-      .KV("default_deadline_ms", options_.default_deadline_ms)
-      .KV("reorder", ReorderModeName(options_.reorder));
+      .KV("default_deadline_ms", options_.default_deadline_ms);
   w.EndObject().EndObject();
   return w.str();
 }

@@ -58,9 +58,7 @@
 #include "cache/query_key.h"
 #include "core/options.h"
 #include "core/query.h"
-#include "core/reorder_boundary.h"
 #include "core/snapshot.h"
-#include "graph/reorder.h"
 #include "index/checker_factory.h"
 #include "index/distance_checker.h"
 #include "keywords/attributed_graph.h"
@@ -104,14 +102,6 @@ struct ServerOptions {
 
   /// Threads for index/checker construction at Start() (0 = hardware).
   uint32_t build_threads = 0;
-
-  /// Locality reorder applied to the dataset at Start() (graph/reorder.h).
-  /// The wire protocol keeps speaking original vertex ids: authors and
-  /// mutations are mapped into the relabeled space at submission, group
-  /// members are mapped back in every response. Vertex growth is forbidden
-  /// by the snapshot store, so the boot-time remap stays a valid bijection
-  /// across every later epoch.
-  ReorderMode reorder = ReorderMode::kNone;
 
   EngineOptions engine;
 };
@@ -210,10 +200,6 @@ class KtgServer {
   // The dataset handed to the constructor; consumed by Start() when it
   // builds the epoch-0 snapshot.
   AttributedGraph boot_graph_;
-  // Boot-time locality relabeling (identity when options_.reorder is
-  // kNone). Lives outside the snapshot store: the store forbids vertex
-  // growth, so this single remap covers every epoch.
-  ReorderPlan reorder_;
   obs::MetricsRegistry metrics_;
   std::unique_ptr<KtgCache> cache_;
   std::unique_ptr<SnapshotStore> store_;

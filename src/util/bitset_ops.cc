@@ -211,14 +211,25 @@ namespace bitset_avx512 {
 #define KTG_TARGET_AVX512_POPCNT \
   __attribute__((target("avx512f,avx512vpopcntdq")))
 
+// Horizontal sum of the eight lanes. Spelled out instead of
+// _mm512_reduce_add_epi64, whose GCC 12 header body raises
+// -Wmaybe-uninitialized.
+KTG_TARGET_AVX512F
+inline uint64_t SumLanes(__m512i v) {
+  uint64_t lanes[8];
+  _mm512_storeu_si512(lanes, v);
+  uint64_t sum = 0;
+  for (const uint64_t lane : lanes) sum += lane;
+  return sum;
+}
+
 KTG_TARGET_AVX512F
 void AndNot(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m512i va = _mm512_loadu_si512(a + i);
     const __m512i vb = _mm512_loadu_si512(b + i);
-    // _mm512_andnot_si512 computes ~first & second.
-    _mm512_storeu_si512(dst + i, _mm512_andnot_si512(vb, va));
+    _mm512_storeu_si512(dst + i, va & ~vb);
   }
   for (; i < n; ++i) dst[i] = a[i] & ~b[i];
 }
@@ -253,7 +264,7 @@ uint64_t Popcount(const uint64_t* a, size_t n) {
     const __m512i v = _mm512_loadu_si512(a + i);
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
   }
-  uint64_t c = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
+  uint64_t c = SumLanes(acc);
   for (; i < n; ++i) c += __builtin_popcountll(a[i]);
   return c;
 }
@@ -267,7 +278,7 @@ uint64_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
     const __m512i vb = _mm512_loadu_si512(b + i);
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
   }
-  uint64_t c = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
+  uint64_t c = SumLanes(acc);
   for (; i < n; ++i) c += __builtin_popcountll(a[i] & b[i]);
   return c;
 }
@@ -279,10 +290,9 @@ uint64_t AndNotPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
   for (; i + 8 <= n; i += 8) {
     const __m512i va = _mm512_loadu_si512(a + i);
     const __m512i vb = _mm512_loadu_si512(b + i);
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_andnot_si512(vb, va)));
+    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(va & ~vb));
   }
-  uint64_t c = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
+  uint64_t c = SumLanes(acc);
   for (; i < n; ++i) c += __builtin_popcountll(a[i] & ~b[i]);
   return c;
 }

@@ -11,6 +11,7 @@
 
 #include "cli/args.h"
 #include "cli/commands.h"
+#include "graph/graph_io.h"
 #include "obs/schema_check.h"
 
 namespace ktg::cli {
@@ -165,6 +166,57 @@ TEST_F(CliCommandTest, BuildIndexAndQueryViaIndex) {
     ASSERT_TRUE(args.ok());
     EXPECT_TRUE(CmdQuery(*args).ok());
   }
+}
+
+// An index file built over a relabeled copy of the graph answers distance
+// checks for the wrong vertices; query must refuse it instead of returning
+// groups that violate the tenuity constraint. A matching index still works.
+TEST_F(CliCommandTest, QueryRejectsIndexOverADifferentGraph) {
+  const auto original = LoadEdgeList(edges_);
+  ASSERT_TRUE(original.ok());
+  // Reverse the ids of the non-isolated vertices: same vertex count (the
+  // largest id keeps an edge), same shape, different labels.
+  std::vector<VertexId> touched;
+  for (VertexId v = 0; v < original->num_vertices(); ++v) {
+    if (original->Degree(v) > 0) touched.push_back(v);
+  }
+  std::vector<VertexId> relabel(original->num_vertices());
+  for (VertexId v = 0; v < original->num_vertices(); ++v) relabel[v] = v;
+  for (size_t i = 0; i < touched.size(); ++i) {
+    relabel[touched[i]] = touched[touched.size() - 1 - i];
+  }
+  GraphBuilder builder(original->num_vertices());
+  for (const auto& [u, v] : original->EdgeList()) {
+    builder.AddEdge(relabel[u], relabel[v]);
+  }
+  const Graph permuted = builder.Build();
+  ASSERT_EQ(permuted.num_vertices(), original->num_vertices());
+  ASSERT_NE(permuted.EdgeList(), original->EdgeList());
+  const std::string permuted_edges = TempPath("ktg_cli_permuted_edges.txt");
+  ASSERT_TRUE(SaveEdgeList(permuted, permuted_edges).ok());
+
+  const auto build = [&](const std::string& edges, const std::string& kind) {
+    const auto args = Args::Parse(
+        {"build-index", "--edges", edges, "--kind", kind, "--out", index_},
+        {"edges", "kind", "out"});
+    ASSERT_TRUE(args.ok());
+    ASSERT_TRUE(CmdBuildIndex(*args).ok());
+  };
+  const auto query = [&] {
+    const auto args = Args::Parse(
+        {"query", "--edges", edges_, "--attrs", attrs_, "--index", index_,
+         "--keywords", "kw0,kw1,kw2", "--p", "2", "--k", "1", "--n", "2"},
+        {"edges", "attrs", "index", "keywords", "p", "k", "n"});
+    return args.ok() ? CmdQuery(*args) : args.status();
+  };
+  for (const std::string kind : {"nl", "nlrnl"}) {
+    build(permuted_edges, kind);
+    const Status st = query();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << kind;
+    build(edges_, kind);
+    EXPECT_TRUE(query().ok()) << kind;
+  }
+  std::remove(permuted_edges.c_str());
 }
 
 TEST_F(CliCommandTest, QueryAllAlgorithms) {

@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "core/brute_force.h"
+#include "core/conflict_graph_engine.h"
 #include "core/ktg_engine.h"
 #include "datagen/generators.h"
 #include "datagen/keyword_assigner.h"
@@ -208,6 +209,105 @@ TEST(ResidualBoundTest, IdenticalGroupsAndMonotoneNodeCounts) {
   // monotonicity assertions are vacuous).
   EXPECT_GT(total_ub_prunes, 0u);
 }
+
+// Query shapes the random workloads never draw. Both exact engines, serial
+// and root-parallel, must return brute force's coverage profile — and no
+// groups at all where brute force finds none.
+enum class Degenerate {
+  kOneKeyword,            // |W_Q| = 1
+  kPBeyondCandidates,     // p larger than the candidate count
+  kOnlyUnknownKeywords,   // every query keyword is out of vocabulary
+  kNBeyondFeasible,       // N larger than the number of feasible groups
+};
+
+const char* const kDegenerateNames[] = {"OneKeyword", "PBeyondCandidates",
+                                        "OnlyUnknownKeywords",
+                                        "NBeyondFeasible"};
+
+class DegenerateQueryTest : public ::testing::TestWithParam<Degenerate> {};
+
+TEST_P(DegenerateQueryTest, BothEnginesMatchBruteForce) {
+  Rng rng(0xDE6E);
+  KeywordModel model;
+  model.vocabulary_size = 12;
+  model.min_per_vertex = 1;
+  model.max_per_vertex = 3;
+  model.empty_fraction = 0.1;
+  const AttributedGraph g = AssignKeywords(BarabasiAlbert(36, 2, rng), model,
+                                           rng);
+  const InvertedIndex idx(g);
+
+  KtgQuery query;
+  query.group_size = 3;
+  query.tenuity = 1;
+  query.top_n = 3;
+  switch (GetParam()) {
+    case Degenerate::kOneKeyword:
+      query.keywords = {0};
+      break;
+    case Degenerate::kPBeyondCandidates: {
+      query.keywords = {0, 1};
+      uint32_t candidates = 0;
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        if (CoverMaskOf(g, v, query.keywords) != 0) ++candidates;
+      }
+      query.group_size = candidates + 1;
+      break;
+    }
+    case Degenerate::kOnlyUnknownKeywords:
+      query.keywords = {kInvalidKeyword, kInvalidKeyword};
+      break;
+    case Degenerate::kNBeyondFeasible:
+      // C(36, 2) = 630 pairs bound the feasible groups from above.
+      query.keywords = {0, 1, 2, 3};
+      query.group_size = 2;
+      query.top_n = 1000;
+      break;
+  }
+
+  BfsChecker ref_checker(g.graph());
+  const auto truth = BruteForceKtg(g, idx, ref_checker, query);
+  ASSERT_TRUE(truth.ok());
+  const auto expected = CoverageCounts(truth->groups);
+  switch (GetParam()) {
+    case Degenerate::kOneKeyword:
+      EXPECT_FALSE(expected.empty());
+      break;
+    case Degenerate::kPBeyondCandidates:
+    case Degenerate::kOnlyUnknownKeywords:
+      EXPECT_TRUE(expected.empty());
+      break;
+    case Degenerate::kNBeyondFeasible:
+      EXPECT_FALSE(expected.empty());
+      EXPECT_LT(expected.size(), query.top_n);
+      break;
+  }
+
+  for (const uint32_t threads : {1u, 4u}) {
+    auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph(), query.tenuity);
+    EngineOptions opts;
+    opts.num_threads = threads;
+    const auto ktg = RunKtg(g, idx, *checker, query, opts);
+    ASSERT_TRUE(ktg.ok()) << ktg.status().ToString();
+    EXPECT_EQ(CoverageCounts(ktg->groups), expected) << "ktg t" << threads;
+
+    ConflictEngineOptions copts;
+    copts.num_threads = threads;
+    const auto conflict = RunKtgConflictGraph(g, idx, *checker, query, copts);
+    ASSERT_TRUE(conflict.ok()) << conflict.status().ToString();
+    EXPECT_EQ(CoverageCounts(conflict->groups), expected)
+        << "conflict t" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DegenerateQueryTest,
+    ::testing::Values(Degenerate::kOneKeyword, Degenerate::kPBeyondCandidates,
+                      Degenerate::kOnlyUnknownKeywords,
+                      Degenerate::kNBeyondFeasible),
+    [](const ::testing::TestParamInfo<Degenerate>& info) {
+      return std::string(kDegenerateNames[static_cast<int>(info.param)]);
+    });
 
 }  // namespace
 }  // namespace ktg

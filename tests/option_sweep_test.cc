@@ -62,8 +62,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 6),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<NlParam>& info) {
-      return "h" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_memo" : "_nomemo");
+      std::string name = "h";
+      name += std::to_string(std::get<0>(info.param));
+      name += std::get<1>(info.param) ? "_memo" : "_nomemo";
+      return name;
     });
 
 class NlrnlOptionSweepTest : public ::testing::TestWithParam<int> {};
@@ -131,9 +133,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 3, 4),   // k
                        ::testing::Values(3, 5, 7)),     // N
     [](const ::testing::TestParamInfo<TableParam>& info) {
-      return "p" + std::to_string(std::get<0>(info.param)) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "_N" +
-             std::to_string(std::get<2>(info.param));
+      std::string name = "p";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_k";
+      name += std::to_string(std::get<1>(info.param));
+      name += "_N";
+      name += std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 }  // namespace
