@@ -2,18 +2,15 @@
 // Anytime quality curves: best-so-far coverage and the sound optimality
 // gap as a function of search budget, per dataset.
 //
-// Not a paper figure — this bench certifies the PR's anytime layer at
-// bench scale: (a) under a node-budget sweep the mean reported gap of
-// kAnytime runs shrinks monotonically to 0 as the budget grows (the
-// deterministic curve the certification tests check at unit scale), and
-// (b) the portfolio's quality improves with its iteration budget while
-// staying within its reported gap. Workload is deliberately harder than
-// the Table I defaults (p=6, |W_Q|=8) so that small budgets actually
-// truncate.
+// Not a paper figure — this bench shows the anytime mode at bench scale:
+// under a node-budget sweep the mean reported gap of kAnytime runs shrinks
+// monotonically to 0 as the budget grows (the deterministic curve
+// tests/anytime_test.cc checks at unit scale). Workload is deliberately
+// harder than the Table I defaults (p=6, |W_Q|=8) so that small budgets
+// actually truncate.
 //
 // Series:
 //   anytime nodes=B     — kAnytime, max_nodes=B (deterministic)
-//   portfolio iters=B   — RunKtgPortfolio, max_iterations=B, 1 thread
 //
 // Columns per budget: mean gap, mean best coverage, truncated fraction,
 // mean latency (ms).
@@ -22,7 +19,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "heur/portfolio.h"
 #include "util/timer.h"
 
 namespace ktg::bench {
@@ -64,32 +60,6 @@ QualityPoint RunAnytime(BenchDataset& ds, const std::vector<KtgQuery>& queries,
   return point;
 }
 
-QualityPoint RunPortfolio(BenchDataset& ds,
-                          const std::vector<KtgQuery>& queries,
-                          uint64_t max_iterations) {
-  heur::PortfolioOptions popts;
-  popts.num_threads = 1;  // deterministic cost, same best coverage
-  popts.max_iterations = max_iterations;
-  popts.metrics = &Metrics();
-  DistanceChecker& checker = ds.Checker(CheckerKind::kNlrnl, kDefaultK);
-
-  QualityPoint point;
-  point.truncated_fraction = 1.0;  // heuristic results are never "complete"
-  Stopwatch timer;
-  for (const KtgQuery& q : queries) {
-    auto result =
-        heur::RunKtgPortfolio(ds.graph(), ds.index(), checker, q, popts);
-    if (!result.ok()) continue;
-    point.mean_gap += result->stats.gap;
-    point.mean_best +=
-        result->groups.empty() ? 0 : result->groups.front().covered();
-  }
-  point.avg_ms = timer.ElapsedMillis() / queries.size();
-  point.mean_gap /= queries.size();
-  point.mean_best /= queries.size();
-  return point;
-}
-
 void PrintPoints(const std::string& label,
                  const std::vector<std::pair<uint64_t, QualityPoint>>& curve) {
   std::vector<int> widths = {24, 10, 10, 10, 12};
@@ -104,7 +74,6 @@ void PrintPoints(const std::string& label,
 void RunFigure() {
   const std::vector<std::string> datasets = {"gowalla", "brightkite"};
   const std::vector<uint64_t> node_budgets = {2, 8, 32, 256, 4096, 0};
-  const std::vector<uint64_t> iteration_budgets = {4, 16, 64, 256};
 
   for (const auto& name : datasets) {
     BenchDataset& ds = BenchDataset::Get(name);
@@ -123,12 +92,6 @@ void RunFigure() {
       curve.emplace_back(b, RunAnytime(ds, workload, b));
     }
     PrintPoints("anytime nodes", curve);
-
-    curve.clear();
-    for (uint64_t b : iteration_budgets) {
-      curve.emplace_back(b, RunPortfolio(ds, workload, b));
-    }
-    PrintPoints("portfolio iters", curve);
   }
 }
 

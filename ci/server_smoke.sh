@@ -4,8 +4,8 @@
 #   1. start `ktg serve` on an ephemeral port (--port 0 --port-file),
 #   2. drive it with `ktg loadgen --check` for a few seconds — the
 #      differential check makes any wrong response a hard failure,
-#   3. drive a short `--mode portfolio` leg: every response is served by
-#      the heuristic portfolio (complete=false + gap on the wire),
+#   3. drive a short `--mode anytime --check` leg: every complete
+#      response must equal a serial, unbudgeted anytime run,
 #   4. assert the loadgen reports show completed work and no errors,
 #      and validate report + metrics sidecar structurally with
 #      tools/schema_validate (the shared obs/schema_check validators),
@@ -59,25 +59,25 @@ EOF
 tail -n 1 "$REPORT" > "$WORK/loadgen.report.json"
 "$VALIDATE" "$WORK/loadgen.report.json"
 
-# Portfolio leg: per-request "mode":"portfolio" rides the same wire; the
-# responses are heuristic best-so-far (complete=false + gap), which the
-# loadgen oracle skips — errors/mismatches must still be zero.
-PORTFOLIO_REPORT="$WORK/loadgen.portfolio.json"
+# Anytime leg: per-request "mode":"anytime" rides the same wire. Its tie
+# representatives differ from exact's, so the oracle runs anytime too.
+ANYTIME_REPORT="$WORK/loadgen.anytime.json"
 "$KTG" loadgen --preset gowalla --scale 0.05 --port-file "$PORT_FILE" \
-  --duration 3 --connections 2 --mode portfolio --check | tee "$PORTFOLIO_REPORT"
+  --duration 3 --connections 2 --mode anytime --check | tee "$ANYTIME_REPORT"
 
-python3 - "$PORTFOLIO_REPORT" <<'EOF'
+python3 - "$ANYTIME_REPORT" <<'EOF'
 import json, sys
 doc = json.loads(open(sys.argv[1]).read().splitlines()[-1])
 assert doc["schema"] == "ktg.loadgen.v1", doc.get("schema")
 assert doc["completed"] > 0, doc
 assert doc["errors"] == 0, doc
+assert doc["checked"] > 0, doc
 assert doc["mismatches"] == 0, doc
-print(f"portfolio loadgen: {doc['completed']} completed")
+print(f"anytime: {doc['completed']} completed, {doc['checked']} checked")
 EOF
 
-tail -n 1 "$PORTFOLIO_REPORT" > "$WORK/loadgen.portfolio.report.json"
-"$VALIDATE" "$WORK/loadgen.portfolio.report.json"
+tail -n 1 "$ANYTIME_REPORT" > "$WORK/loadgen.anytime.report.json"
+"$VALIDATE" "$WORK/loadgen.anytime.report.json"
 
 # Clean shutdown: drain, flush the metrics sidecar, exit 0.
 kill -TERM "$SERVER_PID"
@@ -100,8 +100,8 @@ if [ -n "${SMOKE_ARTIFACT_DIR:-}" ]; then
   mkdir -p "$SMOKE_ARTIFACT_DIR"
   cp "$METRICS" "$SMOKE_ARTIFACT_DIR/ktgd.metrics.json"
   cp "$WORK/loadgen.report.json" "$SMOKE_ARTIFACT_DIR/loadgen.report.json"
-  cp "$WORK/loadgen.portfolio.report.json" \
-     "$SMOKE_ARTIFACT_DIR/loadgen.portfolio.report.json"
+  cp "$WORK/loadgen.anytime.report.json" \
+     "$SMOKE_ARTIFACT_DIR/loadgen.anytime.report.json"
 fi
 
 echo "server smoke OK"

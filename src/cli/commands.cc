@@ -25,7 +25,6 @@
 #include "datagen/query_gen.h"
 #include "graph/graph_io.h"
 #include "graph/stats.h"
-#include "heur/portfolio.h"
 #include "index/bfs_checker.h"
 #include "index/checker_factory.h"
 #include "index/serialization.h"
@@ -449,11 +448,9 @@ Status CmdQuery(const Args& args) {
   const auto budget_ms = args.GetDouble("budget-ms", 0.0);
   if (!budget_ms.ok()) return budget_ms.status();
   options.time_budget_ms = budget_ms.value();
-  const std::string mode_name = args.GetString("mode", "exact");
-  if (!ParseEngineMode(mode_name, &options.mode)) {
-    return Status::InvalidArgument("unknown --mode: " + mode_name +
-                                   " (expected exact|anytime|portfolio)");
-  }
+  const auto mode = ParseEngineMode(args.GetString("mode", "exact"));
+  if (!mode.ok()) return mode.status();
+  options.mode = mode.value();
   options.num_threads = threads.value();
   options.metrics = metrics;
   options.trace = trace;
@@ -478,7 +475,7 @@ Status CmdQuery(const Args& args) {
     *checker = MaybeWrapWithCache(std::move(*checker), dataset.graph(),
                                   cache.get());
   }
-  auto result = heur::RunKtgWithMode(dataset, index, **checker, *query, options);
+  auto result = RunKtg(dataset, index, **checker, *query, options);
   if (cache != nullptr && metrics != nullptr) cache->ExportMetrics(*metrics);
   if (!result.ok()) return result.status();
   if (args.GetBool("json")) {
@@ -705,11 +702,9 @@ Status CmdServe(const Args& args) {
   sopts.checker = kind.value();
   sopts.build_threads = threads.value();
   // Default execution mode for requests that carry no "mode" member.
-  const std::string mode_name = args.GetString("mode", "exact");
-  if (!ParseEngineMode(mode_name, &sopts.engine.mode)) {
-    return Status::InvalidArgument("unknown --mode: " + mode_name +
-                                   " (expected exact|anytime|portfolio)");
-  }
+  const auto mode = ParseEngineMode(args.GetString("mode", "exact"));
+  if (!mode.ok()) return mode.status();
+  sopts.engine.mode = mode.value();
 
   std::fprintf(stderr, "ktgd: building %s checker(s) over %u vertices...\n",
                CheckerKindName(sopts.checker), graph->num_vertices());
@@ -816,11 +811,9 @@ Status CmdLoadgen(const Args& args) {
   lopts.deadline_ms = deadline.value();
   lopts.retry_rejected = args.GetBool("retry", true);
   lopts.seed = static_cast<uint64_t>(seed.value());
-  const std::string mode_name = args.GetString("mode", "exact");
-  if (!ParseEngineMode(mode_name, &lopts.mode)) {
-    return Status::InvalidArgument("unknown --mode: " + mode_name +
-                                   " (expected exact|anytime|portfolio)");
-  }
+  const auto mode = ParseEngineMode(args.GetString("mode", "exact"));
+  if (!mode.ok()) return mode.status();
+  lopts.mode = mode.value();
 
   // --write-ratio: that fraction of request slots become `mutate` requests
   // drawn from a generated mutation workload (evolving-ledger batches, no
@@ -855,12 +848,14 @@ Status CmdLoadgen(const Args& args) {
   }
 
   // --check: every complete response is compared against a direct
-  // in-process engine run *at the epoch the response names*. The oracle
-  // replays the server's applied-order mutation history — learned from the
-  // mutate responses via on_mutation_applied, since arrival order need not
-  // be generation order — through its own SnapshotStore, and memoizes per
-  // (query index, epoch). A memo keyed by query alone would silently go
-  // stale the moment the first mutation landed.
+  // in-process engine run *at the epoch the response names*, in the
+  // workload's mode (anytime's tie representatives differ from exact's),
+  // serially and without a budget. The oracle replays the server's
+  // applied-order mutation history — learned from the mutate responses via
+  // on_mutation_applied, since arrival order need not be generation order —
+  // through its own SnapshotStore, and memoizes per (query index, epoch).
+  // A memo keyed by query alone would silently go stale the moment the
+  // first mutation landed.
   std::unique_ptr<SnapshotStore> oracle;
   std::mutex ref_mu;
   std::map<uint64_t, size_t> epoch_batches;     // epoch -> mutation index
@@ -902,8 +897,10 @@ Status CmdLoadgen(const Args& args) {
         bfs = std::make_unique<BfsChecker>(snap.graph().graph());
         checker = bfs.get();
       }
-      auto expected =
-          RunKtg(snap.graph(), snap.index(), *checker, workload[qi], {});
+      EngineOptions oracle_opts;
+      oracle_opts.mode = lopts.mode;
+      auto expected = RunKtg(snap.graph(), snap.index(), *checker,
+                             workload[qi], oracle_opts);
       if (!expected.ok()) return nullptr;
       return &memo.emplace(std::make_pair(qi, epoch), std::move(*expected))
                   .first->second;
@@ -967,7 +964,7 @@ const std::vector<CommandSpec>& CommandRegistry() {
        "               [--authors v1,v2] [--gamma G] [--max-nodes M] [--json]\n"
        "               [--explain] [--threads T] [--metrics-json F] [--trace]\n"
        "               [--cache-mb M] [--budget-ms B]\n"
-       "               [--mode exact|anytime|portfolio]\n",
+       "               [--mode exact|anytime]\n",
        {"edges", "attrs", "keywords", "p", "k", "n", "algo", "index",
         "checker", "authors", "gamma", "max-nodes", "json", "explain",
         "threads", "metrics-json", "trace", "cache-mb", "budget-ms",
@@ -986,7 +983,7 @@ const std::vector<CommandSpec>& CommandRegistry() {
        "               [--port P] [--port-file F] [--workers W] [--queue Q]\n"
        "               [--batch-max B] [--batch-window W] [--cache-mb M]\n"
        "               [--deadline-ms D] [--checker C] [--threads T]\n"
-       "               [--metrics-json F] [--mode exact|anytime|portfolio]\n",
+       "               [--metrics-json F] [--mode exact|anytime]\n",
        {"preset", "scale", "seed", "edges", "attrs", "port", "port-file",
         "workers", "queue", "batch-max", "batch-window", "cache-mb",
         "deadline-ms", "checker", "threads", "metrics-json", "mode"}},
@@ -1000,7 +997,7 @@ const std::vector<CommandSpec>& CommandRegistry() {
        "               [--seed S] [--banded B] [--retry R] [--checker C]\n"
        "               [--write-ratio R] [--mutation-batches B]\n"
        "               [--mutation-edges E] [--mutation-keywords K]\n"
-       "               [--metrics-json F] [--mode exact|anytime|portfolio]\n",
+       "               [--metrics-json F] [--mode exact|anytime]\n",
        {"preset", "scale", "seed", "edges", "attrs", "host", "port",
         "port-file", "check", "open-loop", "rate", "connections", "duration",
         "max-queries", "deadline-ms", "queries", "p", "k", "n", "wq",
@@ -1048,8 +1045,7 @@ std::string UsageText() {
       "--mode picks the execution strategy (docs/heuristics.md): exact\n"
       "(default) proves optimality; anytime seeds the search greedily and\n"
       "honors --budget-ms / deadlines by returning best-so-far plus a\n"
-      "sound optimality gap; portfolio races greedy/GRASP/swap/tabu local\n"
-      "search for the large-p regime branch-and-bound cannot reach.\n"
+      "sound optimality gap.\n"
       "\n"
       "serve hosts the dataset behind a line-delimited JSON TCP protocol\n"
       "with admission control, request batching and per-query deadlines;\n"

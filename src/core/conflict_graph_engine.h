@@ -53,9 +53,8 @@ enum class ConflictBuild {
 ///   * keyword_pruning always uses the reachable-coverage clamp (this
 ///     engine is an extension, so it takes the tighter bound);
 ///   * num_threads also splits the conflict-adjacency build;
-///   * kAnytime (and kPortfolio reaching this engine directly) warm-starts
-///     the collector with greedy seed groups built word-parallel on the
-///     conflict adjacency;
+///   * kAnytime warm-starts the collector with greedy seed groups built
+///     word-parallel on the conflict adjacency;
 ///   * conflict-graph construction time is attributed to the kline_filter
 ///     phase — it is the same pairwise k-line work, paid up front;
 ///   * cached results live under their own engine tag, so conflict-engine

@@ -4,8 +4,8 @@
 
 #include <algorithm>
 
-#include "core/candidates.h"
 #include "core/obs_bridge.h"
+#include "core/run_frame.h"
 #include "core/topn.h"
 #include "obs/phase_timer.h"
 #include "obs/query_trace.h"
@@ -14,10 +14,13 @@
 namespace ktg {
 namespace {
 
-// Index of the best candidate under (VKC desc, degree asc, id asc) after
-// refreshing VKC against `covered`; pool.size() when empty.
-size_t SelectBest(std::vector<Candidate>& pool, CoverMask covered,
-                  bool degree_tiebreak) {
+// Restarts --algo greedy allows when constructions dead-end before size p
+// (each restart skips one more leading candidate).
+constexpr uint32_t kMaxRestarts = 16;
+
+// Index of the best candidate under (VKC desc, degree asc, position asc)
+// after refreshing VKC against `covered`; pool.size() when empty.
+size_t SelectBest(std::vector<Candidate>& pool, CoverMask covered) {
   size_t best = pool.size();
   for (size_t i = 0; i < pool.size(); ++i) {
     Candidate& c = pool[i];
@@ -29,41 +32,40 @@ size_t SelectBest(std::vector<Candidate>& pool, CoverMask covered,
     const Candidate& b = pool[best];
     if (c.vkc != b.vkc) {
       if (c.vkc > b.vkc) best = i;
-    } else if (degree_tiebreak && c.degree != b.degree) {
-      if (c.degree < b.degree) best = i;
+    } else if (c.degree < b.degree) {
+      best = i;
     }
   }
   return best;
 }
 
-// One no-backtracking construction. The `skip` best-ranked initial picks
-// are removed first (restart diversification). Returns true on success.
-bool ConstructOnce(const KtgQuery& query, const GreedyOptions& options,
-                   DistanceChecker& checker, std::vector<Candidate> pool,
-                   uint32_t skip, SearchStats* stats, Group* out) {
-  // Restart diversification: drop the `skip` best-ranked first picks.
+}  // namespace
+
+std::optional<Group> GreedyConstruct(std::vector<Candidate> pool,
+                                     uint32_t skip, uint32_t p, HopDistance k,
+                                     DistanceChecker& checker,
+                                     SearchStats* stats) {
   for (uint32_t s = 0; s < skip; ++s) {
-    const size_t drop = SelectBest(pool, 0, options.degree_tiebreak);
-    if (drop == pool.size()) return false;
+    const size_t drop = SelectBest(pool, 0);
+    if (drop == pool.size()) return std::nullopt;
     pool.erase(pool.begin() + static_cast<int64_t>(drop));
   }
 
   Group group;
   CoverMask covered = 0;
-  while (group.members.size() < query.group_size) {
-    const size_t best = SelectBest(pool, covered, options.degree_tiebreak);
-    if (best == pool.size()) return false;  // pool exhausted: dead end
+  while (group.members.size() < p) {
+    const size_t best = SelectBest(pool, covered);
+    if (best == pool.size()) return std::nullopt;  // pool exhausted
 
     const Candidate chosen = pool[best];
     pool.erase(pool.begin() + static_cast<int64_t>(best));
     group.members.push_back(chosen.vertex);
     covered |= chosen.mask;
 
-    // k-line filtering against the new member (Theorem 3).
     std::vector<Candidate> next;
     next.reserve(pool.size());
     for (const Candidate& c : pool) {
-      if (checker.IsFartherThan(c.vertex, chosen.vertex, query.tenuity)) {
+      if (checker.IsFartherThan(c.vertex, chosen.vertex, k)) {
         next.push_back(c);
       } else {
         ++stats->kline_filtered;
@@ -75,11 +77,8 @@ bool ConstructOnce(const KtgQuery& query, const GreedyOptions& options,
 
   std::sort(group.members.begin(), group.members.end());
   group.mask = covered;
-  *out = std::move(group);
-  return true;
+  return group;
 }
-
-}  // namespace
 
 Result<KtgResult> RunKtgGreedy(const AttributedGraph& graph,
                                const InvertedIndex& index,
@@ -87,21 +86,13 @@ Result<KtgResult> RunKtgGreedy(const AttributedGraph& graph,
                                const KtgQuery& query, GreedyOptions options) {
   KTG_RETURN_IF_ERROR(ValidateQuery(query, graph));
   Stopwatch watch;
-  if (options.metrics != nullptr) checker.EnableDetailStats();
-  const CheckerCounters checker_before = SnapshotChecker(checker);
-
   SearchStats stats;
-  uint64_t excluded = 0;
-  std::vector<Candidate> pool;
-  {
-    obs::PhaseTimer timer(&stats.phases, obs::Phase::kCandidateGen);
-    pool = ExtractCandidates(graph, index, query, checker, &excluded);
-  }
-  stats.candidates = pool.size();
-  stats.kline_filtered += excluded;
+  CheckerCounters checker_before;
+  const std::vector<Candidate> pool =
+      ExtractRunCandidates(graph, index, checker, query, options.metrics,
+                           &stats, &checker_before);
 
   TopNCollector collector(query.top_n);
-  uint32_t restarts = 0;
   {
     // The construction loop is the greedy counterpart of the tree walk; its
     // inner k-line passes are not separately timed (they dominate it anyway).
@@ -109,16 +100,16 @@ Result<KtgResult> RunKtgGreedy(const AttributedGraph& graph,
     // Each attempt skips one more leading pivot; stop when N groups are held
     // or the restart budget is spent.
     for (uint32_t skip = 0;
-         collector.size() < query.top_n && restarts <= options.max_restarts;
-         ++skip, ++restarts) {
-      Group group;
-      if (ConstructOnce(query, options, checker, pool, skip, &stats, &group)) {
+         collector.size() < query.top_n && skip <= kMaxRestarts; ++skip) {
+      std::optional<Group> group = GreedyConstruct(
+          pool, skip, query.group_size, query.tenuity, checker, &stats);
+      if (group.has_value()) {
         ++stats.groups_completed;
         if (options.trace != nullptr) {
           options.trace->Record(obs::TraceEventKind::kOffer, query.group_size,
-                                group.members.front(), group.covered());
+                                group->members.front(), group->covered());
         }
-        collector.Offer(std::move(group));
+        collector.Offer(std::move(*group));
       }
       if (skip >= pool.size()) break;
     }

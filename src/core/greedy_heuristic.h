@@ -14,6 +14,11 @@
 #ifndef KTG_CORE_GREEDY_HEURISTIC_H_
 #define KTG_CORE_GREEDY_HEURISTIC_H_
 
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "core/candidates.h"
 #include "core/options.h"
 #include "core/query.h"
 #include "index/distance_checker.h"
@@ -25,16 +30,24 @@ namespace ktg {
 
 /// Knobs for the greedy heuristic.
 struct GreedyOptions {
-  /// Tie-break by ascending degree (as KTG-VKC-DEG) when true, by id
-  /// otherwise.
-  bool degree_tiebreak = true;
-  /// Maximum restarts when a construction dead-ends before reaching size p
-  /// (each restart skips one more leading candidate).
-  uint32_t max_restarts = 16;
   /// Observability sinks, borrowed; null = disabled (see EngineOptions).
   obs::MetricsRegistry* metrics = nullptr;
   obs::QueryTrace* trace = nullptr;
 };
+
+/// One no-backtracking greedy construction over `pool`: drop the `skip`
+/// best-ranked first picks (restart diversification), then repeatedly take
+/// the candidate with the highest VKC refreshed against the members so far
+/// (smaller degree, then earlier position in `pool`, breaks ties) and
+/// k-line-filter the rest against it (Theorem 3). nullopt when the pool
+/// dead-ends before `p` members. Adds one stats->nodes_expanded per member
+/// placed and one stats->kline_filtered per candidate filtered out. Both
+/// `--algo greedy` (RunKtgGreedy) and the anytime seeds (KtgEngine) build
+/// their groups with it, each with its own restart loop.
+std::optional<Group> GreedyConstruct(std::vector<Candidate> pool,
+                                     uint32_t skip, uint32_t p, HopDistance k,
+                                     DistanceChecker& checker,
+                                     SearchStats* stats);
 
 /// Runs the greedy heuristic for `query`. The result satisfies every KTG
 /// constraint (size, tenuity, per-member coverage) but its coverage may be

@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "cache/query_key.h"
+#include "core/greedy_heuristic.h"
 #include "obs/phase_timer.h"
 #include "util/sorted_vector.h"
 #include "util/timer.h"
@@ -31,86 +32,16 @@ const char* EngineModeName(EngineMode m) {
       return "exact";
     case EngineMode::kAnytime:
       return "anytime";
-    case EngineMode::kPortfolio:
-      return "portfolio";
   }
   return "?";
 }
 
-bool ParseEngineMode(const std::string& name, EngineMode* out) {
-  if (name == "exact") {
-    *out = EngineMode::kExact;
-  } else if (name == "anytime") {
-    *out = EngineMode::kAnytime;
-  } else if (name == "portfolio") {
-    *out = EngineMode::kPortfolio;
-  } else {
-    return false;
-  }
-  return true;
+Result<EngineMode> ParseEngineMode(const std::string& name) {
+  if (name == "exact") return EngineMode::kExact;
+  if (name == "anytime") return EngineMode::kAnytime;
+  return Status::InvalidArgument("unknown mode '" + name +
+                                 "' (expected exact|anytime)");
 }
-
-namespace {
-
-// One greedy construction over `sr` for the anytime warm start: drop the
-// `skip` best-ranked first picks (restart diversification, exactly the
-// greedy heuristic's rule), then repeatedly take the highest refreshed-VKC
-// candidate (degree-ascending, then id tie-break — the KTG-VKC-DEG rank)
-// and k-line-filter the rest. nullopt when the pool dead-ends before p.
-std::optional<Group> GreedyConstructOnce(const std::vector<Candidate>& sr,
-                                         uint32_t skip, uint32_t p,
-                                         HopDistance k,
-                                         DistanceChecker& checker,
-                                         uint64_t* kline_filtered) {
-  std::vector<Candidate> pool = sr;
-  const auto best_of = [](std::vector<Candidate>& v, CoverMask covered) {
-    size_t best = v.size();
-    for (size_t i = 0; i < v.size(); ++i) {
-      v[i].vkc = PopCount(NovelBits(v[i].mask, covered));
-      if (best == v.size()) {
-        best = i;
-        continue;
-      }
-      const Candidate& b = v[best];
-      if (v[i].vkc != b.vkc) {
-        if (v[i].vkc > b.vkc) best = i;
-      } else if (v[i].degree < b.degree) {
-        best = i;
-      }
-    }
-    return best;
-  };
-  for (uint32_t s = 0; s < skip; ++s) {
-    const size_t drop = best_of(pool, 0);
-    if (drop == pool.size()) return std::nullopt;
-    pool.erase(pool.begin() + static_cast<int64_t>(drop));
-  }
-  Group group;
-  CoverMask covered = 0;
-  while (group.members.size() < p) {
-    const size_t best = best_of(pool, covered);
-    if (best == pool.size()) return std::nullopt;
-    const Candidate chosen = pool[best];
-    pool.erase(pool.begin() + static_cast<int64_t>(best));
-    group.members.push_back(chosen.vertex);
-    covered |= chosen.mask;
-    std::vector<Candidate> next;
-    next.reserve(pool.size());
-    for (const Candidate& c : pool) {
-      if (checker.IsFartherThan(c.vertex, chosen.vertex, k)) {
-        next.push_back(c);
-      } else {
-        ++*kline_filtered;
-      }
-    }
-    pool.swap(next);
-  }
-  std::sort(group.members.begin(), group.members.end());
-  group.mask = covered;
-  return group;
-}
-
-}  // namespace
 
 KtgEngine::KtgEngine(const AttributedGraph& graph, const InvertedIndex& index,
                      DistanceChecker& checker, EngineOptions options)
@@ -377,8 +308,11 @@ std::vector<Group> KtgEngine::GreedySeeds(const std::vector<Candidate>& sr) {
   for (uint32_t skip = 0;
        seeds.size() < top_n_ && skip < max_attempts && skip < sr.size();
        ++skip) {
-    auto g = GreedyConstructOnce(sr, skip, p_, k_, checker_,
-                                 &stats_.kline_filtered);
+    // Seed placements are not search nodes (they would spend the node
+    // budget); only the k-line removals carry over.
+    SearchStats construction;
+    auto g = GreedyConstruct(sr, skip, p_, k_, checker_, &construction);
+    stats_.kline_filtered += construction.kline_filtered;
     if (!g.has_value()) continue;
     // Restarts can reconverge to an already-found group; keep seeds unique
     // so they occupy distinct collector slots.
@@ -466,9 +400,7 @@ Result<SearchOutcome> KtgEngine::SearchCandidates(const KtgQuery& query,
   CoverMask sr_union = 0;
   for (const Candidate& c : sr) sr_union |= c.mask;
 
-  // Anytime warm start (greedy seeds; see GreedySeeds). kPortfolio reaching
-  // the engine directly is treated the same — the portfolio itself lives in
-  // src/heur/ and dispatches before Run().
+  // Anytime warm start (greedy seeds; see GreedySeeds).
   std::vector<Group> seeds;
   if (options_.mode != EngineMode::kExact) {
     obs::PhaseTimer timer(&stats_.phases, obs::Phase::kBbSearch);

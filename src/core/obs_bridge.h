@@ -27,7 +27,7 @@ namespace ktg {
 void RecordSearchStats(obs::MetricsRegistry* metrics, const SearchStats& stats,
                        std::string_view prefix);
 
-/// Flushes the anytime-layer view of one budgeted/heuristic run (no-op when
+/// Flushes the anytime-layer view of one budgeted or anytime run (no-op when
 /// `metrics` is null): counters search.anytime.runs / .truncated (runs whose
 /// budget cut the search) / .optimal (runs whose reported gap closed to 0) /
 /// .seeded (warm-start groups offered), histograms search.anytime.gap and

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/status.h"
+
 namespace ktg::obs {
 class MetricsRegistry;
 class QueryTrace;
@@ -47,16 +49,12 @@ enum class EngineMode {
   /// profile — but tie representatives may differ from kExact, so anytime
   /// runs bypass the cross-query result cache.
   kAnytime,
-  /// Raced portfolio of local-search heuristics (src/heur/); never exact
-  /// by construction, but reports the same sound gap. Engines themselves
-  /// treat this like kAnytime — the dispatch lives in
-  /// heur::RunKtgWithMode, which routes kPortfolio to the portfolio.
-  kPortfolio,
 };
 
 const char* EngineModeName(EngineMode m);
-/// Parses "exact" | "anytime" | "portfolio"; false on anything else.
-bool ParseEngineMode(const std::string& name, EngineMode* out);
+/// Parses "exact" | "anytime"; InvalidArgument naming the accepted modes
+/// on anything else (the one message the CLI flags and the wire share).
+Result<EngineMode> ParseEngineMode(const std::string& name);
 
 /// The option core both exact engines share (EngineOptions and
 /// ConflictEngineOptions inherit it): threads, mode, the two pruning
@@ -77,8 +75,7 @@ struct SearchOptions {
   /// conflict engine also splits its adjacency build over the workers.
   uint32_t num_threads = 1;
 
-  /// Completeness/latency trade-off (see EngineMode). kPortfolio is only
-  /// honored by heur::RunKtgWithMode; the engines treat it as kAnytime.
+  /// Completeness/latency trade-off (see EngineMode).
   EngineMode mode = EngineMode::kExact;
 
   /// Theorem 2: cut branches whose optimistic coverage cannot beat the

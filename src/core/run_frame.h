@@ -38,9 +38,8 @@
 
 namespace ktg {
 
-/// Candidate-set ceiling of the searches that materialize a conflict
-/// adjacency (the conflict engine and the portfolio): the matrix is
-/// quadratic in |S_R|.
+/// Candidate-set ceiling of the conflict engine, which materializes a
+/// conflict adjacency: the matrix is quadratic in |S_R|.
 inline constexpr size_t kMaxConflictCandidates = 20000;
 
 /// ResourceExhausted when `num_candidates` exceeds kMaxConflictCandidates;
@@ -50,7 +49,7 @@ Status CheckConflictCandidates(size_t num_candidates, std::string_view who);
 /// The static candidate rank: initial VKC descending, degree ascending,
 /// vertex id ascending — the KTG-VKC-DEG order at the root. KtgEngine
 /// sorts by it under kVkcDeg with ascending degrees; the conflict engine
-/// and the portfolio always do.
+/// always does.
 struct StaticRankLess {
   bool operator()(const Candidate& a, const Candidate& b) const {
     if (a.vkc != b.vkc) return a.vkc > b.vkc;
@@ -65,7 +64,7 @@ struct StaticRankLess {
 int RootUpperBound(const std::vector<Candidate>& cands, uint32_t p,
                    uint32_t num_keywords);
 
-/// The prologue's candidate step, shared by the frame and the portfolio:
+/// The prologue's candidate step, shared by the frame and --algo greedy:
 /// enables the checker's detail counters when `metrics` is attached,
 /// snapshots its counters into `*checker_before`, and extracts S_R under
 /// the candidate_gen timer. Records |S_R| in stats->candidates and adds the

@@ -7,13 +7,20 @@
 namespace ktg {
 
 bool TopNCollector::Offer(Group group) {
-  const int count = group.covered();
+  if (full() && group.covered() <= worst_count_) return false;
+  // An anytime search reaches its greedy seeds again; a group already held
+  // must not take a second slot. The scan sits after the threshold test so
+  // only offers that would be admitted pay for it (an exact search never
+  // offers a group twice).
+  for (const auto& [seq, held] : groups_) {
+    KTG_UNUSED(seq);
+    if (held.members == group.members) return false;
+  }
   if (!full()) {
     groups_.emplace_back(next_seq_++, std::move(group));
     RecomputeWorst();
     return true;
   }
-  if (count <= worst_count_) return false;
 
   // Evict the worst-coverage group; on ties the most recently inserted one
   // goes first (keep the longest-standing results stable).

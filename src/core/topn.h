@@ -25,7 +25,8 @@ class TopNCollector {
  public:
   explicit TopNCollector(uint32_t n) : n_(n) {}
 
-  /// Offers a feasible group; returns true when it was admitted.
+  /// Offers a feasible group; returns true when it was admitted. A group
+  /// with the same members as one already held is refused.
   bool Offer(Group group);
 
   /// True once N groups are held.

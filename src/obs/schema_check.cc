@@ -240,44 +240,6 @@ std::vector<std::string> CheckLoadgenV1(std::string_view json) {
   return problems;
 }
 
-std::vector<std::string> CheckQualityV1(std::string_view json) {
-  std::vector<std::string> problems;
-  auto doc = ParseEnvelope(json, "ktg.quality.v1", problems);
-  if (!doc.ok()) return problems;
-
-  const JsonValue* instances = doc->Find("instances");
-  if (instances == nullptr || !instances->is_array()) {
-    Note(problems, "missing array member 'instances'");
-  } else {
-    size_t i = 0;
-    for (const JsonValue& row : instances->AsArray()) {
-      const std::string where = "instances[" + std::to_string(i++) + "]";
-      if (!row.is_object()) {
-        Note(problems, where + " is not an object");
-        continue;
-      }
-      for (const char* key : {"round", "query", "p", "k", "exact_best",
-                              "portfolio_best", "upper_bound", "gap"}) {
-        RequireNumber(row, where, key, problems);
-      }
-      const JsonValue* sound = row.Find("sound");
-      if (sound == nullptr || !sound->is_bool()) {
-        Note(problems, where + " lacks boolean member 'sound'");
-      }
-    }
-  }
-  const JsonValue* summary = doc->Find("summary");
-  if (summary == nullptr || !summary->is_object()) {
-    Note(problems, "missing object member 'summary'");
-    return problems;
-  }
-  for (const char* key :
-       {"instances", "unsound", "missed_optimum", "mean_gap"}) {
-    RequireNumber(*summary, "summary", key, problems);
-  }
-  return problems;
-}
-
 std::vector<std::string> CheckAnyKnownSchema(std::string_view json) {
   std::vector<std::string> problems;
   auto doc = ParseJson(json);
@@ -295,7 +257,6 @@ std::vector<std::string> CheckAnyKnownSchema(std::string_view json) {
   if (schema == "ktg.trace.v1") return CheckTraceV1(json);
   if (schema == "ktg.response.v1") return CheckResponseV1(json);
   if (schema == "ktg.loadgen.v1") return CheckLoadgenV1(json);
-  if (schema == "ktg.quality.v1") return CheckQualityV1(json);
   Note(problems, "unknown schema '" + schema + "'");
   return problems;
 }

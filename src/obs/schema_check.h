@@ -37,10 +37,6 @@ std::vector<std::string> CheckResponseV1(std::string_view json);
 /// wall_s/qps, and a latency_ms summary object.
 std::vector<std::string> CheckLoadgenV1(std::string_view json);
 
-/// ktg.quality.v1 (the quality_eval report): per-instance exact vs
-/// portfolio coverage rows plus a summary with unsound/mean_gap.
-std::vector<std::string> CheckQualityV1(std::string_view json);
-
 /// Dispatches on the document's "schema" member to the matching Check*
 /// validator. Unknown or missing schemas are themselves problems.
 std::vector<std::string> CheckAnyKnownSchema(std::string_view json);

@@ -66,9 +66,9 @@ struct LoadgenOptions {
   /// Closed loop: honor retry_after_ms and re-send rejected queries.
   bool retry_rejected = true;
   SortStrategy sort = SortStrategy::kVkcDeg;
-  /// Per-request execution mode forwarded on the wire. Non-exact modes
-  /// answer serving.complete=false, so the differential check (--check)
-  /// tallies but does not oracle-compare those responses.
+  /// Per-request execution mode forwarded on the wire. The differential
+  /// check (--check) compares complete responses with an oracle run in the
+  /// same mode: anytime's tie representatives differ from exact's.
   EngineMode mode = EngineMode::kExact;
 
   /// Fraction of request slots sent as `mutate` instead of `query`

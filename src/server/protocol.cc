@@ -187,11 +187,9 @@ Result<Request> ParseRequestLine(const std::string& line) {
   const auto mode = doc->GetString("mode", "");
   if (!mode.ok()) return mode.status();
   if (!mode.value().empty()) {
-    if (!ParseEngineMode(mode.value(), &req.mode)) {
-      return Status::InvalidArgument(
-          "unknown mode '" + mode.value() +
-          "' (expected exact|anytime|portfolio)");
-    }
+    const auto parsed = ParseEngineMode(mode.value());
+    if (!parsed.ok()) return parsed.status();
+    req.mode = parsed.value();
     req.has_mode = true;
   }
 

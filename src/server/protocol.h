@@ -64,7 +64,7 @@ struct Request {
   /// default (which may itself be "no deadline").
   double deadline_ms = 0.0;
   SortStrategy sort = SortStrategy::kVkcDeg;
-  /// Per-request execution mode ("mode":"exact|anytime|portfolio"). When
+  /// Per-request execution mode ("mode":"exact|anytime"). When
   /// the line carries no mode member has_mode stays false and the server's
   /// configured engine mode applies.
   EngineMode mode = EngineMode::kExact;

@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "cache/caching_checker.h"
+#include "core/ktg_engine.h"
 #include "core/obs_bridge.h"
-#include "heur/portfolio.h"
 #include "index/bfs_checker.h"
 #include "util/json_writer.h"
 #include "util/macros.h"
@@ -236,7 +236,7 @@ bool KtgServer::ClaimBatch(Pending* leader, std::vector<Pending>* coalesced,
        it != queue_.end() && scanned < options_.batch_window; ++scanned) {
     if (it->key == leader->key && it->mode == leader->mode) {
       // Same canonical query AND same execution mode: an exact duplicate
-      // must not be answered by a heuristic run, or vice versa.
+      // must not be answered by an anytime run, or vice versa.
       coalesced->push_back(std::move(*it));
       it = queue_.erase(it);
     } else if (affinity->size() + 1 < options_.batch_max &&
@@ -330,11 +330,8 @@ void KtgServer::ExecuteOne(Pending leader, std::vector<Pending> coalesced) {
   // deadline among them (docs/server.md: a duplicate can only improve, not
   // tighten, another request's budget).
   eopts.time_budget_ms = unlimited ? 0.0 : budget;
-  // kPortfolio already returns best-so-far under any budget; only an exact
-  // run needs the anytime upgrade to have something to report.
-  if (all_expired && eopts.mode == EngineMode::kExact) {
-    eopts.mode = EngineMode::kAnytime;
-  }
+  // An exact run needs the anytime upgrade to have something to report.
+  if (all_expired) eopts.mode = EngineMode::kAnytime;
 
   // The snapshot's checker is shared and read-safe; the per-run state —
   // BFS scratch for kBfs, the stateful cache wrapper — is built here,
@@ -353,14 +350,9 @@ void KtgServer::ExecuteOne(Pending leader, std::vector<Pending> coalesced) {
     checker = wrapped.get();
   }
 
-  // The portfolio inherits num_threads = 1 (one worker = one serial run,
-  // like the engine), the deadline and the registry. It never claims
-  // completeness (stats.complete stays false; stats.gap reports how far
-  // from optimal the groups can be), so differential checkers skip
-  // representative-sensitive comparisons against the exact oracle.
   Stopwatch exec;
-  Result<KtgResult> result = heur::RunKtgWithMode(
-      snap->graph(), snap->index(), *checker, leader.query, eopts);
+  Result<KtgResult> result =
+      RunKtg(snap->graph(), snap->index(), *checker, leader.query, eopts);
   const double exec_ms = exec.ElapsedMillis();
   const bool complete = result.ok() && result->stats.complete;
 
@@ -371,7 +363,7 @@ void KtgServer::ExecuteOne(Pending leader, std::vector<Pending> coalesced) {
     }
     return;
   }
-  if (!complete && eopts.mode != EngineMode::kPortfolio) {
+  if (!complete) {
     metrics_.counter("server.incomplete").Add();
     // The per-request misses of an all-expired batch were already counted
     // at admission; only a live deadline truncating the run counts here.

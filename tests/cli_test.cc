@@ -241,6 +241,24 @@ TEST_F(CliCommandTest, QueryRejectsBadAlgo) {
   EXPECT_FALSE(CmdQuery(*args).ok());
 }
 
+TEST_F(CliCommandTest, QueryRejectsUnknownMode) {
+  for (const std::string mode : {"exact", "anytime", "portfolio"}) {
+    const auto args = Args::Parse(
+        {"query", "--edges", edges_, "--attrs", attrs_, "--checker", "bfs",
+         "--keywords", "kw0,kw1", "--p", "2", "--mode", mode},
+        {"edges", "attrs", "checker", "keywords", "p", "mode"});
+    ASSERT_TRUE(args.ok());
+    const Status st = CmdQuery(*args);
+    if (mode == "portfolio") {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(st.message().find("expected exact|anytime"),
+                std::string::npos);
+    } else {
+      EXPECT_TRUE(st.ok()) << mode << ": " << st.ToString();
+    }
+  }
+}
+
 TEST_F(CliCommandTest, QueryRequiresKeywords) {
   const auto args =
       Args::Parse({"query", "--edges", edges_, "--attrs", attrs_},

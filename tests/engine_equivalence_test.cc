@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "core/brute_force.h"
@@ -211,8 +212,8 @@ TEST(ResidualBoundTest, IdenticalGroupsAndMonotoneNodeCounts) {
 }
 
 // Query shapes the random workloads never draw. Both exact engines, serial
-// and root-parallel, must return brute force's coverage profile — and no
-// groups at all where brute force finds none.
+// and root-parallel, exact and anytime, must return brute force's coverage
+// profile — and no groups at all where brute force finds none.
 enum class Degenerate {
   kOneKeyword,            // |W_Q| = 1
   kPBeyondCandidates,     // p larger than the candidate count
@@ -283,20 +284,30 @@ TEST_P(DegenerateQueryTest, BothEnginesMatchBruteForce) {
       break;
   }
 
-  for (const uint32_t threads : {1u, 4u}) {
-    auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph(), query.tenuity);
-    EngineOptions opts;
-    opts.num_threads = threads;
-    const auto ktg = RunKtg(g, idx, *checker, query, opts);
-    ASSERT_TRUE(ktg.ok()) << ktg.status().ToString();
-    EXPECT_EQ(CoverageCounts(ktg->groups), expected) << "ktg t" << threads;
+  // A completed anytime run must match too: its greedy seeds, found again
+  // by the search, must not take a second collector slot.
+  for (const EngineMode mode : {EngineMode::kExact, EngineMode::kAnytime}) {
+    for (const uint32_t threads : {1u, 4u}) {
+      const std::string where =
+          std::string(EngineModeName(mode)) + " t" + std::to_string(threads);
+      auto checker =
+          MakeChecker(CheckerKind::kNlrnl, g.graph(), query.tenuity);
+      EngineOptions opts;
+      opts.mode = mode;
+      opts.num_threads = threads;
+      const auto ktg = RunKtg(g, idx, *checker, query, opts);
+      ASSERT_TRUE(ktg.ok()) << ktg.status().ToString();
+      EXPECT_EQ(CoverageCounts(ktg->groups), expected) << "ktg " << where;
 
-    ConflictEngineOptions copts;
-    copts.num_threads = threads;
-    const auto conflict = RunKtgConflictGraph(g, idx, *checker, query, copts);
-    ASSERT_TRUE(conflict.ok()) << conflict.status().ToString();
-    EXPECT_EQ(CoverageCounts(conflict->groups), expected)
-        << "conflict t" << threads;
+      ConflictEngineOptions copts;
+      copts.mode = mode;
+      copts.num_threads = threads;
+      const auto conflict =
+          RunKtgConflictGraph(g, idx, *checker, query, copts);
+      ASSERT_TRUE(conflict.ok()) << conflict.status().ToString();
+      EXPECT_EQ(CoverageCounts(conflict->groups), expected)
+          << "conflict " << where;
+    }
   }
 }
 

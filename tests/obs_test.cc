@@ -14,7 +14,6 @@
 #include "core/ktg_engine.h"
 #include "core/obs_bridge.h"
 #include "core/paper_example.h"
-#include "heur/portfolio.h"
 #include "index/bfs_checker.h"
 #include "index/checker_factory.h"
 #include "keywords/inverted_index.h"
@@ -225,8 +224,8 @@ void ExpectRunFlushed(const MetricsRegistry& reg, const std::string& prefix,
 }
 
 // The engine wiring: counters flushed into an attached registry must agree
-// exactly with the SearchStats the engine returns (for the paper's engine,
-// the conflict engine and the portfolio), and an attached trace must
+// exactly with the SearchStats the engine returns (for the paper's engine
+// and the conflict engine), and an attached trace must
 // narrate the search.
 TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   const AttributedGraph g = PaperExampleGraph();
@@ -276,8 +275,7 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   EXPECT_GT(c->stats.phases[Phase::kBbSearch], 0.0);
   EXPECT_LE(c->stats.phases.TopLevelTotalMs(), c->stats.elapsed_ms + 0.5);
 
-  // The conflict engine and the portfolio flush the same family under
-  // their own prefixes.
+  // The conflict engine flushes the same family under its own prefix.
   MetricsRegistry conflict_reg;
   ConflictEngineOptions conflict_opts;
   conflict_opts.metrics = &conflict_reg;
@@ -285,18 +283,9 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   ASSERT_TRUE(cr.ok());
   ExpectRunFlushed(conflict_reg, "conflict", cr->stats);
 
-  MetricsRegistry portfolio_reg;
-  heur::PortfolioOptions portfolio_opts;
-  portfolio_opts.num_threads = 1;
-  portfolio_opts.metrics = &portfolio_reg;
-  const auto pr = heur::RunKtgPortfolio(g, idx, checker, q, portfolio_opts);
-  ASSERT_TRUE(pr.ok());
-  ExpectRunFlushed(portfolio_reg, "portfolio", pr->stats);
-
   // Query vertices shrink S_R by their k-neighbourhoods, and every engine
   // counts those exclusions as k-line removals: the conflict engine's
-  // kline_filtered is its conflict edges plus the excluded count, and the
-  // portfolio (same candidates, same adjacency) reports the same total.
+  // kline_filtered is its conflict edges plus the excluded count.
   KtgQuery with_vertices = q;
   with_vertices.query_vertices = {0};
   uint64_t excluded = 0;
@@ -311,10 +300,6 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   ExpectRunFlushed(vertex_reg, "conflict", vr->stats);
   EXPECT_EQ(vr->stats.kline_filtered,
             vertex_reg.CounterValue("kernel.conflict.edges") + excluded);
-  const auto vp =
-      heur::RunKtgPortfolio(g, idx, checker, with_vertices, portfolio_opts);
-  ASSERT_TRUE(vp.ok());
-  EXPECT_EQ(vp->stats.kline_filtered, vr->stats.kline_filtered);
 }
 
 // Per-pair checkers (no bulk path) keep the strict invariant: every check

@@ -338,32 +338,33 @@ TEST(KtgServerTest, ExpiredDeadlineServesBestSoFarWithGap) {
   server.Stop();
 }
 
-// A server configured with engine.mode = portfolio answers queries from
-// the metaheuristic portfolio: status "ok", serving.complete always false
-// (heuristic answers are never claimed exact), and a sound serving.gap.
-TEST(KtgServerTest, PortfolioModeServesHeuristicAnswers) {
+// The wire accepts "mode":"exact|anytime" only. A removed or unknown mode
+// gets an error response naming the accepted modes, and the server goes
+// on serving the next request.
+TEST(KtgServerTest, UnknownModeIsAnErrorAndServingContinues) {
   AttributedGraph graph = TestGraph();
   const auto queries = TestWorkload(graph, 1);
   ASSERT_FALSE(queries.empty());
+  const std::string anytime = QueryRequestJson(
+      1, graph, queries[0], SortStrategy::kVkcDeg, 0.0, EngineMode::kAnytime);
+  const std::string tag = R"("mode":"anytime")";
+  ASSERT_NE(anytime.find(tag), std::string::npos);
 
-  ServerOptions opts;
-  opts.engine.mode = EngineMode::kPortfolio;
-  KtgServer server(std::move(graph), opts);
+  KtgServer server(graph, {});
   ASSERT_TRUE(server.Start().ok());
-  std::promise<std::string> p;
-  auto f = p.get_future();
-  server.SubmitQuery(1, queries[0], SortStrategy::kVkcDeg, 0.0,
-                     [&](std::string r) { p.set_value(std::move(r)); });
-  const std::string response = f.get();
-  ASSERT_TRUE(CheckResponseV1(response).empty())
-      << Problems(CheckResponseV1(response));
-  auto doc = ParseJson(response);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->Find("status")->AsString(), "ok");
-  const JsonValue* serving = doc->Find("serving");
-  ASSERT_NE(serving, nullptr);
-  EXPECT_FALSE(serving->GetBool("complete", true).value());
-  EXPECT_GE(serving->Find("gap")->AsDouble(), 0.0);
+  for (const std::string mode : {"portfolio", "bogus"}) {
+    std::string line = anytime;
+    line.replace(line.find(tag), tag.size(), R"("mode":")" + mode + "\"");
+    auto doc = ParseJson(Call(server, line));
+    ASSERT_TRUE(doc.ok());
+    EXPECT_EQ(doc->Find("status")->AsString(), "error") << mode;
+    EXPECT_NE(doc->Find("message")->AsString().find("expected exact|anytime"),
+              std::string::npos)
+        << mode;
+  }
+  auto ok = ParseJson(Call(server, anytime));
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok->Find("status")->AsString(), "ok");
   server.Stop();
 }
 
