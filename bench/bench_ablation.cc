@@ -15,8 +15,6 @@
 #include <cstdio>
 
 #include "bench/common.h"
-#include "core/conflict_graph_engine.h"
-#include "util/summary_stats.h"
 
 namespace ktg::bench {
 namespace {
@@ -105,8 +103,8 @@ void RunAblation() {
             {"KHopBitmap (extension)", bitmap}});
   }
   {
-    // Engine families (extensions vs the paper's engine): the
-    // reachable-coverage clamp and the materialized conflict-graph engine.
+    // Bound extensions vs the paper's engine: the reachable-coverage
+    // ceiling and the residual suffix-union clamp.
     BenchDataset& ds = BenchDataset::Get("gowalla");
     PrintHeader("Ablation: engine family (library extensions)",
                 ds.Summary() + "  [p=6, k=2, |W_Q|=6, N=5]");
@@ -134,28 +132,6 @@ void RunAblation() {
     PrintRow({"+ residual suffix-union clamp", Fmt(m3.avg_ms),
               Fmt(m3.avg_nodes, 0), Fmt(m3.avg_checks, 0)},
              widths);
-
-    // Conflict-graph engine on the identical workload (ball-walk build +
-    // residual bound by default; plus the degeneracy branch order).
-    DistanceChecker& checker = ds.Checker(CheckerKind::kNlrnl, kDefaultK);
-    for (const bool degeneracy : {false, true}) {
-      ConflictEngineOptions copts;
-      copts.degeneracy_order = degeneracy;
-      copts.metrics = &Metrics();  // conflict.* and kernel.* in the sidecar
-      SummaryStats ms, nodes, checks;
-      for (const auto& query : workload) {
-        const auto r = RunKtgConflictGraph(ds.graph(), ds.index(), checker,
-                                           query, copts);
-        if (!r.ok()) continue;
-        ms.Add(r->stats.elapsed_ms);
-        nodes.Add(static_cast<double>(r->stats.nodes_expanded));
-        checks.Add(static_cast<double>(r->stats.distance_checks));
-      }
-      PrintRow({degeneracy ? "conflict engine (degeneracy)"
-                           : "conflict-graph engine",
-                Fmt(ms.mean()), Fmt(nodes.mean(), 0), Fmt(checks.mean(), 0)},
-               widths);
-    }
   }
 }
 

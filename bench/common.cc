@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <functional>
 
-#include "core/obs_bridge.h"
 #include "util/rng.h"
 #include "util/shutdown.h"
 #include "util/timer.h"
@@ -32,9 +31,7 @@ obs::MetricsRegistry& Metrics() {
 }
 
 void WriteMetricsSidecar(const std::string& bench_name) {
-  // Every sidecar names the kernel tier and thread count it was measured
-  // under.
-  RecordKernelDispatchMetrics(&Metrics());
+  // Every sidecar names the thread count it was measured under.
   Metrics().gauge("exec.bench.threads").Set(static_cast<double>(BenchThreads()));
   const char* env = std::getenv("KTG_BENCH_METRICS_PATH");
   const std::string path = (env != nullptr && env[0] != '\0')

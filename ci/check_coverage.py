@@ -6,10 +6,6 @@ intermediate format (no gcovr/lcov dependency), aggregates per-source-file
 line coverage, and enforces the thresholds in ci/coverage_baseline.json:
 
   * cache_min_line_rate    — floor for src/cache/ (the PR 4 tentpole)
-  * bitset_min_line_rate   — floor for src/util/bitset_ops* (the bit-parallel
-                             kernel layer; both dispatch targets share these
-                             sources, so the scalar CI leg keeps the floor
-                             honest even when the gate machine has AVX2)
   * overall_min_line_rate  — ratchet for all of src/ (non-regression:
                              update the baseline when coverage rises,
                              never lower it to make a build pass)
@@ -31,7 +27,6 @@ import sys
 
 SOURCE_PREFIX = "src/"
 CACHE_PREFIX = "src/cache/"
-BITSET_PREFIX = "src/util/bitset_ops"
 
 
 def find_gcda(build_dir):
@@ -122,15 +117,12 @@ def main():
                         "covered": covered, "lines": total}
     overall, o_cov, o_tot = line_rate(per_file, SOURCE_PREFIX)
     cache, c_cov, c_tot = line_rate(per_file, CACHE_PREFIX)
-    bitset, b_cov, b_tot = line_rate(per_file, BITSET_PREFIX)
 
     with open(args.report, "w") as fh:
         json.dump({"overall": {"line_rate": round(overall, 4),
                                "covered": o_cov, "lines": o_tot},
                    "cache": {"line_rate": round(cache, 4),
                              "covered": c_cov, "lines": c_tot},
-                   "bitset_ops": {"line_rate": round(bitset, 4),
-                                  "covered": b_cov, "lines": b_tot},
                    "files": report}, fh, indent=2)
         fh.write("\n")
 
@@ -142,13 +134,10 @@ def main():
           f"({o_cov}/{o_tot})")
     print(f"{'src/cache/':<{width}}  {100 * cache:6.1f}%  "
           f"({c_cov}/{c_tot})")
-    print(f"{'src/util/bitset_ops*':<{width}}  {100 * bitset:6.1f}%  "
-          f"({b_cov}/{b_tot})")
 
     if args.update_baseline:
         with open(args.baseline, "w") as fh:
             json.dump({"cache_min_line_rate": 0.90,
-                       "bitset_min_line_rate": 0.90,
                        # Ratchet: floor slightly under the measured rate so
                        # unrelated refactors don't flake, but regressions trip.
                        "overall_min_line_rate": round(overall - 0.02, 4)},
@@ -163,9 +152,6 @@ def main():
     if cache < baseline["cache_min_line_rate"]:
         failures.append(f"src/cache/ line rate {cache:.3f} < "
                         f"{baseline['cache_min_line_rate']} floor")
-    if bitset < baseline.get("bitset_min_line_rate", 0.0):
-        failures.append(f"src/util/bitset_ops* line rate {bitset:.3f} < "
-                        f"{baseline['bitset_min_line_rate']} floor")
     if overall < baseline["overall_min_line_rate"]:
         failures.append(f"src/ line rate {overall:.3f} < "
                         f"{baseline['overall_min_line_rate']} baseline")

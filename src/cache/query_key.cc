@@ -26,7 +26,6 @@ uint64_t HashSpan(uint64_t h, const std::vector<T>& v) {
 
 uint64_t QueryKey::Hash() const {
   uint64_t h = 0x6b7467u;  // "ktg"
-  h = HashCombine(h, engine_tag);
   h = HashCombine(h, sort);
   h = HashCombine(h, degree_ascending ? 1 : 0);
   h = HashCombine(h, group_size);
@@ -39,10 +38,9 @@ uint64_t QueryKey::Hash() const {
   return h;
 }
 
-QueryKey CanonicalQueryKey(const KtgQuery& query, uint8_t engine_tag,
-                           SortStrategy sort, bool degree_ascending) {
+QueryKey CanonicalQueryKey(const KtgQuery& query, SortStrategy sort,
+                           bool degree_ascending) {
   QueryKey key;
-  key.engine_tag = engine_tag;
   key.sort = static_cast<uint8_t>(sort);
   key.degree_ascending = degree_ascending;
   key.group_size = query.group_size;

@@ -17,8 +17,8 @@
 //  * query/excluded vertices: set semantics (candidate extraction runs
 //    SortUnique over them), so sorted + deduped.
 //  * engine knobs that select among tied groups (sort strategy, degree
-//    direction) and the engine family itself (`engine_tag`) are part of the
-//    key; pruning toggles are not — they change cost, never results.
+//    direction) are part of the key; pruning toggles are not — they change
+//    cost, never results.
 //
 // Full keys are stored in the cache and compared with operator== on lookup,
 // so a 64-bit hash collision can never serve a wrong result.
@@ -37,9 +37,6 @@ namespace ktg {
 
 /// Canonical identity of one query against one engine configuration.
 struct QueryKey {
-  /// Engine family ("ktg", "conflict", ...). Different engines may break
-  /// coverage ties differently, so their result caches never alias.
-  uint8_t engine_tag = 0;
   uint8_t sort = 0;
   bool degree_ascending = true;
 
@@ -62,16 +59,12 @@ struct QueryKey {
   uint64_t Hash() const;
 };
 
-/// Engine tags for QueryKey::engine_tag.
-inline constexpr uint8_t kEngineTagKtg = 1;
-inline constexpr uint8_t kEngineTagConflict = 2;
-
 /// Builds the canonical key for `query` under `options`. The query should
 /// already have passed ValidateQuery; un-validated duplicate keywords would
 /// canonicalize to the same key as their deduplicated form, which is only
 /// correct because validation rejects them before any cache lookup.
-QueryKey CanonicalQueryKey(const KtgQuery& query, uint8_t engine_tag,
-                           SortStrategy sort, bool degree_ascending);
+QueryKey CanonicalQueryKey(const KtgQuery& query, SortStrategy sort,
+                           bool degree_ascending);
 
 struct QueryKeyHash {
   uint64_t operator()(const QueryKey& k) const { return k.Hash(); }

@@ -17,7 +17,6 @@
 #include "core/explain.h"
 #include "core/greedy_heuristic.h"
 #include "core/ktg_engine.h"
-#include "core/obs_bridge.h"
 #include "core/snapshot.h"
 #include "core/tagq.h"
 #include "datagen/mutation_gen.h"
@@ -386,7 +385,6 @@ Status CmdQuery(const Args& args) {
   obs::QueryTrace query_trace;
   obs::MetricsRegistry* metrics = metrics_path.empty() ? nullptr : &registry;
   obs::QueryTrace* trace = trace_enabled ? &query_trace : nullptr;
-  RecordKernelDispatchMetrics(metrics);
 
   // Shared epilogue: dump the trace document to stdout, the metrics
   // snapshot to --metrics-json.
@@ -557,10 +555,7 @@ Status CmdWorkload(const Args& args) {
   BatchOptions bopts;
   bopts.threads = threads.value();
   bopts.engine.cache = cache.get();
-  if (!metrics_path.empty()) {
-    bopts.engine.metrics = &registry;
-    RecordKernelDispatchMetrics(&registry);
-  }
+  if (!metrics_path.empty()) bopts.engine.metrics = &registry;
 
   // Each batch draws its workload from a seed derived from the master seed
   // (batch 0 = master, for historical reproducibility). Re-seeding every

@@ -2,7 +2,7 @@
 // A greedy (non-exact) KTG heuristic — this library's extension for the
 // regime the exact branch-and-bound cannot reach (large p or huge
 // candidate sets). Not part of the paper; the ablation bench quantifies
-// its quality/latency trade-off against the exact engines.
+// its quality/latency trade-off against the exact engine.
 //
 // Construction mirrors one root-to-leaf path of KTG-VKC-DEG: repeatedly
 // take the best remaining candidate (highest VKC, then smallest degree),

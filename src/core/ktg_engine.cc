@@ -4,15 +4,27 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
-#include "cache/query_key.h"
 #include "core/greedy_heuristic.h"
 #include "obs/phase_timer.h"
 #include "util/sorted_vector.h"
 #include "util/timer.h"
 
 namespace ktg {
+
+namespace {
+
+// The static candidate rank: initial VKC descending, degree ascending,
+// vertex id ascending — the KTG-VKC-DEG order.
+struct StaticRankLess {
+  bool operator()(const Candidate& a, const Candidate& b) const {
+    if (a.vkc != b.vkc) return a.vkc > b.vkc;
+    if (a.degree != b.degree) return a.degree < b.degree;
+    return a.vertex < b.vertex;
+  }
+};
+
+}  // namespace
 
 const char* SortStrategyName(SortStrategy s) {
   switch (s) {
@@ -365,14 +377,8 @@ std::vector<Group> KtgEngine::ParallelRootSearch(
 }
 
 Result<KtgResult> KtgEngine::Run(const KtgQuery& query) {
-  // stop_at_count runs are truncated by design: they supply no cache key.
-  std::optional<CacheKeySpec> key;
-  if (options_.stop_at_count == 0) {
-    key = CacheKeySpec{kEngineTagKtg, options_.sort,
-                       options_.degree_ascending};
-  }
   Result<KtgResult> result = RunInFrame(
-      graph_, index_, checker_, query, options_, "engine", key,
+      graph_, index_, checker_, query, options_,
       [&](std::vector<Candidate>& sr, const Stopwatch& run_watch,
           SearchStats* stats) {
         return SearchCandidates(query, sr, run_watch, stats);

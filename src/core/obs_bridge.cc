@@ -4,8 +4,6 @@
 
 #include <string>
 
-#include "util/bitset_ops.h"
-
 namespace ktg {
 
 void RecordSearchStats(obs::MetricsRegistry* metrics, const SearchStats& stats,
@@ -67,15 +65,6 @@ void RecordCheckerDelta(obs::MetricsRegistry* metrics,
   metrics->counter(p + ".probes").Add(now.probes - before.probes);
   metrics->gauge(p + ".memory_bytes")
       .Set(static_cast<double>(checker.MemoryBytes()));
-}
-
-void RecordKernelDispatchMetrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  metrics->gauge("kernel.dispatch.avx512").Set(Avx512Available() ? 1 : 0);
-  metrics->gauge("kernel.dispatch.avx2").Set(Avx2Available() ? 1 : 0);
-  metrics->gauge("kernel.dispatch.neon").Set(NeonAvailable() ? 1 : 0);
-  metrics->gauge(std::string("kernel.dispatch.active.") + KernelDispatchName())
-      .Set(1);
 }
 
 }  // namespace ktg

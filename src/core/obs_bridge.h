@@ -19,7 +19,7 @@
 namespace ktg {
 
 /// Flushes one run's SearchStats into `metrics` (no-op when null) under
-/// `prefix` ("engine", "greedy", "conflict", "dktg"): counters
+/// `prefix` ("engine", "greedy", "dktg"): counters
 /// <prefix>.queries/.candidates/.nodes_expanded/.groups_completed/
 /// .prune.keyword/.prune.ub/.prune.kline/.distance_checks, histograms
 /// <prefix>.query_ms/.cpu_ms, and phase.<name>_ms histograms for every
@@ -53,15 +53,6 @@ CheckerCounters SnapshotChecker(const DistanceChecker& checker);
 void RecordCheckerDelta(obs::MetricsRegistry* metrics,
                         DistanceChecker& checker,
                         const CheckerCounters& before);
-
-/// Records which bitset kernel tier the process dispatches to (no-op when
-/// `metrics` is null): gauges kernel.dispatch.avx512/.avx2/.neon (1 when
-/// that tier is both compiled in and CPU-supported, 0 otherwise) and
-/// kernel.dispatch.active.<tier> = 1 for the tier BitAndNot and friends
-/// actually run — the dispatch decision after the KTG_DISABLE_* escape
-/// hatches. Entry points call this once at startup so every metrics dump
-/// records the hardware tier its numbers were measured on.
-void RecordKernelDispatchMetrics(obs::MetricsRegistry* metrics);
 
 }  // namespace ktg
 

@@ -1,8 +1,8 @@
 // Copyright (c) 2026 The ktg Authors.
-// Engine configuration: the option core both exact engines share
-// (SearchOptions), the paper engine's sorting strategy and toggles for its
-// two accelerations (keyword pruning, k-line filtering), plus safety
-// valves. The toggles exist so the ablation bench can quantify each idea.
+// Engine configuration: threads, mode, budgets, observability sinks and the
+// cache, the paper engine's sorting strategy and toggles for its two
+// accelerations (keyword pruning, k-line filtering), plus safety valves.
+// The toggles exist so the ablation bench can quantify each idea.
 
 #ifndef KTG_CORE_OPTIONS_H_
 #define KTG_CORE_OPTIONS_H_
@@ -56,12 +56,9 @@ const char* EngineModeName(EngineMode m);
 /// on anything else (the one message the CLI flags and the wire share).
 Result<EngineMode> ParseEngineMode(const std::string& name);
 
-/// The option core both exact engines share (EngineOptions and
-/// ConflictEngineOptions inherit it): threads, mode, the two pruning
-/// toggles they have in common, the budgets, the observability sinks and
-/// the cache. The query run frame (core/run_frame.h) reads the budgets,
-/// sinks and cache fields; each engine reads the rest.
-struct SearchOptions {
+/// Knobs of the exact KTG engine. The query run frame (core/run_frame.h)
+/// reads the budgets, sinks and cache fields; the engine reads the rest.
+struct EngineOptions {
   /// Worker threads for the branch-and-bound search (0 = hardware
   /// concurrency). With 1 (the default) the search is the serial engine,
   /// bit-for-bit — including tie-breaks among equal-coverage groups. With
@@ -69,10 +66,9 @@ struct SearchOptions {
   /// the root-parallel driver (core/root_parallel.h); the workers share a
   /// common top-N and pruning bound. Results are still the exact top-N
   /// coverage multiset, but which members represent a tied coverage value
-  /// can differ from the serial order (see docs/architecture.md). KtgEngine
-  /// needs a checker whose concurrent_read_safe() is true (NLRNL, bitmap,
-  /// NL without memoization) and otherwise silently runs serially; the
-  /// conflict engine also splits its adjacency build over the workers.
+  /// can differ from the serial order (see docs/architecture.md). The
+  /// engine needs a checker whose concurrent_read_safe() is true (NLRNL,
+  /// bitmap, NL without memoization) and otherwise silently runs serially.
   uint32_t num_threads = 1;
 
   /// Completeness/latency trade-off (see EngineMode).
@@ -84,14 +80,11 @@ struct SearchOptions {
 
   /// Extension on top of Theorem 2 (this library's tightening, ON by
   /// default): clamp each child's bound by the coverage still reachable
-  /// from that child — in KtgEngine, popcount(covered ∪ union of masks
-  /// from the child's position in S_R onward); in the conflict engine, the
-  /// keywords reachable from the child's *surviving* candidate bitset,
-  /// computed word-parallel from per-keyword position bitmaps. Strictly
-  /// tighter, still exact (docs/kernels.md sketches the proofs); prunes
-  /// children before their S_R is even built. Branches cut by this clamp
-  /// alone are counted as SearchStats::ub_prunes (`<engine>.prune.ub`).
-  /// Only consulted while keyword_pruning is on.
+  /// from that child, popcount(covered ∪ union of masks from the child's
+  /// position in S_R onward). Strictly tighter, still exact (docs/bounds.md
+  /// proves it); prunes children before their S_R is even built. Branches
+  /// cut by this clamp alone are counted as SearchStats::ub_prunes
+  /// (`engine.prune.ub`). Only consulted while keyword_pruning is on.
   bool residual_bound = true;
 
   /// Stop the search after this many branch-and-bound nodes (0 =
@@ -111,7 +104,7 @@ struct SearchOptions {
   double time_budget_ms = 0.0;
 
   /// Observability sinks (see src/obs/). Both are borrowed, never owned;
-  /// null (the default) means fully disabled — the engines then skip every
+  /// null (the default) means fully disabled — the engine then skips every
   /// recording site, so the hot path pays at most a predicted branch.
   /// `metrics` receives aggregated counters/histograms flushed once per
   /// run; `trace` receives per-node prune/expand events (serial engine and
@@ -138,11 +131,8 @@ struct SearchOptions {
   /// callers that mutate a single live dataset in place (CLI, batch
   /// runner). Snapshot readers (ktgd) set the epoch they pinned.
   uint64_t snapshot_epoch = ~uint64_t{0};
-};
 
-/// Knobs of the exact KTG engine: the shared core plus the paper engine's
-/// own sorting, filtering and early-stop settings.
-struct EngineOptions : SearchOptions {
+  /// Candidate ordering of the search (see SortStrategy).
   SortStrategy sort = SortStrategy::kVkcDeg;
 
   /// Extension on top of Theorem 2 (this library's tightening, ON by

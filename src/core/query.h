@@ -87,7 +87,7 @@ struct SearchStats {
   uint64_t keyword_prunes = 0;      ///< branches cut by Theorem 2
   /// Branches cut by the residual-coverage upper bound alone — the
   /// Theorem-2 additive bound had passed, the tighter clamp (see
-  /// docs/kernels.md) did not. Disjoint from keyword_prunes.
+  /// docs/bounds.md) did not. Disjoint from keyword_prunes.
   uint64_t ub_prunes = 0;
   uint64_t kline_filtered = 0;      ///< S_R removals by Theorem 3
   uint64_t distance_checks = 0;     ///< checker invocations

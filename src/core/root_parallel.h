@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The ktg Authors.
-// Root-parallel branch-and-bound: the one driver both exact engines use
-// when a query runs on more than one thread, and the per-node run controls
-// every search (serial or one worker) consults.
+// Root-parallel branch-and-bound: the driver the exact engine uses when a
+// query runs on more than one thread, and the per-node run controls every
+// search (serial or one worker) consults.
 //
 // The first level of the search tree is split by root: root i is the
 // subtree whose first member is candidate i in the engine's root rank.
@@ -10,7 +10,7 @@
 // every worker prunes against every other worker's results. The driver
 // owns the pool, the shared top-N (seeded before any claim), the cursor,
 // the global node budget and stop flag, and the merge of the workers'
-// counters; each engine supplies only a per-worker state and a per-root
+// counters; the engine supplies only a per-worker state and a per-root
 // step.
 //
 // Soundness of RootStep::kStop. A step may stop its worker's claim loop
@@ -19,8 +19,8 @@
 // root too). Because there is one ascending cursor, every root below the
 // failing one has already been claimed by some worker, so stopping leaves
 // no root that could still contribute unclaimed. A bound that is not
-// monotone in the root index (e.g. one that depends on the root's own
-// conflict set) must return kSkip instead.
+// monotone in the root index must prune only its own root and return
+// kContinue.
 
 #ifndef KTG_CORE_ROOT_PARALLEL_H_
 #define KTG_CORE_ROOT_PARALLEL_H_
@@ -41,8 +41,7 @@ namespace ktg {
 
 /// What a worker's per-root step reports back to the claim loop.
 enum class RootStep {
-  kContinue,  ///< the root was searched; claim the next one
-  kSkip,      ///< a root-local bound pruned this root; claim the next one
+  kContinue,  ///< the root was searched or pruned; claim the next one
   kStop,      ///< a monotone bound failed: no later root can contribute
 };
 
@@ -101,7 +100,7 @@ std::vector<Group> RunRootParallel(uint32_t workers, uint32_t top_n,
                                    SearchStats* stats, bool* complete);
 
 /// The per-node run controls of one search: a serial run, or one worker of
-/// a root-parallel run. Both exact engines call them on every node. They
+/// a root-parallel run. The engine calls them on every node. They
 /// route offers and the pruning threshold to the serial TopNCollector or
 /// to the run's SharedTopN, charge the node budget (the search's own count
 /// serially, the shared count in parallel), poll the deadline, and hold
@@ -116,7 +115,7 @@ class RunControls {
   /// Controls of a serial search offering into `collector`, or, when
   /// `shared` is set, of one worker of that root-parallel run. `run_watch`
   /// is the run clock, the origin of options.time_budget_ms.
-  RunControls(const SearchOptions& options, const Stopwatch& run_watch,
+  RunControls(const EngineOptions& options, const Stopwatch& run_watch,
               TopNCollector* collector, RootParallelShared* shared = nullptr)
       : collector_(collector),
         shared_(shared),

@@ -5,20 +5,12 @@
 #include <algorithm>
 #include <functional>
 #include <numeric>
-#include <string>
 
 #include "cache/ktg_cache.h"
 #include "cache/query_key.h"
 #include "obs/phase_timer.h"
 
 namespace ktg {
-
-Status CheckConflictCandidates(size_t num_candidates, std::string_view who) {
-  if (num_candidates <= kMaxConflictCandidates) return Status::OK();
-  return Status::ResourceExhausted("candidate set too large for the " +
-                                   std::string(who) + ": " +
-                                   std::to_string(num_candidates));
-}
 
 int RootUpperBound(const std::vector<Candidate>& cands, uint32_t p,
                    uint32_t num_keywords) {
@@ -57,27 +49,26 @@ std::vector<Candidate> ExtractRunCandidates(const AttributedGraph& graph,
 Result<KtgResult> RunInFrame(const AttributedGraph& graph,
                              const InvertedIndex& index,
                              DistanceChecker& checker, const KtgQuery& query,
-                             const SearchOptions& options,
-                             std::string_view metrics_prefix,
-                             const std::optional<CacheKeySpec>& key,
+                             const EngineOptions& options,
                              const FrameSearch& search) {
   KTG_RETURN_IF_ERROR(ValidateQuery(query, graph));
   const Stopwatch watch;
 
-  const bool cached_mode = options.cache != nullptr && key.has_value() &&
+  const bool cached_mode = options.cache != nullptr &&
                            options.mode == EngineMode::kExact &&
-                           options.max_nodes == 0;
+                           options.max_nodes == 0 &&
+                           options.stop_at_count == 0;
   QueryKey cache_key;
   if (cached_mode) {
-    cache_key = CanonicalQueryKey(query, key->engine_tag, key->sort,
-                                  key->degree_ascending);
+    cache_key =
+        CanonicalQueryKey(query, options.sort, options.degree_ascending);
     KtgResult cached;
     if (options.cache->LookupQuery(cache_key, graph, query, &cached,
                                    options.snapshot_epoch)) {
       cached.stats.complete = true;
       cached.stats.elapsed_ms = watch.ElapsedMillis();
       cached.stats.cpu_ms = cached.stats.elapsed_ms;
-      RecordSearchStats(options.metrics, cached.stats, metrics_prefix);
+      RecordSearchStats(options.metrics, cached.stats, "engine");
       return cached;
     }
   }
@@ -116,7 +107,7 @@ Result<KtgResult> RunInFrame(const AttributedGraph& graph,
   if (cached_mode && outcome->complete && !outcome->parallel) {
     options.cache->StoreQuery(cache_key, result, options.snapshot_epoch);
   }
-  RecordSearchStats(options.metrics, stats, metrics_prefix);
+  RecordSearchStats(options.metrics, stats, "engine");
   if (options.mode != EngineMode::kExact || options.time_budget_ms > 0 ||
       options.max_nodes != 0) {
     RecordAnytimeStats(options.metrics, stats, outcome->complete,

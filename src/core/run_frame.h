@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The ktg Authors.
-// The query run frame: the one sequence both exact engines answer a query
-// in (Section IV) — validate, extract S_R, rank, search, report the top-N.
-// Each engine supplies only its ranking and search. The frame owns the
+// The query run frame: the sequence the exact engine answers a query in
+// (Section IV) — validate, extract S_R, rank, search, report the top-N.
+// The engine supplies only its ranking and search. The frame owns the
 // prologue (validation, the run clock, the cache lookup, candidate
 // extraction) and the epilogue (bound and gap, clocks, completeness, the
 // cache store, the metrics flush); docs/architecture.md lists each step.
@@ -10,9 +10,9 @@
 //   * a cache is attached (options.cache),
 //   * options.mode == kExact,
 //   * options.max_nodes == 0, and
-//   * the engine supplies a key — KtgEngine supplies none when
-//     stop_at_count > 0, the conflict engine none under degeneracy_order.
-// A time budget or a thread count does not block a lookup. A run's result
+//   * options.stop_at_count == 0 (such runs stop early by design).
+// The key holds the query and the options that break coverage ties
+// (sort, degree_ascending). A time budget or a thread count does not block a lookup. A run's result
 // is stored only when the run also completed on one worker. Every stored
 // result is therefore a complete serial run's, and a hit is bit-identical
 // to an uncached serial run at any thread count and under any deadline.
@@ -22,8 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "core/candidates.h"
@@ -37,26 +35,6 @@
 #include "util/timer.h"
 
 namespace ktg {
-
-/// Candidate-set ceiling of the conflict engine, which materializes a
-/// conflict adjacency: the matrix is quadratic in |S_R|.
-inline constexpr size_t kMaxConflictCandidates = 20000;
-
-/// ResourceExhausted when `num_candidates` exceeds kMaxConflictCandidates;
-/// `who` names the refusing search in the message.
-Status CheckConflictCandidates(size_t num_candidates, std::string_view who);
-
-/// The static candidate rank: initial VKC descending, degree ascending,
-/// vertex id ascending — the KTG-VKC-DEG order at the root. KtgEngine
-/// sorts by it under kVkcDeg with ascending degrees; the conflict engine
-/// always does.
-struct StaticRankLess {
-  bool operator()(const Candidate& a, const Candidate& b) const {
-    if (a.vkc != b.vkc) return a.vkc > b.vkc;
-    if (a.degree != b.degree) return a.degree < b.degree;
-    return a.vertex < b.vertex;
-  }
-};
 
 /// Sound upper bound on any feasible size-`p` group's coverage:
 /// min(|W_Q|, popcount of the candidate-mask union, sum of the p largest
@@ -77,15 +55,7 @@ std::vector<Candidate> ExtractRunCandidates(const AttributedGraph& graph,
                                             SearchStats* stats,
                                             CheckerCounters* checker_before);
 
-/// The result-cache entry an engine's runs map to (see the rule above):
-/// the engine family tag of cache/query_key.h and the tie-break order.
-struct CacheKeySpec {
-  uint8_t engine_tag = 0;
-  SortStrategy sort = SortStrategy::kVkcDeg;
-  bool degree_ascending = true;
-};
-
-/// What an engine's search hands back to the frame.
+/// What the engine's search hands back to the frame.
 struct SearchOutcome {
   /// The top-N in TopNCollector order.
   std::vector<Group> groups;
@@ -97,7 +67,7 @@ struct SearchOutcome {
   size_t seeded = 0;
 };
 
-/// An engine's search over the extracted candidates. It may rank (reorder)
+/// The engine's search over the extracted candidates. It may rank (reorder)
 /// `cands` in place; `run_watch` is the run clock (the deadline origin);
 /// counters and phases go to `stats`, which already holds the prologue's.
 /// An error aborts the run without an epilogue.
@@ -105,15 +75,12 @@ using FrameSearch = std::function<Result<SearchOutcome>(
     std::vector<Candidate>& cands, const Stopwatch& run_watch,
     SearchStats* stats)>;
 
-/// Runs `query` in the frame: prologue, `search`, epilogue. `key` is the
-/// engine's cache entry (nullopt: never cached); `metrics_prefix` names the
-/// engine's metrics family ("engine", "conflict").
+/// Runs `query` in the frame: prologue, `search`, epilogue. The run's
+/// metrics go to the `engine.*` family.
 Result<KtgResult> RunInFrame(const AttributedGraph& graph,
                              const InvertedIndex& index,
                              DistanceChecker& checker, const KtgQuery& query,
-                             const SearchOptions& options,
-                             std::string_view metrics_prefix,
-                             const std::optional<CacheKeySpec>& key,
+                             const EngineOptions& options,
                              const FrameSearch& search);
 
 }  // namespace ktg

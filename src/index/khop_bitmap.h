@@ -48,17 +48,6 @@ class KHopBitmapChecker final : public DistanceChecker {
 
   HopDistance built_k() const { return k_; }
 
-  /// Raw within-k row of vertex `u`: bit v set iff Dis(u, v) <= k_ and
-  /// v != u (the diagonal is clear). Word-parallel consumers — the
-  /// conflict-graph ball walk ANDs a row against a candidate-membership
-  /// bitmap — read balls straight out of the matrix with no per-pair
-  /// checks at all.
-  std::span<const uint64_t> RowWords(VertexId u) const {
-    return {bits_.data() + static_cast<uint64_t>(u) * words_per_row_,
-            words_per_row_};
-  }
-  uint32_t words_per_row() const { return words_per_row_; }
-
   /// Recomputes the given rows against `graph` (one bounded BFS each),
   /// leaving every other row untouched. Exact for an edge flip whose
   /// affected set (index/affected.h) is passed as `rows`: if any pair

@@ -2,6 +2,9 @@
 
 #include "server/protocol.h"
 
+#include <cmath>
+#include <string>
+
 #include "util/json_parse.h"
 #include "util/json_writer.h"
 
@@ -42,6 +45,23 @@ void BeginResponse(JsonWriter& w, uint64_t id, const char* status) {
   w.KV("status", status);
 }
 
+/// A wire vertex id under `field`: an integral number in [0, kInvalidVertex).
+/// The range is checked before the cast, because converting an
+/// out-of-range double is undefined (in practice 2^32 wrapped onto vertex
+/// 0) and a fraction would truncate onto a real vertex.
+Result<VertexId> ParseVertexId(const JsonValue& v, const char* field) {
+  if (v.is_number()) {
+    const double d = v.AsDouble();
+    if (d >= 0 && d < static_cast<double>(kInvalidVertex) &&
+        d == std::trunc(d)) {
+      return static_cast<VertexId>(d);
+    }
+  }
+  return Status::InvalidArgument(std::string("'") + field +
+                                 "' vertex ids must be integers in [0, " +
+                                 std::to_string(kInvalidVertex) + ")");
+}
+
 /// Parses an optional `[[u,v],...]` edge-pair array under `field`.
 Status ParseEdgeArray(const JsonValue& doc, const char* field,
                       std::vector<std::pair<VertexId, VertexId>>* out) {
@@ -53,14 +73,15 @@ Status ParseEdgeArray(const JsonValue& doc, const char* field,
                                    "[u, v] pairs");
   }
   for (const JsonValue& pair : arr->AsArray()) {
-    if (!pair.is_array() || pair.AsArray().size() != 2 ||
-        !pair.AsArray()[0].is_number() || !pair.AsArray()[1].is_number() ||
-        pair.AsArray()[0].AsDouble() < 0 || pair.AsArray()[1].AsDouble() < 0) {
+    if (!pair.is_array() || pair.AsArray().size() != 2) {
       return Status::InvalidArgument(std::string("'") + field +
                                      "' entries must be [u, v] vertex pairs");
     }
-    out->emplace_back(static_cast<VertexId>(pair.AsArray()[0].AsDouble()),
-                      static_cast<VertexId>(pair.AsArray()[1].AsDouble()));
+    const auto u = ParseVertexId(pair.AsArray()[0], field);
+    if (!u.ok()) return u.status();
+    const auto v = ParseVertexId(pair.AsArray()[1], field);
+    if (!v.ok()) return v.status();
+    out->emplace_back(u.value(), v.value());
   }
   return Status::OK();
 }
@@ -110,17 +131,16 @@ Result<Request> ParseRequestLine(const std::string& line) {
       }
       for (const JsonValue& pair : kws->AsArray()) {
         if (!pair.is_array() || pair.AsArray().size() != 2 ||
-            !pair.AsArray()[0].is_number() ||
-            pair.AsArray()[0].AsDouble() < 0 ||
             !pair.AsArray()[1].is_string() ||
             pair.AsArray()[1].AsString().empty() ||
             pair.AsArray()[1].AsString().size() > kMaxMutationTerm) {
           return Status::InvalidArgument(
               "'add_keywords' entries must be [vertex, term] pairs");
         }
-        req.mutation.add_keywords.emplace_back(
-            static_cast<VertexId>(pair.AsArray()[0].AsDouble()),
-            pair.AsArray()[1].AsString());
+        const auto v = ParseVertexId(pair.AsArray()[0], "add_keywords");
+        if (!v.ok()) return v.status();
+        req.mutation.add_keywords.emplace_back(v.value(),
+                                               pair.AsArray()[1].AsString());
       }
     }
     if (req.mutation.empty()) {
@@ -201,11 +221,9 @@ Result<Request> ParseRequestLine(const std::string& line) {
       return Status::InvalidArgument("too many authors");
     }
     for (const JsonValue& a : authors->AsArray()) {
-      if (!a.is_number() || a.AsDouble() < 0) {
-        return Status::InvalidArgument(
-            "'authors' entries must be vertex ids");
-      }
-      req.authors.push_back(static_cast<VertexId>(a.AsDouble()));
+      const auto v = ParseVertexId(a, "authors");
+      if (!v.ok()) return v.status();
+      req.authors.push_back(v.value());
     }
   }
   return req;

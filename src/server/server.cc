@@ -7,7 +7,6 @@
 
 #include "cache/caching_checker.h"
 #include "core/ktg_engine.h"
-#include "core/obs_bridge.h"
 #include "index/bfs_checker.h"
 #include "util/json_writer.h"
 #include "util/macros.h"
@@ -53,7 +52,6 @@ Status KtgServer::Start() {
   if (options_.cache_mb > 0) {
     cache_ = std::make_unique<KtgCache>(CacheOptionsForMb(options_.cache_mb));
   }
-  RecordKernelDispatchMetrics(&metrics_);
   // The epoch-0 snapshot: inverted index plus one shared read-safe checker
   // every worker pins (per-run stateful wrappers are built in ExecuteOne).
   SnapshotStore::Options sopts;
@@ -172,8 +170,7 @@ void KtgServer::SubmitQuery(uint64_t id, KtgQuery query, SortStrategy sort,
   p.sort = sort;
   p.mode = mode;
   p.deadline_ms = deadline_ms > 0 ? deadline_ms : options_.default_deadline_ms;
-  p.key = CanonicalQueryKey(query, kEngineTagKtg, sort,
-                            options_.engine.degree_ascending);
+  p.key = CanonicalQueryKey(query, sort, options_.engine.degree_ascending);
   p.query = std::move(query);
   p.cb = std::move(cb);
 

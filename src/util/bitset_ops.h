@@ -1,295 +1,16 @@
 // Copyright (c) 2026 The ktg Authors.
-// Bit-parallel kernels over uint64_t word arrays, plus the Bitset container
-// the conflict-graph engine builds its adjacency rows from.
-//
-// The KTG hot loops reduce to a handful of word-array primitives: AND-NOT
-// (k-line filtering of a surviving candidate set), popcount (set sizes,
-// coverage counts), OR (coverage unions), intersection tests (residual
-// reachability), and set-bit iteration (child enumeration). This header
-// provides them once, with runtime-dispatched SIMD tiers:
-//
-//   * compile-time guards — the AVX2/AVX-512 bodies exist only on x86-64
-//     compilers that support `__attribute__((target(...)))` (and can be
-//     compiled out with -DKTG_DISABLE_AVX2=ON / -DKTG_DISABLE_AVX512=ON);
-//     the NEON bodies exist only on arm64, where NEON is baseline;
-//   * runtime guards — even when compiled in, a tier runs only if the CPU
-//     reports it and its KTG_DISABLE_AVX2 / KTG_DISABLE_AVX512 /
-//     KTG_DISABLE_NEON environment variable is unset (the escape hatches
-//     for A/B runs and for ruling a tier out when debugging). The tiers
-//     nest: disabling AVX2 also rules out AVX-512, so the scalar escape
-//     hatch always yields pure scalar dispatch;
-//   * bit-exactness — every tier computes identical words/counts, so every
-//     engine result is byte-identical under any dispatch target
-//     (fuzz-verified by tests/bitset_ops_test.cc).
-//
-// All concrete implementations stay callable (namespaces bitset_scalar /
-// bitset_avx2 / bitset_avx512 / bitset_neon) so the equivalence tests and
-// bench_kernels can pit them against each other; production code calls the
-// dispatched wrappers.
-//
-// Dispatch resolves once, on first use, into a function-pointer table with
-// priority avx512 > avx2 > neon > scalar. Calls cost one indirect call;
-// for the word counts the engines see (hundreds of words at thousands of
-// candidates) the vector bodies win by 2-4x, and at tiny sizes the
-// indirect call is noise next to the search itself (bench_kernels
-// quantifies both).
+// The bitset kernel tier name, and nothing else: the library has no bitset
+// kernels. This header stays only because the benchmark runner
+// (perfbench/runner/main.cc) includes it and prints the value on its
+// `env:` line; delete it when that runner stops.
 
 #ifndef KTG_UTIL_BITSET_OPS_H_
 #define KTG_UTIL_BITSET_OPS_H_
 
-#include <bit>
-#include <cstddef>
-#include <cstdint>
-#include <vector>
-
-// Compile-time availability of the AVX2 bodies. KTG_DISABLE_AVX2_BUILD is
-// set by the -DKTG_DISABLE_AVX2=ON CMake option (the CI scalar leg).
-#if !defined(KTG_DISABLE_AVX2_BUILD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define KTG_BITSET_AVX2_COMPILED 1
-#else
-#define KTG_BITSET_AVX2_COMPILED 0
-#endif
-
-// Compile-time availability of the AVX-512 bodies (8 words per vector op,
-// popcount via VPOPCNTDQ). KTG_DISABLE_AVX512_BUILD is set by the
-// -DKTG_DISABLE_AVX512=ON CMake option; disabling AVX2 at build time takes
-// AVX-512 with it — the tiers nest.
-#if KTG_BITSET_AVX2_COMPILED && !defined(KTG_DISABLE_AVX512_BUILD)
-#define KTG_BITSET_AVX512_COMPILED 1
-#else
-#define KTG_BITSET_AVX512_COMPILED 0
-#endif
-
-// Compile-time availability of the NEON bodies. NEON is architecturally
-// baseline on arm64, so there is no CMake switch; the KTG_DISABLE_NEON
-// environment variable remains as the runtime escape hatch.
-#if defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
-#define KTG_BITSET_NEON_COMPILED 1
-#else
-#define KTG_BITSET_NEON_COMPILED 0
-#endif
-
 namespace ktg {
 
-/// Scalar reference implementations. Always available; the dispatched
-/// wrappers fall back to these.
-namespace bitset_scalar {
-void AndNot(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n);
-void And(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n);
-void Or(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t Popcount(const uint64_t* a, size_t n);
-uint64_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t AndNotPopcount(const uint64_t* a, const uint64_t* b, size_t n);
-bool Intersects(const uint64_t* a, const uint64_t* b, size_t n);
-}  // namespace bitset_scalar
-
-#if KTG_BITSET_AVX2_COMPILED
-/// AVX2 implementations (4 words per vector op). Only call these after
-/// Avx2Available() returned true; the dispatched wrappers do so for you.
-namespace bitset_avx2 {
-void AndNot(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n);
-void And(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n);
-void Or(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t Popcount(const uint64_t* a, size_t n);
-uint64_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t AndNotPopcount(const uint64_t* a, const uint64_t* b, size_t n);
-bool Intersects(const uint64_t* a, const uint64_t* b, size_t n);
-}  // namespace bitset_avx2
-#endif
-
-#if KTG_BITSET_AVX512_COMPILED
-/// AVX-512 implementations (8 words per vector op; popcounts use
-/// VPOPCNTDQ). Only call these after Avx512Available() returned true; the
-/// dispatched wrappers do so for you.
-namespace bitset_avx512 {
-void AndNot(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n);
-void And(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n);
-void Or(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t Popcount(const uint64_t* a, size_t n);
-uint64_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t AndNotPopcount(const uint64_t* a, const uint64_t* b, size_t n);
-bool Intersects(const uint64_t* a, const uint64_t* b, size_t n);
-}  // namespace bitset_avx512
-#endif
-
-#if KTG_BITSET_NEON_COMPILED
-/// NEON implementations (2 words per vector op; popcount via CNT+ADDLV).
-/// NEON is baseline on arm64, so these are callable unconditionally there.
-namespace bitset_neon {
-void AndNot(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n);
-void And(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n);
-void Or(uint64_t* dst, const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t Popcount(const uint64_t* a, size_t n);
-uint64_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t AndNotPopcount(const uint64_t* a, const uint64_t* b, size_t n);
-bool Intersects(const uint64_t* a, const uint64_t* b, size_t n);
-}  // namespace bitset_neon
-#endif
-
-/// True when the AVX2 bodies were compiled in AND the running CPU supports
-/// AVX2 (ignores the KTG_DISABLE_AVX2 environment override).
-bool Avx2Available();
-
-/// The dispatch decision: AVX2 available and not disabled via the
-/// KTG_DISABLE_AVX2 environment variable. Resolved once per process.
-bool Avx2Active();
-
-/// True when the AVX-512 bodies were compiled in AND the running CPU
-/// supports both AVX-512F and AVX-512VPOPCNTDQ (the popcount kernels need
-/// the latter; a CPU with F but not VPOPCNTDQ falls back to AVX2 rather
-/// than splitting the table across tiers). Ignores environment overrides.
-bool Avx512Available();
-
-/// The dispatch decision for the AVX-512 tier: available, KTG_DISABLE_AVX512
-/// unset, and the AVX2 tier not disabled either (tiers nest, so the
-/// KTG_DISABLE_AVX2 scalar escape hatch stays authoritative).
-bool Avx512Active();
-
-/// True when the NEON bodies were compiled in (arm64 — NEON is baseline
-/// there, no cpuid probe needed).
-bool NeonAvailable();
-
-/// The dispatch decision for the NEON tier: available and KTG_DISABLE_NEON
-/// unset. Resolved once per process.
-bool NeonActive();
-
-/// "avx512", "avx2", "neon" or "scalar" — what the dispatched wrappers
-/// below will run.
-const char* KernelDispatchName();
-
-namespace internal {
-/// The resolved kernel table. Stable for the process lifetime.
-struct KernelTable {
-  void (*and_not)(uint64_t*, const uint64_t*, const uint64_t*, size_t);
-  void (*and_)(uint64_t*, const uint64_t*, const uint64_t*, size_t);
-  void (*or_)(uint64_t*, const uint64_t*, const uint64_t*, size_t);
-  uint64_t (*popcount)(const uint64_t*, size_t);
-  uint64_t (*and_popcount)(const uint64_t*, const uint64_t*, size_t);
-  uint64_t (*and_not_popcount)(const uint64_t*, const uint64_t*, size_t);
-  bool (*intersects)(const uint64_t*, const uint64_t*, size_t);
-};
-const KernelTable& Kernels();
-}  // namespace internal
-
-// ---- dispatched primitives ------------------------------------------------
-
-/// dst[i] = a[i] & ~b[i] — remove b's members from a (k-line filtering).
-inline void BitAndNot(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                      size_t n) {
-  internal::Kernels().and_not(dst, a, b, n);
-}
-
-/// dst[i] = a[i] & b[i].
-inline void BitAnd(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                   size_t n) {
-  internal::Kernels().and_(dst, a, b, n);
-}
-
-/// dst[i] = a[i] | b[i].
-inline void BitOr(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                  size_t n) {
-  internal::Kernels().or_(dst, a, b, n);
-}
-
-/// Total set bits in a[0..n).
-inline uint64_t BitPopcount(const uint64_t* a, size_t n) {
-  return internal::Kernels().popcount(a, n);
-}
-
-/// popcount(a & b) without materializing the intersection.
-inline uint64_t BitAndPopcount(const uint64_t* a, const uint64_t* b,
-                               size_t n) {
-  return internal::Kernels().and_popcount(a, b, n);
-}
-
-/// popcount(a & ~b) without materializing the difference.
-inline uint64_t BitAndNotPopcount(const uint64_t* a, const uint64_t* b,
-                                  size_t n) {
-  return internal::Kernels().and_not_popcount(a, b, n);
-}
-
-/// True iff a & b has any set bit. Early-exits on the first hit.
-inline bool BitIntersects(const uint64_t* a, const uint64_t* b, size_t n) {
-  return internal::Kernels().intersects(a, b, n);
-}
-
-/// Calls fn(bit_index) for every set bit of a[0..n) in ascending order.
-/// Iteration is inherently serial, so there is no vector variant; the body
-/// is the branch-free ctz loop every bitset engine uses.
-template <typename Fn>
-inline void ForEachSetBit(const uint64_t* a, size_t n, Fn&& fn) {
-  for (size_t w = 0; w < n; ++w) {
-    uint64_t bits = a[w];
-    while (bits) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      fn(static_cast<uint32_t>(w * 64 + b));
-    }
-  }
-}
-
-// ---- Bitset ---------------------------------------------------------------
-
-/// A fixed-size bitset whose bulk operations run through the dispatched
-/// kernels. Value-semantic (copyable) — the conflict-graph engine copies
-/// the surviving-candidate set once per tree child.
-class Bitset {
- public:
-  Bitset() = default;
-  explicit Bitset(uint32_t num_bits)
-      : num_bits_(num_bits), words_((num_bits + 63) / 64, 0) {}
-
-  uint32_t num_bits() const { return num_bits_; }
-  size_t num_words() const { return words_.size(); }
-  const uint64_t* words() const { return words_.data(); }
-  uint64_t* words() { return words_.data(); }
-
-  void Set(uint32_t i) { words_[i >> 6] |= uint64_t{1} << (i & 63); }
-  void Clear(uint32_t i) { words_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
-  bool Test(uint32_t i) const { return (words_[i >> 6] >> (i & 63)) & 1; }
-
-  /// Sets bits [0, num_bits). Tail bits beyond num_bits stay zero, so
-  /// Count() and the kernels never see ghost bits.
-  void SetAll() {
-    if (words_.empty()) return;
-    for (auto& w : words_) w = ~uint64_t{0};
-    const uint32_t tail = num_bits_ & 63;
-    if (tail != 0) words_.back() = (uint64_t{1} << tail) - 1;
-  }
-
-  uint32_t Count() const {
-    return static_cast<uint32_t>(BitPopcount(words(), num_words()));
-  }
-
-  /// this &= ~other (other must have the same size).
-  void AndNotAssign(const Bitset& other) {
-    BitAndNot(words(), words(), other.words(), num_words());
-  }
-  /// this &= other.
-  void AndAssign(const Bitset& other) {
-    BitAnd(words(), words(), other.words(), num_words());
-  }
-  /// this |= other.
-  void OrAssign(const Bitset& other) {
-    BitOr(words(), words(), other.words(), num_words());
-  }
-
-  bool Intersects(const Bitset& other) const {
-    return BitIntersects(words(), other.words(), num_words());
-  }
-
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    ForEachSetBit(words(), num_words(), static_cast<Fn&&>(fn));
-  }
-
-  bool operator==(const Bitset&) const = default;
-
- private:
-  uint32_t num_bits_ = 0;
-  std::vector<uint64_t> words_;
-};
+/// The bitset kernel tier this build dispatches to: always "none".
+inline const char* KernelDispatchName() { return "none"; }
 
 }  // namespace ktg
 

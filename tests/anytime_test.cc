@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/brute_force.h"
-#include "core/conflict_graph_engine.h"
 #include "core/ktg_engine.h"
 #include "datagen/generators.h"
 #include "datagen/keyword_assigner.h"
@@ -100,19 +99,6 @@ TEST_P(AnytimeSoundnessTest, TruncatedRunsReportSoundGaps) {
       EXPECT_GE(got->stats.upper_bound, optimum) << "max_nodes=" << max_nodes;
       EXPECT_GE(BestCovered(*got) + got->stats.gap, optimum);
       EXPECT_GE(got->stats.gap, 0);
-    }
-
-    // The conflict-graph engine honors the same contract.
-    for (const uint64_t max_nodes : {1ull, 64ull}) {
-      BfsChecker checker(inst.graph.graph());
-      ConflictEngineOptions copts;
-      copts.mode = EngineMode::kAnytime;
-      copts.max_nodes = max_nodes;
-      const auto got =
-          RunKtgConflictGraph(inst.graph, idx, checker, q, copts);
-      ASSERT_TRUE(got.ok());
-      EXPECT_GE(got->stats.upper_bound, optimum) << "max_nodes=" << max_nodes;
-      EXPECT_GE(BestCovered(*got) + got->stats.gap, optimum);
     }
   }
 }

@@ -16,7 +16,6 @@
 #include "cache/query_key.h"
 #include "cache/sharded_lru.h"
 #include "core/brute_force.h"
-#include "core/conflict_graph_engine.h"
 #include "core/ktg_engine.h"
 #include "datagen/generators.h"
 #include "datagen/keyword_assigner.h"
@@ -129,10 +128,8 @@ KtgQuery SimpleQuery(std::vector<KeywordId> keywords, uint32_t p = 2,
 TEST(QueryKeyTest, KeywordPermutationYieldsIdenticalKey) {
   const KtgQuery a = SimpleQuery({3, 1, 7, 2});
   const KtgQuery b = SimpleQuery({7, 2, 3, 1});
-  const QueryKey ka =
-      CanonicalQueryKey(a, kEngineTagKtg, SortStrategy::kVkcDeg, true);
-  const QueryKey kb =
-      CanonicalQueryKey(b, kEngineTagKtg, SortStrategy::kVkcDeg, true);
+  const QueryKey ka = CanonicalQueryKey(a, SortStrategy::kVkcDeg, true);
+  const QueryKey kb = CanonicalQueryKey(b, SortStrategy::kVkcDeg, true);
   EXPECT_EQ(ka, kb);
   EXPECT_EQ(ka.Hash(), kb.Hash());
 }
@@ -142,49 +139,35 @@ TEST(QueryKeyTest, InvalidKeywordsAreCountedNotOrdered) {
   // and can never be covered, so only their count is keyed.
   KtgQuery a = SimpleQuery({kInvalidKeyword, 3, kInvalidKeyword, 1});
   KtgQuery b = SimpleQuery({3, 1, kInvalidKeyword, kInvalidKeyword});
-  const QueryKey ka =
-      CanonicalQueryKey(a, kEngineTagKtg, SortStrategy::kVkcDeg, true);
-  const QueryKey kb =
-      CanonicalQueryKey(b, kEngineTagKtg, SortStrategy::kVkcDeg, true);
+  const QueryKey ka = CanonicalQueryKey(a, SortStrategy::kVkcDeg, true);
+  const QueryKey kb = CanonicalQueryKey(b, SortStrategy::kVkcDeg, true);
   EXPECT_EQ(ka, kb);
   EXPECT_EQ(ka.invalid_keywords, 2u);
   // One fewer invalid entry is a different query (different denominator).
   KtgQuery c = SimpleQuery({3, 1, kInvalidKeyword});
-  EXPECT_NE(CanonicalQueryKey(c, kEngineTagKtg, SortStrategy::kVkcDeg, true),
-            ka);
+  EXPECT_NE(CanonicalQueryKey(c, SortStrategy::kVkcDeg, true), ka);
 }
 
 TEST(QueryKeyTest, DistinguishesEverythingResultRelevant) {
   const KtgQuery base = SimpleQuery({1, 2, 3});
-  const QueryKey k0 =
-      CanonicalQueryKey(base, kEngineTagKtg, SortStrategy::kVkcDeg, true);
+  const QueryKey k0 = CanonicalQueryKey(base, SortStrategy::kVkcDeg, true);
 
   KtgQuery q = base;
   q.group_size = 3;
-  EXPECT_NE(CanonicalQueryKey(q, kEngineTagKtg, SortStrategy::kVkcDeg, true),
-            k0);
+  EXPECT_NE(CanonicalQueryKey(q, SortStrategy::kVkcDeg, true), k0);
   q = base;
   q.tenuity = 1;
-  EXPECT_NE(CanonicalQueryKey(q, kEngineTagKtg, SortStrategy::kVkcDeg, true),
-            k0);
+  EXPECT_NE(CanonicalQueryKey(q, SortStrategy::kVkcDeg, true), k0);
   q = base;
   q.top_n = 5;
-  EXPECT_NE(CanonicalQueryKey(q, kEngineTagKtg, SortStrategy::kVkcDeg, true),
-            k0);
+  EXPECT_NE(CanonicalQueryKey(q, SortStrategy::kVkcDeg, true), k0);
   q = base;
   q.excluded_vertices = {4};
-  EXPECT_NE(CanonicalQueryKey(q, kEngineTagKtg, SortStrategy::kVkcDeg, true),
-            k0);
-  // Engine family, sort strategy and tie-break direction select among tied
-  // groups, so they key too.
-  EXPECT_NE(
-      CanonicalQueryKey(base, kEngineTagConflict, SortStrategy::kVkcDeg, true),
-      k0);
-  EXPECT_NE(CanonicalQueryKey(base, kEngineTagKtg, SortStrategy::kQkc, true),
-            k0);
-  EXPECT_NE(
-      CanonicalQueryKey(base, kEngineTagKtg, SortStrategy::kVkcDeg, false),
-      k0);
+  EXPECT_NE(CanonicalQueryKey(q, SortStrategy::kVkcDeg, true), k0);
+  // Sort strategy and tie-break direction select among tied groups, so
+  // they key too.
+  EXPECT_NE(CanonicalQueryKey(base, SortStrategy::kQkc, true), k0);
+  EXPECT_NE(CanonicalQueryKey(base, SortStrategy::kVkcDeg, false), k0);
 }
 
 TEST(QueryKeyTest, VertexListsUseSetSemantics) {
@@ -194,8 +177,8 @@ TEST(QueryKeyTest, VertexListsUseSetSemantics) {
   KtgQuery b = SimpleQuery({1, 2});
   b.excluded_vertices = {3, 5};
   b.query_vertices = {8, 9};
-  EXPECT_EQ(CanonicalQueryKey(a, kEngineTagKtg, SortStrategy::kVkcDeg, true),
-            CanonicalQueryKey(b, kEngineTagKtg, SortStrategy::kVkcDeg, true));
+  EXPECT_EQ(CanonicalQueryKey(a, SortStrategy::kVkcDeg, true),
+            CanonicalQueryKey(b, SortStrategy::kVkcDeg, true));
 }
 
 // --- CachingChecker --------------------------------------------------------
@@ -309,7 +292,7 @@ TEST(CacheInvalidationTest, QueryTierRejectsPreEpochEntries) {
   cache.OnEdgeInserted(g.graph(), a, b);
 
   const QueryKey key =
-      CanonicalQueryKey(query, kEngineTagKtg, opts.sort, opts.degree_ascending);
+      CanonicalQueryKey(query, opts.sort, opts.degree_ascending);
   KtgResult out;
   EXPECT_FALSE(cache.LookupQuery(key, g, query, &out));
   EXPECT_EQ(cache.QueryStats().entries, 0u) << "stale entry must be dropped";
@@ -343,7 +326,7 @@ TEST(CacheInvalidationTest, DeleteThenReinsertAbaStillInvalidates) {
   EXPECT_EQ(cache.epoch(), epoch0 + 2);
 
   const QueryKey key =
-      CanonicalQueryKey(query, kEngineTagKtg, opts.sort, opts.degree_ascending);
+      CanonicalQueryKey(query, opts.sort, opts.degree_ascending);
   KtgResult out;
   EXPECT_FALSE(cache.LookupQuery(key, g, query, &out))
       << "pre-churn result served after delete+reinsert";
@@ -448,31 +431,6 @@ TEST(EngineCacheTest, SecondRunServesBitIdenticalResultFromCache) {
   EXPECT_EQ(warm->stats.nodes_expanded, 0u) << "hit must skip the search";
 }
 
-TEST(EngineCacheTest, EngineTagsDoNotAlias) {
-  const AttributedGraph g = SmallGraph(0x7A6);
-  const InvertedIndex idx(g);
-  BfsChecker checker(g.graph());
-  const KtgQuery query = SimpleQuery({0, 1, 2});
-
-  KtgCache cache;
-  EngineOptions kopts;
-  kopts.cache = &cache;
-  ASSERT_TRUE(RunKtg(g, idx, checker, query, kopts).ok());
-
-  ConflictEngineOptions copts;
-  copts.cache = &cache;
-  const uint64_t hits_before = cache.QueryStats().hits;
-  auto conflict = RunKtgConflictGraph(g, idx, checker, query, copts);
-  ASSERT_TRUE(conflict.ok());
-  EXPECT_EQ(cache.QueryStats().hits, hits_before)
-      << "a KtgEngine entry must never serve the conflict engine";
-  // But the conflict engine caches under its own tag.
-  auto again = RunKtgConflictGraph(g, idx, checker, query, copts);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(cache.QueryStats().hits, hits_before + 1);
-  EXPECT_EQ(again->groups, conflict->groups);
-}
-
 TEST(EngineCacheTest, TruncatedSearchesBypassTheCache) {
   const AttributedGraph g = SmallGraph(0x77C);
   const InvertedIndex idx(g);
@@ -488,16 +446,22 @@ TEST(EngineCacheTest, TruncatedSearchesBypassTheCache) {
   EXPECT_EQ(cache.QueryStats().misses, 0u);
 }
 
-// The cache rule (core/run_frame.h), stated once for both engines: look up
-// only in exact mode, without a node budget, when the engine supplies a
-// key; store only complete one-worker runs. Drives one engine through the
-// rule's sequence, checking the cache's hit/miss/entry counts after every
-// step and that every hit is bit-identical to an uncached serial run.
-// `keyless` is the engine's own option that withholds the key.
-template <typename Options, typename RunFn>
-void ExpectCacheRule(const RunFn& run, const KtgQuery& query,
-                     const KtgQuery& other, Options keyless) {
-  const Result<KtgResult> serial = run(Options{}, query);
+// The cache rule (core/run_frame.h): look up only in exact mode, without a
+// node budget or stop_at_count; store only complete one-worker runs. Drives the engine through the rule's sequence, checking
+// the cache's hit/miss/entry counts after every step and that every hit is
+// bit-identical to an uncached serial run.
+TEST(EngineCacheTest, EngineFollowsTheCacheRule) {
+  const AttributedGraph g = SmallGraph(0xCAC4E);
+  const InvertedIndex idx(g);
+  // Concurrent-read-safe, so KtgEngine really runs root-parallel.
+  const auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph(), 2);
+  const KtgQuery query = SimpleQuery({0, 1, 2, 3}, 2, 2, 3);
+  const KtgQuery other = SimpleQuery({4, 5, 6, 7}, 2, 2, 3);
+  const auto run = [&](const EngineOptions& o, const KtgQuery& q) {
+    return RunKtg(g, idx, *checker, q, o);
+  };
+
+  const Result<KtgResult> serial = run(EngineOptions{}, query);
   ASSERT_TRUE(serial.ok());
   KtgCache cache;
   const auto expect_counts = [&](const char* step, uint64_t hits,
@@ -515,14 +479,14 @@ void ExpectCacheRule(const RunFn& run, const KtgQuery& query,
     EXPECT_TRUE(r->stats.complete) << step;
   };
 
-  Options cached;
+  EngineOptions cached;
   cached.cache = &cache;
   expect_serial_answer(run(cached, query), "serial exact");
   expect_counts("serial exact stores", 0, 1, 1);
   expect_serial_answer(run(cached, query), "repeat");
   expect_counts("repeat hits", 1, 1, 1);
 
-  Options parallel = cached;
+  EngineOptions parallel = cached;
   parallel.num_threads = 4;
   expect_serial_answer(run(parallel, query), "threads=4");
   expect_counts("threads=4 hits", 2, 1, 1);
@@ -531,45 +495,21 @@ void ExpectCacheRule(const RunFn& run, const KtgQuery& query,
   ASSERT_GT(fresh->stats.candidates, other.group_size) << "must run parallel";
   expect_counts("threads=4 never stores", 2, 2, 1);
 
-  Options budgeted = cached;
+  EngineOptions budgeted = cached;
   budgeted.time_budget_ms = 60000.0;
   expect_serial_answer(run(budgeted, query), "time budget");
   expect_counts("time budget hits", 3, 2, 1);
 
-  Options node_budget = cached;
+  EngineOptions node_budget = cached;
   node_budget.max_nodes = uint64_t{1} << 30;
-  Options anytime = cached;
+  EngineOptions anytime = cached;
   anytime.mode = EngineMode::kAnytime;
-  keyless.cache = &cache;
-  for (const Options& bypass : {node_budget, anytime, keyless}) {
+  EngineOptions stop_early = cached;
+  stop_early.stop_at_count = 1;
+  for (const EngineOptions& bypass : {node_budget, anytime, stop_early}) {
     ASSERT_TRUE(run(bypass, query).ok());
   }
-  expect_counts("max_nodes, anytime and keyless runs bypass", 3, 2, 1);
-}
-
-TEST(EngineCacheTest, BothEnginesFollowOneCacheRule) {
-  const AttributedGraph g = SmallGraph(0xCAC4E);
-  const InvertedIndex idx(g);
-  // Concurrent-read-safe, so KtgEngine really runs root-parallel.
-  const auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph(), 2);
-  const KtgQuery query = SimpleQuery({0, 1, 2, 3}, 2, 2, 3);
-  const KtgQuery other = SimpleQuery({4, 5, 6, 7}, 2, 2, 3);
-
-  EngineOptions stop_early;
-  stop_early.stop_at_count = 1;
-  ExpectCacheRule(
-      [&](const EngineOptions& o, const KtgQuery& q) {
-        return RunKtg(g, idx, *checker, q, o);
-      },
-      query, other, stop_early);
-
-  ConflictEngineOptions degeneracy;
-  degeneracy.degeneracy_order = true;
-  ExpectCacheRule(
-      [&](const ConflictEngineOptions& o, const KtgQuery& q) {
-        return RunKtgConflictGraph(g, idx, *checker, q, o);
-      },
-      query, other, degeneracy);
+  expect_counts("max_nodes, anytime and stop_at_count runs bypass", 3, 2, 1);
 }
 
 // --- Metrics export --------------------------------------------------------

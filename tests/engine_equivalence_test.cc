@@ -11,7 +11,6 @@
 #include <tuple>
 
 #include "core/brute_force.h"
-#include "core/conflict_graph_engine.h"
 #include "core/ktg_engine.h"
 #include "datagen/generators.h"
 #include "datagen/keyword_assigner.h"
@@ -227,7 +226,7 @@ const char* const kDegenerateNames[] = {"OneKeyword", "PBeyondCandidates",
 
 class DegenerateQueryTest : public ::testing::TestWithParam<Degenerate> {};
 
-TEST_P(DegenerateQueryTest, BothEnginesMatchBruteForce) {
+TEST_P(DegenerateQueryTest, ExactAndAnytimeMatchBruteForce) {
   Rng rng(0xDE6E);
   KeywordModel model;
   model.vocabulary_size = 12;
@@ -297,16 +296,7 @@ TEST_P(DegenerateQueryTest, BothEnginesMatchBruteForce) {
       opts.num_threads = threads;
       const auto ktg = RunKtg(g, idx, *checker, query, opts);
       ASSERT_TRUE(ktg.ok()) << ktg.status().ToString();
-      EXPECT_EQ(CoverageCounts(ktg->groups), expected) << "ktg " << where;
-
-      ConflictEngineOptions copts;
-      copts.mode = mode;
-      copts.num_threads = threads;
-      const auto conflict =
-          RunKtgConflictGraph(g, idx, *checker, query, copts);
-      ASSERT_TRUE(conflict.ok()) << conflict.status().ToString();
-      EXPECT_EQ(CoverageCounts(conflict->groups), expected)
-          << "conflict " << where;
+      EXPECT_EQ(CoverageCounts(ktg->groups), expected) << where;
     }
   }
 }

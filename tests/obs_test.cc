@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/candidates.h"
-#include "core/conflict_graph_engine.h"
 #include "core/ktg_engine.h"
 #include "core/obs_bridge.h"
 #include "core/paper_example.h"
@@ -209,24 +208,21 @@ TEST(QueryTraceTest, JsonSchema) {
   EXPECT_TRUE(problems.empty()) << problems.front();
 }
 
-// One run flushed into `reg` under `prefix` agrees with its SearchStats.
-void ExpectRunFlushed(const MetricsRegistry& reg, const std::string& prefix,
-                      const SearchStats& s) {
-  EXPECT_EQ(reg.CounterValue(prefix + ".queries"), 1u);
-  EXPECT_EQ(reg.CounterValue(prefix + ".candidates"), s.candidates);
-  EXPECT_EQ(reg.CounterValue(prefix + ".nodes_expanded"), s.nodes_expanded);
-  EXPECT_EQ(reg.CounterValue(prefix + ".groups_completed"),
-            s.groups_completed);
-  EXPECT_EQ(reg.CounterValue(prefix + ".prune.keyword"), s.keyword_prunes);
-  EXPECT_EQ(reg.CounterValue(prefix + ".prune.ub"), s.ub_prunes);
-  EXPECT_EQ(reg.CounterValue(prefix + ".prune.kline"), s.kline_filtered);
-  EXPECT_EQ(reg.CounterValue(prefix + ".distance_checks"), s.distance_checks);
+// One run flushed into `reg` agrees with its SearchStats.
+void ExpectRunFlushed(const MetricsRegistry& reg, const SearchStats& s) {
+  EXPECT_EQ(reg.CounterValue("engine.queries"), 1u);
+  EXPECT_EQ(reg.CounterValue("engine.candidates"), s.candidates);
+  EXPECT_EQ(reg.CounterValue("engine.nodes_expanded"), s.nodes_expanded);
+  EXPECT_EQ(reg.CounterValue("engine.groups_completed"), s.groups_completed);
+  EXPECT_EQ(reg.CounterValue("engine.prune.keyword"), s.keyword_prunes);
+  EXPECT_EQ(reg.CounterValue("engine.prune.ub"), s.ub_prunes);
+  EXPECT_EQ(reg.CounterValue("engine.prune.kline"), s.kline_filtered);
+  EXPECT_EQ(reg.CounterValue("engine.distance_checks"), s.distance_checks);
 }
 
 // The engine wiring: counters flushed into an attached registry must agree
-// exactly with the SearchStats the engine returns (for the paper's engine
-// and the conflict engine), and an attached trace must
-// narrate the search.
+// exactly with the SearchStats the engine returns, and an attached trace
+// must narrate the search.
 TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   const AttributedGraph g = PaperExampleGraph();
   const InvertedIndex idx(g);
@@ -242,7 +238,7 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   ASSERT_TRUE(r.ok());
   const SearchStats& s = r->stats;
 
-  ExpectRunFlushed(reg, "engine", s);
+  ExpectRunFlushed(reg, s);
 
   // Detail stats were enabled on attach. BFS answers mostly through the
   // bulk BallWithinK path whose traversals count as checks but toward
@@ -266,40 +262,35 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   EXPECT_GT(s.phases[Phase::kBbSearch], 0.0);
   EXPECT_LE(s.phases.TopLevelTotalMs(), s.elapsed_ms + 0.5);
 
-  // Same partition for the conflict engine's root-parallel path, whose
-  // elapsed_ms is read after the driver's pool has joined.
-  ConflictEngineOptions copts;
-  copts.num_threads = 4;
-  const auto c = RunKtgConflictGraph(g, idx, checker, q, copts);
-  ASSERT_TRUE(c.ok());
-  EXPECT_GT(c->stats.phases[Phase::kBbSearch], 0.0);
-  EXPECT_LE(c->stats.phases.TopLevelTotalMs(), c->stats.elapsed_ms + 0.5);
+  // Same partition for the root-parallel path, whose elapsed_ms is read
+  // after the driver's pool has joined (NLRNL is concurrent-read-safe, so
+  // four threads really split the roots).
+  const auto nlrnl = MakeChecker(CheckerKind::kNlrnl, g.graph(), q.tenuity);
+  EngineOptions parallel_opts;
+  parallel_opts.num_threads = 4;
+  const auto pr = RunKtg(g, idx, *nlrnl, q, parallel_opts);
+  ASSERT_TRUE(pr.ok());
+  ASSERT_GT(pr->stats.candidates, q.group_size) << "must run parallel";
+  EXPECT_GT(pr->stats.phases[Phase::kBbSearch], 0.0);
+  EXPECT_LE(pr->stats.phases.TopLevelTotalMs(), pr->stats.elapsed_ms + 0.5);
 
-  // The conflict engine flushes the same family under its own prefix.
-  MetricsRegistry conflict_reg;
-  ConflictEngineOptions conflict_opts;
-  conflict_opts.metrics = &conflict_reg;
-  const auto cr = RunKtgConflictGraph(g, idx, checker, q, conflict_opts);
-  ASSERT_TRUE(cr.ok());
-  ExpectRunFlushed(conflict_reg, "conflict", cr->stats);
-
-  // Query vertices shrink S_R by their k-neighbourhoods, and every engine
-  // counts those exclusions as k-line removals: the conflict engine's
-  // kline_filtered is its conflict edges plus the excluded count.
+  // Query vertices shrink S_R by their k-neighbourhoods, and the engine
+  // counts those exclusions as k-line removals. With lazy feasibility
+  // checks the search itself removes nothing, so the exclusions are the
+  // whole count.
   KtgQuery with_vertices = q;
   with_vertices.query_vertices = {0};
   uint64_t excluded = 0;
   ExtractCandidates(g, idx, with_vertices, checker, &excluded);
   ASSERT_GT(excluded, 0u);
   MetricsRegistry vertex_reg;
-  ConflictEngineOptions vertex_opts;
+  EngineOptions vertex_opts;
   vertex_opts.metrics = &vertex_reg;
-  const auto vr =
-      RunKtgConflictGraph(g, idx, checker, with_vertices, vertex_opts);
+  vertex_opts.eager_kline_filtering = false;
+  const auto vr = RunKtg(g, idx, checker, with_vertices, vertex_opts);
   ASSERT_TRUE(vr.ok());
-  ExpectRunFlushed(vertex_reg, "conflict", vr->stats);
-  EXPECT_EQ(vr->stats.kline_filtered,
-            vertex_reg.CounterValue("kernel.conflict.edges") + excluded);
+  ExpectRunFlushed(vertex_reg, vr->stats);  // engine.prune.kline included
+  EXPECT_EQ(vr->stats.kline_filtered, excluded);
 }
 
 // Per-pair checkers (no bulk path) keep the strict invariant: every check

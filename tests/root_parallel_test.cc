@@ -1,8 +1,8 @@
 // Copyright (c) 2026 The ktg Authors.
 // The root-parallel driver (core/root_parallel.h): exactly-once root
 // claims, the kStop rule over one ascending cursor, run-wide truncation
-// through the shared stop flag — and the end-to-end exactness sweep: both
-// engines' parallel paths must reproduce the brute-force coverage profile
+// through the shared stop flag — and the end-to-end exactness sweep: the
+// engine's parallel path must reproduce the brute-force coverage profile
 // at every thread count.
 
 #include <gtest/gtest.h>
@@ -12,12 +12,10 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/brute_force.h"
-#include "core/conflict_graph_engine.h"
 #include "core/ktg_engine.h"
 #include "core/query.h"
 #include "core/root_parallel.h"
@@ -90,9 +88,9 @@ TEST(RootParallelTest, EveryRootRunsExactlyOnce) {
     std::vector<Group> groups;
     const auto counts = RunCounting(
         threads, kRoots, seeds,
-        [&](RootParallelShared& shared, size_t root) {
+        [&](RootParallelShared& shared, size_t) {
           if (shared.topn.threshold() < 3) seeded_before_claims = false;
-          return root % 3 == 0 ? RootStep::kSkip : RootStep::kContinue;
+          return RootStep::kContinue;
         },
         &stats, &complete, &groups);
     for (size_t i = 0; i < kRoots; ++i) {
@@ -175,49 +173,11 @@ TEST(RootParallelTest, OneWorkersBudgetHitStopsEveryWorker) {
   }
 }
 
-// The conflict engine's root-level residual bound depends on the root's
-// own conflict set, so it must skip the root, not stop the worker. Eight
-// decoy roots each cover {a,b,c} and conflict with both halves of the
-// optimum {X,Y}, so every decoy fails the residual bound against the
-// greedy seed's coverage of 3; were each failure a stop, every worker
-// (up to 8) would quit on a decoy before root X is claimed.
-TEST(RootParallelTest, ConflictResidualPruneSkipsOnlyItsRoot) {
-  AttributedGraphBuilder b;
-  GraphBuilder& topo = b.mutable_topology();
-  constexpr VertexId kDecoys = 8, kX = 8, kY = 9;
-  topo.EnsureVertices(10);
-  for (VertexId d = 0; d < kDecoys; ++d) {
-    topo.AddEdge(d, kX);
-    topo.AddEdge(d, kY);
-    b.AddKeywords(d, {"a", "b", "c"});
-  }
-  b.AddKeywords(kX, {"a", "d", "e"});
-  b.AddKeywords(kY, {"b", "f"});
-  const AttributedGraph g = b.Build();
-  const InvertedIndex idx(g);
-  const std::string terms[] = {"a", "b", "c", "d", "e", "f"};
-  const KtgQuery query = MakeQuery(g, terms, /*group_size=*/2,
-                                   /*tenuity=*/1, /*top_n=*/1);
-
-  for (const uint32_t threads : kThreadCounts) {
-    auto checker = MakeChecker(CheckerKind::kKHopBitmap, g.graph(), 1);
-    ConflictEngineOptions copts;
-    copts.num_threads = threads;
-    copts.mode = EngineMode::kAnytime;  // the seed fills the top-N first
-    const auto got = RunKtgConflictGraph(g, idx, *checker, query, copts);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(Profile(got->groups), (std::vector<int>{5}))
-        << "threads=" << threads;
-    EXPECT_GE(got->stats.ub_prunes, kDecoys) << "threads=" << threads;
-  }
-}
-
-// End-to-end exactness: both engines' root-parallel paths == brute force
-// at every thread count. The conflict engine's parallel path has no other
-// exactness test.
+// End-to-end exactness: the engine's root-parallel path == brute force at
+// every thread count.
 class RootParallelEquivalenceTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(RootParallelEquivalenceTest, BothEnginesMatchBruteForce) {
+TEST_P(RootParallelEquivalenceTest, MatchesBruteForce) {
   const int round = GetParam();
   Rng rng(0xEC60 + round * 131);
 
@@ -262,18 +222,9 @@ TEST_P(RootParallelEquivalenceTest, BothEnginesMatchBruteForce) {
       const auto got = RunKtg(g, idx, *checker, query, opts);
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(Profile(got->groups), expected)
-          << "engine=ktg t=" << threads << " round=" << round
+          << "t=" << threads << " round=" << round
           << " p=" << query.group_size << " k=" << int{query.tenuity}
           << " N=" << query.top_n;
-
-      auto cchecker =
-          MakeChecker(CheckerKind::kKHopBitmap, g.graph(), query.tenuity);
-      ConflictEngineOptions copts;
-      copts.num_threads = threads;
-      const auto cgot = RunKtgConflictGraph(g, idx, *cchecker, query, copts);
-      ASSERT_TRUE(cgot.ok());
-      EXPECT_EQ(Profile(cgot->groups), expected)
-          << "engine=conflict t=" << threads << " round=" << round;
     }
   }
 }

@@ -104,6 +104,28 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
   // mistyped keyword entries
   EXPECT_FALSE(
       ParseRequestLine(R"({"op":"query","keywords":[1,2]})").ok());
+  // Vertex ids must be integers in [0, kInvalidVertex): out-of-range or
+  // fractional ids must not wrap or truncate onto real vertices.
+  for (const char* line : {
+           R"({"op":"query","keywords":["a"],"authors":[4294967296]})",
+           R"({"op":"query","keywords":["a"],"authors":[4294967295]})",
+           R"({"op":"query","keywords":["a"],"authors":[1e20]})",
+           R"({"op":"query","keywords":["a"],"authors":[1.5]})",
+           R"({"op":"query","keywords":["a"],"authors":[-1]})",
+           R"({"op":"query","keywords":["a"],"authors":["7"]})",
+           R"({"op":"mutate","add_edges":[[1e20,2]]})",
+           R"({"op":"mutate","remove_edges":[[1,2.5]]})",
+           R"({"op":"mutate","add_keywords":[[4294967297,"x"]]})",
+       }) {
+    const auto req = ParseRequestLine(line);
+    ASSERT_FALSE(req.ok()) << line;
+    EXPECT_EQ(req.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  // The largest valid id still parses.
+  const auto top = ParseRequestLine(
+      R"({"op":"query","keywords":["a"],"authors":[4294967294]})");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(top->authors, (std::vector<VertexId>{4294967294u}));
 }
 
 TEST(ProtocolTest, ParsesMutateRequest) {

@@ -339,8 +339,7 @@ TEST(SnapshotStoreTest, AbaDeleteReinsertDoesNotResurrectStaleState) {
   // Warm the cache at epoch 0 through real engine runs.
   const auto results0 = RunAll(*pin0, queries);
   for (size_t i = 0; i < queries.size(); ++i) {
-    cache.StoreQuery(CanonicalQueryKey(queries[i], kEngineTagKtg,
-                                       SortStrategy::kVkcDeg, true),
+    cache.StoreQuery(CanonicalQueryKey(queries[i], SortStrategy::kVkcDeg, true),
                      results0[i], pin0->epoch());
   }
 
@@ -373,8 +372,7 @@ TEST(SnapshotStoreTest, AbaDeleteReinsertDoesNotResurrectStaleState) {
   for (size_t i = 0; i < queries.size(); ++i) {
     KtgResult out;
     EXPECT_FALSE(cache.LookupQuery(
-        CanonicalQueryKey(queries[i], kEngineTagKtg, SortStrategy::kVkcDeg,
-                          true),
+        CanonicalQueryKey(queries[i], SortStrategy::kVkcDeg, true),
         pin2->graph(), queries[i], &out, pin2->epoch()));
   }
   EXPECT_EQ(cache.epoch(), 2u);
