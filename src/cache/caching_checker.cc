@@ -26,18 +26,19 @@ CachingChecker::CachingChecker(DistanceChecker* inner, const Graph& graph,
   KTG_CHECK(cache_ != nullptr);
 }
 
-const std::vector<VertexId>* CachingChecker::BallWithinK(VertexId pivot,
-                                                         HopDistance k) {
+const std::vector<VertexId>* CachingChecker::BallWithinKImpl(
+    VertexId pivot, HopDistance k, uint64_t* traversals) {
   KtgCache::BallPtr ball = cache_->GetBall(pivot, k, epoch_);
   if (ball == nullptr) {
     // Prefer the inner checker's own bulk path (the BFS checker memoizes
     // one ball; index checkers return nullptr) so wrapping never computes
-    // a ball the inner index could have produced cheaper.
+    // a ball the inner index could have produced cheaper. Its traversal,
+    // if any, counts as this call's.
     if (const std::vector<VertexId>* inner_ball =
-            inner_->BallWithinK(pivot, k)) {
+            inner_->BallWithinK(pivot, k, traversals)) {
       ball = std::make_shared<const std::vector<VertexId>>(*inner_ball);
     } else {
-      RecordChecks(1);  // one traversal-equivalent, mirroring BfsChecker
+      ++*traversals;  // one traversal-equivalent, mirroring BfsChecker
       // Cached balls are long-lived and charged by capacity: store them
       // exactly sized, not with the BFS's growth slack.
       std::vector<VertexId> fresh = bfs_.Ball(pivot, k);

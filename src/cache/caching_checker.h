@@ -56,13 +56,12 @@ class CachingChecker : public DistanceChecker {
   bool concurrent_read_safe() const override { return false; }
   size_t MemoryBytes() const override { return inner_->MemoryBytes(); }
 
-  const std::vector<VertexId>* BallWithinK(VertexId pivot,
-                                           HopDistance k) override;
-
   DistanceChecker& inner() { return *inner_; }
   uint64_t pinned_epoch() const { return epoch_; }
 
  protected:
+  const std::vector<VertexId>* BallWithinKImpl(VertexId pivot, HopDistance k,
+                                               uint64_t* traversals) override;
   bool IsFartherThanImpl(VertexId u, VertexId v, HopDistance k) override;
 
  private:

@@ -34,6 +34,7 @@ struct BruteState {
   std::vector<VertexId> members;
   CoverMask covered = 0;
   uint64_t completed = 0;
+  uint64_t checks = 0;
 
   void Recurse(size_t from) {
     if (members.size() == p) {
@@ -50,7 +51,7 @@ struct BruteState {
       const Candidate& c = (*cands)[i];
       bool ok = true;
       for (const VertexId m : members) {
-        if (!checker->IsFartherThan(c.vertex, m, k)) {
+        if (!checker->IsFartherThan(c.vertex, m, k, &checks)) {
           ok = false;
           break;
         }
@@ -74,14 +75,11 @@ Result<KtgResult> BruteForceKtg(const AttributedGraph& graph,
                                 const KtgQuery& query) {
   KTG_RETURN_IF_ERROR(ValidateQuery(query, graph));
   Stopwatch watch;
-  const uint64_t checks_before = checker.num_checks();
-
-  uint64_t excluded = 0;
-  const auto cands =
-      ExtractCandidates(graph, index, query, checker, &excluded);
+  BruteState state;
+  const auto cands = ExtractCandidates(
+      graph, index, query, checker, /*kline_removed=*/nullptr, &state.checks);
 
   TopNCollector collector(query.top_n);
-  BruteState state;
   state.cands = &cands;
   state.checker = &checker;
   state.p = query.group_size;
@@ -94,7 +92,7 @@ Result<KtgResult> BruteForceKtg(const AttributedGraph& graph,
   result.query_keyword_count = query.num_keywords();
   result.stats.candidates = cands.size();
   result.stats.groups_completed = state.completed;
-  result.stats.distance_checks = checker.num_checks() - checks_before;
+  result.stats.distance_checks = state.checks;
   result.stats.elapsed_ms = watch.ElapsedMillis();
   result.stats.cpu_ms = result.stats.elapsed_ms;  // single-threaded
   return result;

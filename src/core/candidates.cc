@@ -12,7 +12,8 @@ std::vector<Candidate> ExtractCandidates(const AttributedGraph& g,
                                          const InvertedIndex& index,
                                          const KtgQuery& query,
                                          DistanceChecker& checker,
-                                         uint64_t* kline_removed) {
+                                         uint64_t* kline_removed,
+                                         uint64_t* checks) {
   const auto covers = index.Candidates(query.keywords);
   std::vector<VertexId> barred(query.excluded_vertices);
   SortUnique(barred);
@@ -24,7 +25,7 @@ std::vector<Candidate> ExtractCandidates(const AttributedGraph& g,
     bool excluded = false;
     for (const VertexId qv : query.query_vertices) {
       // IsFartherThan(v, v) is false, so query vertices exclude themselves.
-      if (!checker.IsFartherThan(vc.vertex, qv, query.tenuity)) {
+      if (!checker.IsFartherThan(vc.vertex, qv, query.tenuity, checks)) {
         excluded = true;
         break;
       }

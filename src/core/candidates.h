@@ -35,12 +35,14 @@ struct Candidate {
 /// >= 1 query keyword, minus vertices within `query.tenuity` hops of any
 /// query vertex (and the query vertices themselves). `kline_removed`, when
 /// non-null, receives the number of candidates dropped by the query-vertex
-/// exclusion.
+/// exclusion. `checks`, when non-null, is the tally the exclusion's
+/// distance checks count into (see DistanceChecker).
 std::vector<Candidate> ExtractCandidates(const AttributedGraph& g,
                                          const InvertedIndex& index,
                                          const KtgQuery& query,
                                          DistanceChecker& checker,
-                                         uint64_t* kline_removed = nullptr);
+                                         uint64_t* kline_removed = nullptr,
+                                         uint64_t* checks = nullptr);
 
 }  // namespace ktg
 

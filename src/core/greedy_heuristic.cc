@@ -65,7 +65,8 @@ std::optional<Group> GreedyConstruct(std::vector<Candidate> pool,
     std::vector<Candidate> next;
     next.reserve(pool.size());
     for (const Candidate& c : pool) {
-      if (checker.IsFartherThan(c.vertex, chosen.vertex, k)) {
+      if (checker.IsFartherThan(c.vertex, chosen.vertex, k,
+                                &stats->distance_checks)) {
         next.push_back(c);
       } else {
         ++stats->kline_filtered;
@@ -121,12 +122,12 @@ Result<KtgResult> RunKtgGreedy(const AttributedGraph& graph,
     result.groups = collector.Take();
   }
   result.query_keyword_count = query.num_keywords();
-  stats.distance_checks = checker.num_checks() - checker_before.checks;
   stats.elapsed_ms = watch.ElapsedMillis();
   stats.cpu_ms = stats.elapsed_ms;  // single-threaded construction
   result.stats = stats;
   RecordSearchStats(options.metrics, stats, "greedy");
-  RecordCheckerDelta(options.metrics, checker, checker_before);
+  RecordCheckerDelta(options.metrics, checker, checker_before,
+                     stats.distance_checks);
   return result;
 }
 

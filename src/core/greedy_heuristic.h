@@ -41,7 +41,8 @@ struct GreedyOptions {
 /// (smaller degree, then earlier position in `pool`, breaks ties) and
 /// k-line-filter the rest against it (Theorem 3). nullopt when the pool
 /// dead-ends before `p` members. Adds one stats->nodes_expanded per member
-/// placed and one stats->kline_filtered per candidate filtered out. Both
+/// placed, one stats->kline_filtered per candidate filtered out, and its
+/// distance checks to stats->distance_checks (a tally). Both
 /// `--algo greedy` (RunKtgGreedy) and the anytime seeds (KtgEngine) build
 /// their groups with it, each with its own restart loop.
 std::optional<Group> GreedyConstruct(std::vector<Candidate> pool,

@@ -148,7 +148,7 @@ std::vector<Candidate> KtgEngine::BuildChildCandidates(
   // binary searches.
   const std::vector<VertexId>* ball = nullptr;
   if (options_.eager_kline_filtering && options_.bulk_filtering) {
-    ball = checker_.BallWithinK(v.vertex, k_);
+    ball = checker_.BallWithinK(v.vertex, k_, &stats_.distance_checks);
   }
   // The stopwatch read-back (and the clock reads it implies) happens only
   // when a sink is attached; sub-phase attribution is a diagnostic detail.
@@ -162,7 +162,8 @@ std::vector<Candidate> KtgEngine::BuildChildCandidates(
     if (options_.eager_kline_filtering) {
       const bool conflict =
           ball != nullptr ? SortedContains(*ball, c.vertex)
-                          : !checker_.IsFartherThan(c.vertex, v.vertex, k_);
+                          : !checker_.IsFartherThan(c.vertex, v.vertex, k_,
+                                                    &stats_.distance_checks);
       if (conflict) {
         ++dropped;
         continue;
@@ -296,7 +297,9 @@ bool KtgEngine::Branch(const std::vector<Candidate>& sr, size_t i,
   // Lazy feasibility check (ablation mode): validate v against S_I now.
   if (!options_.eager_kline_filtering) {
     for (const VertexId m : members_) {
-      if (!checker_.IsFartherThan(v.vertex, m, k_)) return true;
+      if (!checker_.IsFartherThan(v.vertex, m, k_, &stats_.distance_checks)) {
+        return true;
+      }
     }
   }
 
@@ -321,10 +324,11 @@ std::vector<Group> KtgEngine::GreedySeeds(const std::vector<Candidate>& sr) {
        seeds.size() < top_n_ && skip < max_attempts && skip < sr.size();
        ++skip) {
     // Seed placements are not search nodes (they would spend the node
-    // budget); only the k-line removals carry over.
+    // budget); only the k-line removals and the checks carry over.
     SearchStats construction;
     auto g = GreedyConstruct(sr, skip, p_, k_, checker_, &construction);
     stats_.kline_filtered += construction.kline_filtered;
+    stats_.distance_checks += construction.distance_checks;
     if (!g.has_value()) continue;
     // Restarts can reconverge to an already-found group; keep seeds unique
     // so they occupy distinct collector slots.

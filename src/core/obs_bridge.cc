@@ -46,7 +46,6 @@ void RecordAnytimeStats(obs::MetricsRegistry* metrics,
 
 CheckerCounters SnapshotChecker(const DistanceChecker& checker) {
   CheckerCounters c;
-  c.checks = checker.num_checks();
   c.farther = checker.num_farther();
   c.within = checker.num_within();
   c.probes = checker.num_probes();
@@ -55,11 +54,11 @@ CheckerCounters SnapshotChecker(const DistanceChecker& checker) {
 
 void RecordCheckerDelta(obs::MetricsRegistry* metrics,
                         DistanceChecker& checker,
-                        const CheckerCounters& before) {
+                        const CheckerCounters& before, uint64_t checks) {
   if (metrics == nullptr) return;
   const CheckerCounters now = SnapshotChecker(checker);
   const std::string p = "checker." + checker.name();
-  metrics->counter(p + ".checks").Add(now.checks - before.checks);
+  metrics->counter(p + ".checks").Add(checks);
   metrics->counter(p + ".farther").Add(now.farther - before.farther);
   metrics->counter(p + ".within").Add(now.within - before.within);
   metrics->counter(p + ".probes").Add(now.probes - before.probes);

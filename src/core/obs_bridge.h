@@ -37,9 +37,9 @@ void RecordAnytimeStats(obs::MetricsRegistry* metrics,
                         const SearchStats& stats, bool complete,
                         size_t seeded);
 
-/// Snapshot of a checker's counters, for delta attribution around a run.
+/// Snapshot of a checker's detail counters, for delta attribution around a
+/// run (a run's checks come from its own tally, not from the checker).
 struct CheckerCounters {
-  uint64_t checks = 0;
   uint64_t farther = 0;
   uint64_t within = 0;
   uint64_t probes = 0;
@@ -47,12 +47,15 @@ struct CheckerCounters {
 
 CheckerCounters SnapshotChecker(const DistanceChecker& checker);
 
-/// Flushes the delta since `before` into counters
-/// checker.<name>.checks/.farther/.within/.probes and gauge
-/// checker.<name>.memory_bytes. No-op when `metrics` is null.
+/// Flushes one run's checker view: counter checker.<name>.checks gets
+/// `checks` (the run's tally, equal to its SearchStats::distance_checks);
+/// .farther/.within/.probes get the checker's detail delta since `before`,
+/// which is checker-wide (it includes concurrent runs on a shared
+/// checker); gauge checker.<name>.memory_bytes. No-op when `metrics` is
+/// null.
 void RecordCheckerDelta(obs::MetricsRegistry* metrics,
                         DistanceChecker& checker,
-                        const CheckerCounters& before);
+                        const CheckerCounters& before, uint64_t checks);
 
 }  // namespace ktg
 

@@ -90,7 +90,10 @@ struct SearchStats {
   /// docs/bounds.md) did not. Disjoint from keyword_prunes.
   uint64_t ub_prunes = 0;
   uint64_t kline_filtered = 0;      ///< S_R removals by Theorem 3
-  uint64_t distance_checks = 0;     ///< checker invocations
+  /// Checker invocations, tallied by the run itself (a bulk ball
+  /// traversal counts as one), so concurrent runs on a shared checker
+  /// never count each other's.
+  uint64_t distance_checks = 0;
   uint64_t candidates = 0;          ///< initial |S_R|
   /// Sound upper bound on the best achievable coverage count of this
   /// instance: min(|W_Q|, popcount of the candidate-mask union, sum of the
@@ -111,8 +114,10 @@ struct SearchStats {
   bool complete = false;
   double elapsed_ms = 0.0;          ///< wall-clock of the search
   /// Compute time: per-worker wall-clocks summed. Equals elapsed_ms for a
-  /// serial run; exceeds it under the root-parallel engine (and that ratio
-  /// is the effective parallelism of the query).
+  /// serial run. Under the root-parallel engine it sums every worker's
+  /// wall-clock, the calling thread's (worker 0) included, plus the
+  /// caller's serial phases; it then exceeds elapsed_ms, and that ratio is
+  /// the effective parallelism of the query.
   double cpu_ms = 0.0;
   /// Per-phase latency attribution (see obs/phases.h).
   obs::PhaseBreakdown phases;

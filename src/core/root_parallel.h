@@ -8,10 +8,19 @@
 // Workers claim roots from one ascending cursor, search each with private
 // state, and share one SharedTopN whose threshold is the pruning bound, so
 // every worker prunes against every other worker's results. The driver
-// owns the pool, the shared top-N (seeded before any claim), the cursor,
-// the global node budget and stop flag, and the merge of the workers'
-// counters; the engine supplies only a per-worker state and a per-root
-// step.
+// owns the shared top-N (seeded before any claim), the cursor, the global
+// node budget and stop flag, and the merge of the workers' counters; the
+// engine supplies only a per-worker state and a per-root step.
+//
+// Threads. The calling thread is worker 0. The other workers are helpers
+// recruited from one process-wide executor, started on first use and kept
+// until the process exits; it grows to the largest helper count any run
+// has asked for and never shrinks. A helper runs under the caller's
+// CPU affinity mask. A helper that starts after the caller has finished
+// its own claims does nothing, and the caller waits only for helpers that
+// started before that. So a run never waits behind another run's
+// helpers, and a run started from inside a worker, or from many threads
+// at once, cannot deadlock.
 //
 // Soundness of RootStep::kStop. A step may stop its worker's claim loop
 // only when the bound that failed is non-increasing in the root index
@@ -76,8 +85,9 @@ class RootParallelShared {
 };
 
 /// One worker's body: builds the worker's private search state, calls
-/// `shared.ClaimRoots` once, and returns the worker's counters. Runs on a
-/// pool thread.
+/// `shared.ClaimRoots` once, and returns the worker's counters (its
+/// distance checks among them, tallied privately). Runs on the calling
+/// thread and on each helper that joins the run.
 using RootWorkerFn = std::function<SearchStats(RootParallelShared& shared)>;
 
 /// Worker count of a root-parallel run: 1 when `num_threads` is 1 or at
@@ -85,14 +95,18 @@ using RootWorkerFn = std::function<SearchStats(RootParallelShared& shared)>;
 /// `num_roots`.
 uint32_t RootWorkers(uint32_t num_threads, size_t num_roots);
 
-/// Searches roots [0, num_roots) on `workers` threads. `seeds` are offered
-/// into the shared top-N before any root is claimed. After every worker
-/// has joined: the workers' counters are merged into `*stats` (their
-/// cpu_ms are the workers' wall-clocks, summed; elapsed_ms is left to the
-/// caller), the virtual root is counted as one expanded node, and
-/// `*complete` is false iff some worker raised the stop flag. The pool run
-/// is charged to the bb_search phase and the final merge to topn_merge.
-/// Returns the groups in TopNCollector order.
+/// Searches roots [0, num_roots) on up to `workers` (>= 1) threads: the
+/// calling thread and `workers - 1` helpers, of which those that start
+/// before the caller's claim loop ends take part. `seeds` are offered into
+/// the shared top-N before any root is claimed. After every participating
+/// worker has finished: the workers' counters are merged into `*stats`
+/// (their cpu_ms are the workers' wall-clocks, the caller's included,
+/// summed; elapsed_ms is left to the caller), the virtual root is counted
+/// as one expanded node, and `*complete` is false iff some worker raised
+/// the stop flag. The workers' run is charged to the bb_search phase and
+/// the final merge to topn_merge. Returns the groups in TopNCollector
+/// order. A worker body that throws stops the run; the first exception is
+/// rethrown here once every participating worker has finished.
 std::vector<Group> RunRootParallel(uint32_t workers, uint32_t top_n,
                                    size_t num_roots,
                                    const std::vector<Group>& seeds,

@@ -39,8 +39,8 @@ std::vector<Candidate> ExtractRunCandidates(const AttributedGraph& graph,
   *checker_before = SnapshotChecker(checker);
   obs::PhaseTimer timer(&stats->phases, obs::Phase::kCandidateGen);
   uint64_t excluded = 0;
-  std::vector<Candidate> cands =
-      ExtractCandidates(graph, index, query, checker, &excluded);
+  std::vector<Candidate> cands = ExtractCandidates(
+      graph, index, query, checker, &excluded, &stats->distance_checks);
   stats->candidates = cands.size();
   stats->kline_filtered += excluded;
   return cands;
@@ -93,11 +93,10 @@ Result<KtgResult> RunInFrame(const AttributedGraph& graph,
           : RootUpperBound(cands, query.group_size, query.num_keywords());
   stats.gap = std::max(0, stats.upper_bound - best_found);
   stats.complete = outcome->complete;
-  stats.distance_checks = checker.num_checks() - checker_before.checks;
   // The run clocks, closed after every worker has joined. A serial run's
   // cpu_ms is its elapsed_ms; a parallel run's is the workers' summed
-  // wall-clocks (RunRootParallel) plus the coordinator's serial
-  // candidate_gen and topn_merge phases.
+  // wall-clocks (RunRootParallel; the calling thread is worker 0) plus its
+  // serial candidate_gen and topn_merge phases.
   stats.elapsed_ms = watch.ElapsedMillis();
   stats.cpu_ms = outcome->parallel
                      ? stats.cpu_ms + stats.phases[obs::Phase::kCandidateGen] +
@@ -113,7 +112,8 @@ Result<KtgResult> RunInFrame(const AttributedGraph& graph,
     RecordAnytimeStats(options.metrics, stats, outcome->complete,
                        outcome->seeded);
   }
-  RecordCheckerDelta(options.metrics, checker, checker_before);
+  RecordCheckerDelta(options.metrics, checker, checker_before,
+                     stats.distance_checks);
   return result;
 }
 

@@ -45,8 +45,9 @@ int RootUpperBound(const std::vector<Candidate>& cands, uint32_t p,
 /// The prologue's candidate step, shared by the frame and --algo greedy:
 /// enables the checker's detail counters when `metrics` is attached,
 /// snapshots its counters into `*checker_before`, and extracts S_R under
-/// the candidate_gen timer. Records |S_R| in stats->candidates and adds the
-/// query-vertex exclusions to stats->kline_filtered.
+/// the candidate_gen timer. Records |S_R| in stats->candidates, adds the
+/// query-vertex exclusions to stats->kline_filtered and their checks to
+/// the stats->distance_checks tally.
 std::vector<Candidate> ExtractRunCandidates(const AttributedGraph& graph,
                                             const InvertedIndex& index,
                                             DistanceChecker& checker,
@@ -70,6 +71,8 @@ struct SearchOutcome {
 /// The engine's search over the extracted candidates. It may rank (reorder)
 /// `cands` in place; `run_watch` is the run clock (the deadline origin);
 /// counters and phases go to `stats`, which already holds the prologue's.
+/// Its distance checks must be tallied into stats->distance_checks (the
+/// frame reports that tally, never a delta of the shared checker's count).
 /// An error aborts the run without an epilogue.
 using FrameSearch = std::function<Result<SearchOutcome>(
     std::vector<Candidate>& cands, const Stopwatch& run_watch,

@@ -124,7 +124,8 @@ struct TagqSearch {
       std::vector<TagqCandidate> child;
       child.reserve(sr.size() - i - 1);
       for (size_t j = i + 1; j < sr.size(); ++j) {
-        if (!checker->IsFartherThan(sr[j].vertex, v.vertex, query->tenuity)) {
+        if (!checker->IsFartherThan(sr[j].vertex, v.vertex, query->tenuity,
+                                    &stats.distance_checks)) {
           ++stats.kline_filtered;
           continue;
         }
@@ -153,7 +154,6 @@ Result<TagqResult> RunTagq(const AttributedGraph& graph,
                            TagqOptions options) {
   KTG_RETURN_IF_ERROR(ValidateQuery(query, graph));
   Stopwatch watch;
-  const uint64_t checks_before = checker.num_checks();
 
   // TAGQ considers every vertex, not just keyword-covering ones.
   std::vector<TagqCandidate> sr;
@@ -186,7 +186,6 @@ Result<TagqResult> RunTagq(const AttributedGraph& graph,
   result.groups = collector.Take();
   result.query_keyword_count = query.num_keywords();
   result.stats = search.stats;
-  result.stats.distance_checks = checker.num_checks() - checks_before;
   result.stats.elapsed_ms = watch.ElapsedMillis();
   result.stats.cpu_ms = result.stats.elapsed_ms;  // single-threaded
   return result;

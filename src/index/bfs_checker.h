@@ -23,22 +23,22 @@ class BfsChecker final : public DistanceChecker {
   std::string name() const override { return "BFS"; }
   size_t MemoryBytes() const override { return 0; }
 
+ protected:
   /// Bulk path: one bounded BFS materializes the whole <=k ball, so a
   /// k-line filter over m candidates costs one traversal + m binary
   /// searches instead of m traversals. Cached per (pivot, k).
-  const std::vector<VertexId>* BallWithinK(VertexId pivot,
-                                           HopDistance k) override {
+  const std::vector<VertexId>* BallWithinKImpl(VertexId pivot, HopDistance k,
+                                               uint64_t* traversals) override {
     if (!ball_valid_ || ball_pivot_ != pivot || ball_k_ != k) {
       ball_ = bfs_.Ball(pivot, k);
       ball_pivot_ = pivot;
       ball_k_ = k;
       ball_valid_ = true;
-      RecordChecks(1);
+      ++*traversals;
     }
     return &ball_;
   }
 
- protected:
   bool IsFartherThanImpl(VertexId u, VertexId v, HopDistance k) override {
     return bfs_.DistanceBidirectional(u, v, k) == kUnreachable;
   }

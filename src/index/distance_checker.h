@@ -26,8 +26,13 @@ namespace ktg {
 /// Implementations may keep internal scratch; by default they are stateful
 /// and not thread-safe — create one checker per worker thread. The purely
 /// read-only implementations advertise concurrent_read_safe() so the
-/// root-parallel engine can share a single instance across its workers
-/// (the check counter is a relaxed atomic, safe either way).
+/// root-parallel engine can share a single instance across its workers.
+///
+/// Check counting. A call without a tally counts on the checker's own
+/// relaxed-atomic counter (num_checks()). The engines pass a tally
+/// instead — a plain counter of the run's (or the worker's) own — so
+/// workers sharing one checker never contend on a counter, and concurrent
+/// runs on one checker never count each other's checks.
 class DistanceChecker {
  public:
   virtual ~DistanceChecker() = default;
@@ -35,8 +40,10 @@ class DistanceChecker {
   /// Returns true iff the hop distance Dis(u, v) is strictly greater than
   /// `k` (Definition 1/2: "not a k-line"). A vertex is at distance 0 from
   /// itself; vertices in different components are infinitely far apart.
-  bool IsFartherThan(VertexId u, VertexId v, HopDistance k) {
-    num_checks_.fetch_add(1, std::memory_order_relaxed);
+  /// Counts one check into `*tally` when given, else into num_checks().
+  bool IsFartherThan(VertexId u, VertexId v, HopDistance k,
+                     uint64_t* tally = nullptr) {
+    CountChecks(1, tally);
     const bool farther = IsFartherThanImpl(u, v, k);
     if (detail_stats_.load(std::memory_order_relaxed)) {
       (farther ? num_farther_ : num_within_)
@@ -66,13 +73,19 @@ class DistanceChecker {
   /// against that one vertex. Returns nullptr when the implementation has
   /// no cheaper way than per-pair checks (the index-based checkers: their
   /// per-pair cost is already sub-microsecond). The pointer is valid until
-  /// the next call on this checker.
-  virtual const std::vector<VertexId>* BallWithinK(VertexId /*pivot*/,
-                                                   HopDistance /*k*/) {
-    return nullptr;
+  /// the next call on this checker. A ball the call had to traverse counts
+  /// as one check (into `*tally` when given, as IsFartherThan); a memoized
+  /// ball counts none.
+  const std::vector<VertexId>* BallWithinK(VertexId pivot, HopDistance k,
+                                           uint64_t* tally = nullptr) {
+    uint64_t traversals = 0;
+    const std::vector<VertexId>* ball = BallWithinKImpl(pivot, k, &traversals);
+    if (traversals != 0) CountChecks(traversals, tally);
+    return ball;
   }
 
-  /// Number of IsFartherThan calls since construction / ResetStats.
+  /// Checks counted on the checker itself (calls without a tally) since
+  /// construction / ResetStats.
   uint64_t num_checks() const {
     return num_checks_.load(std::memory_order_relaxed);
   }
@@ -90,7 +103,8 @@ class DistanceChecker {
 
   /// Checks that answered "farther than k" (the pair stays feasible) /
   /// "within k" (a k-line conflict). Only counted while detail stats are
-  /// enabled; farther + within == checks over that window (bulk
+  /// enabled, and checker-wide: tallied and untallied calls alike, from
+  /// every thread. farther + within == checks over that window (bulk
   /// BallWithinK traversals count toward neither).
   uint64_t num_farther() const {
     return num_farther_.load(std::memory_order_relaxed);
@@ -137,10 +151,11 @@ class DistanceChecker {
 
   virtual bool IsFartherThanImpl(VertexId u, VertexId v, HopDistance k) = 0;
 
-  /// For implementations with bulk paths: records `n` logical checks (a
-  /// ball materialization counts as one traversal-equivalent).
-  void RecordChecks(uint64_t n) {
-    num_checks_.fetch_add(n, std::memory_order_relaxed);
+  /// The bulk path behind BallWithinK; adds to `*traversals` each ball it
+  /// had to materialize. The default has no bulk path.
+  virtual const std::vector<VertexId>* BallWithinKImpl(
+      VertexId /*pivot*/, HopDistance /*k*/, uint64_t* /*traversals*/) {
+    return nullptr;
   }
 
   /// For index implementations: records `n` structure probes performed by
@@ -153,6 +168,14 @@ class DistanceChecker {
   }
 
  private:
+  void CountChecks(uint64_t n, uint64_t* tally) {
+    if (tally != nullptr) {
+      *tally += n;
+    } else {
+      num_checks_.fetch_add(n, std::memory_order_relaxed);
+    }
+  }
+
   std::atomic<uint64_t> num_checks_{0};
   std::atomic<uint64_t> num_farther_{0};
   std::atomic<uint64_t> num_within_{0};

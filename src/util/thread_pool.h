@@ -1,10 +1,10 @@
 // Copyright (c) 2026 The ktg Authors.
 // A fixed-size thread pool with a blocking ParallelFor helper.
 //
-// This is the substrate of the parallel execution layer: index construction
-// partitions its per-vertex BFS loop over a pool, the engine's root-parallel
-// branch-and-bound submits one long-lived task per worker, and the batch
-// runner schedules its per-query worker loops the same way. The pool is
+// Index construction partitions its per-vertex BFS loop over a pool, and
+// the batch runner schedules its per-query worker loops on one. (The
+// engine's root-parallel search does not: it borrows helpers from one
+// process-wide executor, see core/root_parallel.h.) The pool is
 // deliberately simple — a mutex-guarded FIFO queue, no work stealing — since
 // every caller partitions its own work into comparable chunks up front.
 //

@@ -7,12 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/brute_force.h"
 #include "core/candidates.h"
+#include "core/greedy_heuristic.h"
 #include "core/ktg_engine.h"
 #include "core/obs_bridge.h"
 #include "core/paper_example.h"
+#include "datagen/generators.h"
+#include "datagen/keyword_assigner.h"
+#include "datagen/query_gen.h"
 #include "index/bfs_checker.h"
 #include "index/checker_factory.h"
 #include "keywords/inverted_index.h"
@@ -274,6 +280,27 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   EXPECT_GT(pr->stats.phases[Phase::kBbSearch], 0.0);
   EXPECT_LE(pr->stats.phases.TopLevelTotalMs(), pr->stats.elapsed_ms + 0.5);
 
+  // checker.<name>.checks is the run's own check tally, so it equals
+  // distance_checks on the bulk path (BFS: a ball traversal counts as one)
+  // and the per-pair path (NLRNL), serially and on four workers.
+  for (const CheckerKind kind : {CheckerKind::kBfs, CheckerKind::kNlrnl}) {
+    const auto run_checker = MakeChecker(kind, g.graph(), q.tenuity);
+    for (const uint32_t threads : {1u, 4u}) {
+      MetricsRegistry run_reg;
+      EngineOptions run_opts;
+      run_opts.metrics = &run_reg;
+      run_opts.num_threads = threads;
+      const auto rr = RunKtg(g, idx, *run_checker, q, run_opts);
+      ASSERT_TRUE(rr.ok());
+      ExpectRunFlushed(run_reg, rr->stats);
+      EXPECT_GT(rr->stats.distance_checks, 0u);
+      EXPECT_EQ(run_reg.CounterValue("checker." + run_checker->name() +
+                                     ".checks"),
+                rr->stats.distance_checks)
+          << run_checker->name() << " threads=" << threads;
+    }
+  }
+
   // Query vertices shrink S_R by their k-neighbourhoods, and the engine
   // counts those exclusions as k-line removals. With lazy feasibility
   // checks the search itself removes nothing, so the exclusions are the
@@ -314,6 +341,60 @@ TEST(ObsWiringTest, PerPairCheckerVerdictsPartitionChecks) {
                 reg.CounterValue("checker.NLRNL.within"),
             checks);
   EXPECT_GE(reg.CounterValue("checker.NLRNL.probes"), checks);
+}
+
+// Runs sharing one checker at the same time each count only their own
+// checks: a result's distance_checks is that run's tally, never a delta of
+// the shared checker's counter. Two threads run the same queries at once
+// and must see exactly the counts of solo serial runs.
+TEST(ObsWiringTest, ConcurrentRunsOnOneCheckerCountOnlyTheirOwnChecks) {
+  Rng rng(0x7A11);
+  KeywordModel model;
+  model.vocabulary_size = 16;
+  model.min_per_vertex = 1;
+  model.max_per_vertex = 3;
+  const AttributedGraph g =
+      AssignKeywords(BarabasiAlbert(150, 2, rng), model, rng);
+  const InvertedIndex idx(g);
+  WorkloadOptions wopts;
+  wopts.num_queries = 8;
+  wopts.keyword_count = 5;
+  wopts.group_size = 3;
+  wopts.tenuity = 2;
+  wopts.top_n = 3;
+  const auto queries = GenerateWorkload(g, wopts, rng);
+  const auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph(), 2);
+
+  // Per query: the exact engine's, greedy's and brute force's checks.
+  using Counts = std::vector<uint64_t>;
+  const auto run_all = [&] {
+    Counts counts;
+    for (const KtgQuery& q : queries) {
+      const auto exact = RunKtg(g, idx, *checker, q);
+      const auto greedy = RunKtgGreedy(g, idx, *checker, q);
+      const auto brute = BruteForceKtg(g, idx, *checker, q);
+      if (!exact.ok() || !greedy.ok() || !brute.ok()) return Counts{};
+      counts.push_back(exact->stats.distance_checks);
+      counts.push_back(greedy->stats.distance_checks);
+      counts.push_back(brute->stats.distance_checks);
+    }
+    return counts;
+  };
+  const Counts solo = run_all();
+  ASSERT_EQ(solo.size(), 3 * queries.size());
+
+  constexpr int kPasses = 3;
+  std::vector<std::vector<Counts>> seen(2);
+  std::vector<std::thread> threads;
+  for (auto& mine : seen) {
+    threads.emplace_back([&] {
+      for (int pass = 0; pass < kPasses; ++pass) mine.push_back(run_all());
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& mine : seen) {
+    for (const Counts& counts : mine) EXPECT_EQ(counts, solo);
+  }
 }
 
 TEST(ObsWiringTest, DisabledPathRecordsNothing) {

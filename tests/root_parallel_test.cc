@@ -1,17 +1,26 @@
 // Copyright (c) 2026 The ktg Authors.
 // The root-parallel driver (core/root_parallel.h): exactly-once root
 // claims, the kStop rule over one ascending cursor, run-wide truncation
-// through the shared stop flag — and the end-to-end exactness sweep: the
-// engine's parallel path must reproduce the brute-force coverage profile
-// at every thread count.
+// through the shared stop flag; its process-wide executor (concurrent and
+// nested runs, late helpers, the caller's CPU mask) — and the end-to-end
+// exactness sweep: the engine's parallel path must reproduce the
+// brute-force coverage profile at every thread count.
+//
+// No run in this binary asks for more than 8 workers, so the executor
+// never holds more than 7 helper threads.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -171,6 +180,185 @@ TEST(RootParallelTest, OneWorkersBudgetHitStopsEveryWorker) {
     EXPECT_FALSE(complete) << "threads=" << threads;
     EXPECT_LT(ran, static_cast<int>(kRoots)) << "threads=" << threads;
   }
+}
+
+bool AllOnce(const std::vector<int>& counts) {
+  return std::all_of(counts.begin(), counts.end(),
+                     [](int c) { return c == 1; });
+}
+
+// Eight threads start runs at once; one run starts another from inside a
+// worker's step. Every run claims each of its roots once and returns.
+TEST(RootExecutorTest, ConcurrentAndNestedRunsClaimEveryRootOnce) {
+  constexpr int kCallers = 8;
+  constexpr size_t kRoots = 300;
+  constexpr size_t kNestedRoots = 50;
+  std::atomic<int> nested_runs{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      SearchStats stats;
+      bool complete = false;
+      const auto counts = RunCounting(
+          4, kRoots, {},
+          [&](RootParallelShared&, size_t root) {
+            if (c == 0 && root == 7) {
+              SearchStats inner;
+              bool inner_complete = false;
+              const auto inner_counts = RunCounting(
+                  4, kNestedRoots, {},
+                  [](RootParallelShared&, size_t) {
+                    return RootStep::kContinue;
+                  },
+                  &inner, &inner_complete);
+              EXPECT_TRUE(AllOnce(inner_counts));
+              EXPECT_TRUE(inner_complete);
+              EXPECT_EQ(inner.nodes_expanded, kNestedRoots + 1);
+              nested_runs.fetch_add(1);
+            }
+            return RootStep::kContinue;
+          },
+          &stats, &complete);
+      EXPECT_TRUE(AllOnce(counts)) << "caller " << c;
+      EXPECT_TRUE(complete) << "caller " << c;
+      EXPECT_EQ(stats.nodes_expanded, kRoots + 1) << "caller " << c;
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(nested_runs.load(), 1);
+}
+
+// A helper that starts after its run's caller finished does nothing, and
+// the caller does not wait for it: with every helper held inside another
+// run, a second run completes on its calling thread alone.
+TEST(RootExecutorTest, RunFinishesAloneWhileEveryHelperIsBusy) {
+  constexpr uint32_t kBusyWorkers = 8;  // the caller and 7 helpers
+  std::mutex mu;
+  std::condition_variable cv;
+  uint32_t held = 0;
+  bool release = false;
+  SearchStats busy_stats;
+  bool busy_complete = false;
+  std::vector<int> busy_counts;
+  std::thread busy([&] {
+    busy_counts = RunCounting(
+        kBusyWorkers, 64, {},
+        [&](RootParallelShared&, size_t) {
+          std::unique_lock<std::mutex> lock(mu);
+          if (++held == kBusyWorkers) cv.notify_all();
+          cv.wait(lock, [&] { return release; });
+          return RootStep::kContinue;
+        },
+        &busy_stats, &busy_complete);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return held == kBusyWorkers; }))
+        << "only " << held << " workers joined the busy run";
+  }
+
+  constexpr size_t kRoots = 50;
+  const std::thread::id me = std::this_thread::get_id();
+  std::atomic<int> off_thread{0};
+  SearchStats stats;
+  bool complete = false;
+  const auto counts = RunCounting(
+      4, kRoots, {},
+      [&](RootParallelShared&, size_t) {
+        if (std::this_thread::get_id() != me) off_thread.fetch_add(1);
+        return RootStep::kContinue;
+      },
+      &stats, &complete);
+  EXPECT_TRUE(AllOnce(counts));
+  EXPECT_TRUE(complete);
+  EXPECT_EQ(off_thread.load(), 0);
+  EXPECT_EQ(stats.nodes_expanded, kRoots + 1);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  busy.join();
+  EXPECT_TRUE(AllOnce(busy_counts));
+  EXPECT_TRUE(busy_complete);
+}
+
+// A worker body that throws stops the run, and the caller sees the
+// exception after the run's other workers have finished; the executor
+// keeps serving later runs.
+TEST(RootExecutorTest, ThrowingStepStopsTheRunAndReachesTheCaller) {
+  for (const uint32_t threads : kThreadCounts) {
+    SearchStats stats;
+    bool complete = false;
+    EXPECT_THROW(RunCounting(
+                     threads, 500, {},
+                     [](RootParallelShared&, size_t root) {
+                       if (root == 37) throw std::runtime_error("step");
+                       return RootStep::kContinue;
+                     },
+                     &stats, &complete),
+                 std::runtime_error)
+        << "threads=" << threads;
+    const auto counts = RunCounting(
+        threads, 100, {},
+        [](RootParallelShared&, size_t) { return RootStep::kContinue; },
+        &stats, &complete);
+    EXPECT_TRUE(AllOnce(counts));
+  }
+}
+
+// Every worker of a run carries its caller's CPU mask: pinned when the
+// caller is pinned (helpers then created inherit that pin), the wide mask
+// again once the caller's is restored.
+TEST(RootExecutorTest, WorkersTakeTheCallersCpuMask) {
+  cpu_set_t wide;
+  CPU_ZERO(&wide);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(wide), &wide), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &wide)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+
+  // Runs 8 workers over slow roots, so helpers join, and returns the
+  // masks the workers saw and how many distinct threads took part.
+  const auto worker_masks = [](std::vector<cpu_set_t>* masks) {
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    SearchStats stats;
+    bool complete = false;
+    RunCounting(
+        8, 64, {},
+        [&](RootParallelShared&, size_t) {
+          cpu_set_t m;
+          CPU_ZERO(&m);
+          sched_getaffinity(0, sizeof(m), &m);
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          std::lock_guard<std::mutex> lock(mu);
+          masks->push_back(m);
+          threads.insert(std::this_thread::get_id());
+          return RootStep::kContinue;
+        },
+        &stats, &complete);
+    return threads.size();
+  };
+
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  std::vector<cpu_set_t> pinned;
+  const size_t pinned_threads = worker_masks(&pinned);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(wide), &wide), 0);
+  std::vector<cpu_set_t> restored;
+  const size_t restored_threads = worker_masks(&restored);
+
+  EXPECT_GT(pinned_threads, 1u) << "no helper joined the pinned run";
+  EXPECT_GT(restored_threads, 1u) << "no helper joined the restored run";
+  for (const cpu_set_t& m : pinned) EXPECT_TRUE(CPU_EQUAL(&m, &one));
+  for (const cpu_set_t& m : restored) EXPECT_TRUE(CPU_EQUAL(&m, &wide));
 }
 
 // End-to-end exactness: the engine's root-parallel path == brute force at
