@@ -3,7 +3,9 @@
 #include "graph/bfs.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <numeric>
 
 namespace ktg {
 
@@ -152,6 +154,38 @@ HopDistance BoundedBfs::Eccentricity(VertexId s) {
   const auto levels =
       Levels(s, std::numeric_limits<HopDistance>::max() - 1);
   return static_cast<HopDistance>(levels.size());
+}
+
+LevelSweep::LevelSweep(const Graph& graph)
+    : graph_(graph),
+      seen_(graph.num_vertices(), 0),
+      frontier_(graph.num_vertices(), 0),
+      next_(graph.num_vertices(), 0) {}
+
+void LevelSweep::Start(std::span<const VertexId> sources) {
+  KTG_CHECK(!sources.empty() && sources.size() <= kWidth);
+  std::fill(seen_.begin(), seen_.end(), 0);
+  std::fill(frontier_.begin(), frontier_.end(), 0);
+  all_ = 0;
+  uint64_t frontier_arcs = 0;
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const VertexId s = sources[i];
+    KTG_DCHECK(s < graph_.num_vertices());
+    const uint64_t bit = uint64_t{1} << i;
+    seen_[s] |= bit;
+    frontier_[s] |= bit;
+    all_ |= bit;
+    frontier_arcs += graph_.Degree(s);
+  }
+  push_ = PushPays(frontier_arcs);
+  depth_ = 0;
+}
+
+void LevelSweep::StartRange(VertexId first, uint32_t count) {
+  std::array<VertexId, kWidth> sources;
+  KTG_CHECK(count <= kWidth);
+  std::iota(sources.begin(), sources.begin() + count, first);
+  Start({sources.data(), count});
 }
 
 HopDistance HopDistanceBetween(const Graph& graph, VertexId s, VertexId t) {

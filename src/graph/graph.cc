@@ -39,7 +39,7 @@ Graph GraphBuilder::Build() {
 
   Graph g;
   const uint32_t n = num_vertices_;
-  g.offsets_.assign(n + 1, 0);
+  g.offsets_.assign(uint64_t{n} + 1, 0);  // n + 1 must not wrap at 2^32 - 1
 
   // Two-pass CSR construction: count degrees, prefix-sum, scatter.
   for (const auto& [u, v] : edges_) {

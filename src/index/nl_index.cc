@@ -3,10 +3,12 @@
 #include "index/nl_index.h"
 
 #include <algorithm>
+#include <array>
 #include <unordered_set>
 
 #include "graph/bfs.h"
 #include "index/affected.h"
+#include "util/bits.h"
 #include "util/sorted_vector.h"
 #include "util/thread_pool.h"
 
@@ -21,17 +23,99 @@ NlIndex::NlIndex(const Graph& graph, NlIndexOptions options)
   BuildAll();
 }
 
+namespace {
+
+// Deepest level any build asks for: the full component, as in BuildVertex.
+constexpr HopDistance kMaxDepth = kUnreachable - 1;
+
+// Count phase for one batch: per source in order, appends to `plan` h by
+// the rule of BuildVertex, whether the levels stop at h, and the sizes of
+// levels 1..h. Sweeping one level past max_stored_hops decides `exhausted`.
+void CountBatch(const SweepBatch& batch, uint32_t max_stored_hops,
+                LevelSweep& sweep, std::vector<uint32_t>& plan) {
+  const uint64_t max_depth =
+      std::min<uint64_t>(uint64_t{max_stored_hops} + 1, kMaxDepth);
+  std::vector<std::array<uint32_t, LevelSweep::kWidth>> sizes;
+  std::array<uint32_t, LevelSweep::kWidth> level{};
+  sweep.StartRange(batch.first, batch.width);
+  while (sweep.depth() < max_depth &&
+         sweep.Step([&](VertexId, uint64_t bits) {
+           ForEachSetBit(bits, [&](int i) { ++level[i]; });
+         })) {
+    sizes.push_back(level);
+    level.fill(0);
+  }
+  for (uint32_t i = 0; i < batch.width; ++i) {
+    uint32_t ecc = 0;
+    uint32_t h = 0;
+    uint32_t best = 0;
+    for (uint32_t d = 1; d <= sizes.size() && sizes[d - 1][i] > 0; ++d) {
+      ecc = d;
+      if (d <= max_stored_hops && sizes[d - 1][i] > best) {
+        best = sizes[d - 1][i];
+        h = d;
+      }
+    }
+    plan.push_back(h);
+    plan.push_back(h == ecc ? 1 : 0);
+    for (uint32_t d = 1; d <= h; ++d) plan.push_back(sizes[d - 1][i]);
+  }
+}
+
+}  // namespace
+
 void NlIndex::BuildAll() {
   const uint32_t n = graph_.num_vertices();
+  const uint64_t num_batches = SweepBatch::Count(n);
   ThreadPool pool(options_.num_threads);
-  // A few chunks per worker balances uneven per-vertex BFS costs without
-  // paying scratch setup per vertex; each chunk reuses one BoundedBfs.
   const uint64_t grain =
-      std::max<uint64_t>(1, n / (8ull * pool.num_threads()));
-  pool.ParallelFor(0, n, grain, [this](uint64_t begin, uint64_t end) {
-    BoundedBfs bfs(graph_);
-    for (uint64_t v = begin; v < end; ++v) {
-      BuildVertex(static_cast<VertexId>(v), bfs);
+      std::max<uint64_t>(1, num_batches / (8ull * pool.num_threads()));
+
+  // Count: one sweep per batch fixes every vertex's h and level sizes.
+  std::vector<std::vector<uint32_t>> plans(num_batches);
+  pool.ParallelFor(0, num_batches, grain, [&](uint64_t begin, uint64_t end) {
+    LevelSweep sweep(graph_);
+    for (uint64_t b = begin; b < end; ++b) {
+      CountBatch(SweepBatch(b, n), options_.max_stored_hops, sweep, plans[b]);
+    }
+  });
+
+  // Reserve every level on this thread, in vertex order: lists allocated by
+  // the pool's workers would scatter over per-thread malloc arenas.
+  VertexId v = 0;
+  for (const auto& plan : plans) {
+    for (size_t at = 0; at < plan.size(); ++v) {
+      const uint32_t h = plan[at];
+      lists_[v].exhausted = plan[at + 1] != 0;
+      lists_[v].levels.resize(h);
+      for (uint32_t d = 1; d <= h; ++d) {
+        lists_[v].levels[d - 1].reserve(plan[at + 1 + d]);
+      }
+      base_h_[v] = h;
+      at += 2 + h;
+    }
+  }
+
+  // Fill: a second sweep per batch, stopped at the batch's deepest h,
+  // appends the ids to the reserved levels.
+  pool.ParallelFor(0, num_batches, grain, [&](uint64_t begin, uint64_t end) {
+    LevelSweep sweep(graph_);
+    for (uint64_t b = begin; b < end; ++b) {
+      const SweepBatch batch(b, n);
+      VertexLists* lists = &lists_[batch.first];
+      const uint32_t* h = &base_h_[batch.first];
+      const uint32_t max_h = *std::max_element(h, h + batch.width);
+      sweep.StartRange(batch.first, batch.width);
+      while (sweep.depth() < max_h &&
+             sweep.Step([&](VertexId w, uint64_t bits) {
+               const uint32_t d = sweep.depth() + 1;
+               ForEachSetBit(bits, [&](int i) {
+                 if (d <= lists[i].levels.size()) {
+                   lists[i].levels[d - 1].push_back(w);
+                 }
+               });
+             })) {
+      }
     }
   });
 }

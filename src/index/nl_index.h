@@ -40,19 +40,20 @@ struct NlIndexOptions {
   /// out-of-horizon checks fall back to plain bounded BFS.
   bool memoize_expansions = true;
 
-  /// Worker threads for the construction-time per-vertex BFS loop
-  /// (0 = hardware concurrency). Every thread count produces an identical
-  /// index — per-vertex builds are independent — and 1 runs the exact
-  /// serial loop with no pool involved. Only construction is affected;
-  /// queries and dynamic updates always run on the calling thread.
+  /// Worker threads for the construction-time level sweeps (0 = hardware
+  /// concurrency). Every thread count produces an identical index — the
+  /// 64-vertex batches are independent — and 1 runs the sweeps serially
+  /// with no pool involved. Only construction is affected; queries and
+  /// dynamic updates always run on the calling thread.
   uint32_t num_threads = 0;
 };
 
 /// The h-hop neighbors list index.
 class NlIndex final : public DistanceChecker {
  public:
-  /// Builds the index for `graph` (copied). Build cost is one full BFS per
-  /// vertex, O(n·m) total.
+  /// Builds the index for `graph` (copied): two 64-source level sweeps
+  /// (graph/bfs.h) per 64 vertices, at most max_stored_hops + 1 levels
+  /// deep, one to size the lists and one to fill them.
   explicit NlIndex(const Graph& graph, NlIndexOptions options = {});
 
   std::string name() const override { return "NL"; }
@@ -110,10 +111,11 @@ class NlIndex final : public DistanceChecker {
     bool exhausted = false;  // levels reach the whole component
   };
 
-  // Builds every per-vertex list, partitioned over options_.num_threads
-  // workers (the builds are independent, so the result is identical for
-  // every thread count).
+  // Builds every per-vertex list by level sweeps over 64-vertex batches,
+  // partitioned over options_.num_threads workers; the output is what
+  // BuildVertex gives every vertex, for every thread count.
   void BuildAll();
+  // Rebuilds one vertex's lists from a single-source BFS (RebuildRows).
   void BuildVertex(VertexId v, BoundedBfs& bfs);
   // Grows lists_[v] by one level from its current frontier. Returns false
   // (and sets exhausted) when the frontier is empty.

@@ -3,10 +3,12 @@
 #include "index/nlrnl_index.h"
 
 #include <algorithm>
+#include <array>
 
 #include "graph/bfs.h"
 #include "graph/stats.h"
 #include "index/affected.h"
+#include "util/bits.h"
 #include "util/thread_pool.h"
 
 namespace ktg {
@@ -20,15 +22,123 @@ NlrnlIndex::NlrnlIndex(const Graph& graph, NlrnlIndexOptions options)
   RefreshComponents();
 }
 
+namespace {
+
+// Deepest level any build asks for: the full component, as in BuildVertex.
+constexpr HopDistance kMaxDepth = kUnreachable - 1;
+
+// The sources of `batch` with an id below v: the ones whose entries store v.
+uint64_t SourcesBelow(const SweepBatch& batch, VertexId v) {
+  if (v <= batch.first) return 0;
+  return LowBits(static_cast<int>(std::min<uint64_t>(v - batch.first, 64)));
+}
+
+// What the count sweep fixes about a vertex's entry.
+struct EntryShape {
+  uint32_t c = 2;
+  uint32_t ecc = 0;
+  uint32_t num_ids = 0;  // stored ids, over every level but c
+};
+
+// Count phase for one batch: c by the rule of BuildVertex, the eccentricity,
+// and the number of ids the entry stores.
+void CountBatch(const SweepBatch& batch, uint32_t max_c, LevelSweep& sweep,
+                EntryShape* shape) {
+  std::array<uint32_t, LevelSweep::kWidth> size{}, above{}, best{}, above_c{};
+  std::array<uint32_t, LevelSweep::kWidth> above_all{};
+  sweep.StartRange(batch.first, batch.width);
+  while (sweep.depth() < kMaxDepth &&
+         sweep.Step([&](VertexId v, uint64_t bits) {
+           ForEachSetBit(bits, [&](int i) { ++size[i]; });
+           ForEachSetBit(bits & SourcesBelow(batch, v),
+                         [&](int i) { ++above[i]; });
+         })) {
+    const uint32_t d = sweep.depth();
+    for (uint32_t i = 0; i < batch.width; ++i) {
+      if (size[i] == 0) continue;
+      shape[i].ecc = d;
+      above_all[i] += above[i];
+      if (d >= 2 && d <= max_c && size[i] > best[i]) {
+        best[i] = size[i];
+        shape[i].c = d;
+        above_c[i] = above[i];
+      }
+      size[i] = above[i] = 0;
+    }
+  }
+  for (uint32_t i = 0; i < batch.width; ++i) {
+    shape[i].num_ids = above_all[i] - above_c[i];
+  }
+}
+
+// Fill phase for one batch: writes each level's ids and end offset straight
+// into the allocated entries rows[0 .. width), whose headers are set.
+void FillBatch(const SweepBatch& batch, LevelSweep& sweep,
+               uint32_t* const* rows) {
+  std::array<uint32_t*, LevelSweep::kWidth> ids{};
+  std::array<uint32_t, LevelSweep::kWidth> cursor{}, stored{};
+  for (uint32_t i = 0; i < batch.width; ++i) {
+    ids[i] = rows[i] + 4 + rows[i][1] + rows[i][2];
+  }
+  sweep.StartRange(batch.first, batch.width);
+  uint64_t skip = 0;  // sources whose c is the level being swept (c >= 2)
+  while (sweep.depth() < kMaxDepth &&
+         sweep.Step([&](VertexId v, uint64_t bits) {
+           ForEachSetBit(bits & SourcesBelow(batch, v) & ~skip,
+                         [&](int i) { ids[i][cursor[i]++] = v; });
+         })) {
+    const uint32_t d = sweep.depth();
+    skip = 0;
+    for (uint32_t i = 0; i < batch.width; ++i) {
+      const uint32_t c = rows[i][0];
+      if (d != c && stored[i] < rows[i][1] + rows[i][2]) {
+        rows[i][3 + ++stored[i]] = cursor[i];
+      }
+      if (d + 1 == c) skip |= uint64_t{1} << i;
+    }
+  }
+}
+
+}  // namespace
+
 void NlrnlIndex::BuildAll() {
   const uint32_t n = graph_.num_vertices();
+  const uint64_t num_batches = SweepBatch::Count(n);
   ThreadPool pool(options_.num_threads);
   const uint64_t grain =
-      std::max<uint64_t>(1, n / (8ull * pool.num_threads()));
-  pool.ParallelFor(0, n, grain, [this](uint64_t begin, uint64_t end) {
-    BoundedBfs bfs(graph_);
-    for (uint64_t v = begin; v < end; ++v) {
-      BuildVertex(static_cast<VertexId>(v), bfs);
+      std::max<uint64_t>(1, num_batches / (8ull * pool.num_threads()));
+
+  // Count: one sweep per batch fixes every entry's c and size.
+  std::vector<EntryShape> shapes(n);
+  pool.ParallelFor(0, num_batches, grain, [&](uint64_t begin, uint64_t end) {
+    LevelSweep sweep(graph_);
+    for (uint64_t b = begin; b < end; ++b) {
+      const SweepBatch batch(b, n);
+      CountBatch(batch, options_.max_c, sweep, &shapes[batch.first]);
+    }
+  });
+
+  // Allocate every entry on this thread, in vertex order: entries made by
+  // the pool's workers would scatter over per-thread malloc arenas.
+  std::vector<uint32_t*> rows(n);
+  for (VertexId v = 0; v < n; ++v) {
+    const EntryShape& shape = shapes[v];
+    const uint32_t nf = std::min(shape.ecc, shape.c - 1);
+    const uint32_t nr = shape.ecc > shape.c ? shape.ecc - shape.c : 0;
+    auto entry = std::make_shared<uint32_t[]>(4 + nf + nr + shape.num_ids);
+    entry[0] = shape.c;
+    entry[1] = nf;
+    entry[2] = nr;
+    rows[v] = entry.get();
+    entries_[v] = std::move(entry);
+  }
+
+  // Fill: a second sweep per batch writes the ids in place.
+  pool.ParallelFor(0, num_batches, grain, [&](uint64_t begin, uint64_t end) {
+    LevelSweep sweep(graph_);
+    for (uint64_t b = begin; b < end; ++b) {
+      const SweepBatch batch(b, n);
+      FillBatch(batch, sweep, &rows[batch.first]);
     }
   });
 }

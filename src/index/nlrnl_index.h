@@ -49,17 +49,19 @@ struct NlrnlIndexOptions {
   /// pick deeper levels on large-diameter graphs.
   uint32_t max_c = 8;
 
-  /// Worker threads for the construction-time per-vertex BFS loop
-  /// (0 = hardware concurrency). Every thread count produces an identical
-  /// index; 1 runs the exact serial loop with no pool involved. Queries
-  /// and dynamic updates always run on the calling thread.
+  /// Worker threads for the construction-time level sweeps (0 = hardware
+  /// concurrency). Every thread count produces an identical index; 1 runs
+  /// the sweeps serially with no pool involved. Queries and dynamic
+  /// updates always run on the calling thread.
   uint32_t num_threads = 0;
 };
 
 /// The (c-1)-hop + reverse c-hop neighbors index.
 class NlrnlIndex final : public DistanceChecker {
  public:
-  /// Builds the index for `graph` (copied). One full BFS per vertex.
+  /// Builds the index for `graph` (copied): two 64-source level sweeps
+  /// (graph/bfs.h) per 64 vertices, one to size the entries and one to
+  /// fill them.
   explicit NlrnlIndex(const Graph& graph, NlrnlIndexOptions options = {});
 
   std::string name() const override { return "NLRNL"; }
@@ -119,9 +121,11 @@ class NlrnlIndex final : public DistanceChecker {
   // Stored level i of a packed entry.
   static std::span<const VertexId> Level(const uint32_t* entry, uint32_t i);
 
-  // Builds every vertex entry, partitioned over options_.num_threads
-  // workers (identical output for every thread count).
+  // Builds every vertex entry by level sweeps over 64-vertex batches,
+  // partitioned over options_.num_threads workers; the output is what
+  // BuildVertex gives every vertex, for every thread count.
   void BuildAll();
+  // Rebuilds one entry from a single-source BFS (RebuildRows).
   void BuildVertex(VertexId v, BoundedBfs& bfs);
   void RefreshComponents();
 

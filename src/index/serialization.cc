@@ -71,10 +71,17 @@ class Writer {
 class Reader {
  public:
   explicit Reader(const std::string& path)
-      : path_(path), in_(path, std::ios::binary) {}
+      : path_(path), in_(path, std::ios::binary | std::ios::ate) {
+    if (in_) {
+      remaining_ = static_cast<uint64_t>(in_.tellg());
+      in_.seekg(0);
+    }
+  }
 
   bool open() const { return static_cast<bool>(in_); }
   bool failed() const { return failed_; }
+  // Bytes left in the file after what has been read.
+  uint64_t remaining() const { return remaining_; }
 
   void Raw(void* data, size_t len) {
     if (failed_) return;
@@ -83,6 +90,7 @@ class Reader {
       failed_ = true;
       return;
     }
+    remaining_ -= len;
     checksum_.Feed(data, len);
   }
   uint8_t U8() {
@@ -145,6 +153,7 @@ class Reader {
   std::string path_;
   std::ifstream in_;
   Checksum checksum_;
+  uint64_t remaining_ = 0;
   bool failed_ = false;
 };
 
@@ -158,11 +167,19 @@ void WriteGraph(Writer& w, const Graph& g) {
   }
 }
 
-Result<Graph> ReadGraph(Reader& r, const std::string& path) {
+// Reads the graph section of an index whose per-vertex records take at
+// least `min_vertex_bytes` each. A vertex or edge count the rest of the file
+// cannot hold is refused before anything is allocated for it.
+Result<Graph> ReadGraph(Reader& r, uint64_t min_vertex_bytes,
+                        const std::string& path) {
   const uint32_t n = r.U32();
   const uint64_t m = r.U64();
   if (r.failed() || m > (static_cast<uint64_t>(n) * n) / 2 + 1) {
     return Status::IoError(path + ": corrupt graph header");
+  }
+  if (m > r.remaining() / 8 ||
+      n * min_vertex_bytes > r.remaining() - m * 8) {
+    return Status::IoError(path + ": graph header exceeds the file size");
   }
   GraphBuilder builder(n);
   for (uint64_t i = 0; i < m; ++i) {
@@ -215,7 +232,8 @@ Status SaveNlIndex(const NlIndex& index, const std::string& path) {
 Result<NlIndex> LoadNlIndex(const std::string& path) {
   Reader r(path);
   KTG_RETURN_IF_ERROR(CheckHeader(r, kKindNl, path));
-  auto graph = ReadGraph(r, path);
+  // Per vertex: level count (8), exhausted flag (1), base h (4).
+  auto graph = ReadGraph(r, /*min_vertex_bytes=*/13, path);
   if (!graph.ok()) return graph.status();
 
   NlIndex index;
@@ -263,7 +281,8 @@ Status SaveNlrnlIndex(const NlrnlIndex& index, const std::string& path) {
 Result<NlrnlIndex> LoadNlrnlIndex(const std::string& path) {
   Reader r(path);
   KTG_RETURN_IF_ERROR(CheckHeader(r, kKindNlrnl, path));
-  auto graph = ReadGraph(r, path);
+  // Per vertex: c (4), forward and reverse level counts (8 each).
+  auto graph = ReadGraph(r, /*min_vertex_bytes=*/20, path);
   if (!graph.ok()) return graph.status();
 
   NlrnlIndex index;

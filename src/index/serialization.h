@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The ktg Authors.
 // Binary persistence for the NL and NLRNL indexes.
 //
-// Building either index costs one full BFS per vertex (minutes at the
+// Building either index costs a full BFS from every vertex (minutes at the
 // paper's dataset sizes), so production deployments build once and reload.
 // The format is a little-endian binary stream:
 //
@@ -9,9 +9,10 @@
 //   [per-vertex payload][FNV-1a checksum u64 over everything before it]
 //
 // Readers validate magic, version, kind and checksum and return a Status
-// instead of crashing on truncated or corrupt files. The graph topology is
-// embedded so a loaded index is self-consistent (NL/NLRNL own their graph
-// copy for dynamic updates).
+// instead of crashing on truncated or corrupt files; a vertex or edge count
+// the file is too short to hold is refused before anything is allocated.
+// The graph topology is embedded so a loaded index is self-consistent
+// (NL/NLRNL own their graph copy for dynamic updates).
 
 #ifndef KTG_INDEX_SERIALIZATION_H_
 #define KTG_INDEX_SERIALIZATION_H_

@@ -33,6 +33,12 @@ inline CoverMask NovelBits(CoverMask m, CoverMask covered) {
   return m & ~covered;
 }
 
+/// Calls fn(i) for every set bit i of `bits`, in ascending order.
+template <typename Fn>
+inline void ForEachSetBit(uint64_t bits, Fn&& fn) {
+  for (; bits != 0; bits &= bits - 1) fn(std::countr_zero(bits));
+}
+
 }  // namespace ktg
 
 #endif  // KTG_UTIL_BITS_H_

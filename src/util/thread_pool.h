@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The ktg Authors.
 // A fixed-size thread pool with a blocking ParallelFor helper.
 //
-// Index construction partitions its per-vertex BFS loop over a pool, and
+// Index construction partitions its BFS batches over a pool, and
 // the batch runner schedules its per-query worker loops on one. (The
 // engine's root-parallel search does not: it borrows helpers from one
 // process-wide executor, see core/root_parallel.h.) The pool is

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <numeric>
+#include <span>
+#include <utility>
 
 #include "datagen/generators.h"
 #include "graph/bfs.h"
@@ -170,6 +173,89 @@ TEST(BfsTest, EpochReuseDoesNotLeakMarks) {
     EXPECT_EQ(bfs.Distance(0, 5, 10), 5);
     EXPECT_EQ(bfs.DistanceBidirectional(10, 20, 10), 10);
   }
+}
+
+// A random forest: trees over about 80% of the vertices, the rest isolated.
+Graph RandomForest(uint32_t n, Rng& rng) {
+  GraphBuilder b(n);
+  for (VertexId v = 1; v < n; ++v) {
+    if (rng.Chance(0.8)) b.AddEdge(v, static_cast<VertexId>(rng.Below(v)));
+  }
+  return b.Build();
+}
+
+// The levels a sweep reports for each source, indexed [source][depth - 1].
+std::vector<std::vector<std::vector<VertexId>>> SweepLevels(
+    LevelSweep& sweep, std::span<const VertexId> sources,
+    HopDistance max_hops) {
+  std::vector<std::vector<std::vector<VertexId>>> levels(sources.size());
+  sweep.Start(sources);
+  while (sweep.depth() < max_hops) {
+    const HopDistance depth = sweep.depth() + 1;
+    for (auto& per_source : levels) per_source.emplace_back();
+    const bool reached = sweep.Step([&](VertexId v, uint64_t bits) {
+      for (size_t i = 0; i < sources.size(); ++i) {
+        if (bits >> i & 1) levels[i][depth - 1].push_back(v);
+      }
+    });
+    // Drop the level just opened for sources it did not reach.
+    for (auto& per_source : levels) {
+      if (per_source.back().empty()) per_source.pop_back();
+    }
+    if (!reached) {
+      EXPECT_EQ(sweep.depth(), depth - 1);
+      break;
+    }
+    EXPECT_EQ(sweep.depth(), depth);
+  }
+  return levels;
+}
+
+TEST(LevelSweepTest, EqualsLevelsOfEverySource) {
+  Rng rng(41);
+  for (const uint32_t n : {1u, 63u, 64u, 65u, 300u}) {
+    std::vector<Graph> graphs;
+    graphs.push_back(ErdosRenyi(n, 3.0 / n, rng));
+    if (n > 3) graphs.push_back(BarabasiAlbert(n, 3, rng));
+    graphs.push_back(RandomForest(n, rng));
+    for (const Graph& g : graphs) {
+      BoundedBfs bfs(g);
+      LevelSweep sweep(g);
+      for (const uint32_t width : {1u, 37u, 64u}) {
+        // Distinct random sources, so they span components.
+        std::vector<VertexId> sources(n);
+        std::iota(sources.begin(), sources.end(), 0);
+        rng.Shuffle(sources);
+        sources.resize(std::min(width, n));
+        for (const HopDistance max_hops :
+             {HopDistance{1}, HopDistance{2}, HopDistance{3},
+              HopDistance(kUnreachable - 1)}) {
+          const auto got = SweepLevels(sweep, sources, max_hops);
+          for (size_t i = 0; i < sources.size(); ++i) {
+            ASSERT_EQ(got[i], bfs.Levels(sources[i], max_hops))
+                << "n=" << n << " m=" << g.num_edges() << " width=" << width
+                << " source=" << sources[i] << " max_hops=" << max_hops;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LevelSweepTest, StartRangeNumbersSourcesFromFirst) {
+  const Graph g = PathGraph(70);
+  LevelSweep sweep(g);
+  sweep.StartRange(5, 64);  // sources 5 .. 68; bit i stands for 5 + i
+  std::vector<std::pair<VertexId, uint64_t>> level;
+  ASSERT_TRUE(sweep.Step([&](VertexId v, uint64_t bits) {
+    level.emplace_back(v, bits);
+  }));
+  // Depth 1 of source 5 + i is {4 + i, 6 + i}: vertices 4 .. 69, each once.
+  ASSERT_EQ(level.size(), 66u);
+  EXPECT_EQ(level.front(), (std::pair<VertexId, uint64_t>{4, 1}));
+  EXPECT_EQ(level[2], (std::pair<VertexId, uint64_t>{6, 0b101}));
+  EXPECT_EQ(level.back(),
+            (std::pair<VertexId, uint64_t>{69, uint64_t{1} << 63}));
 }
 
 }  // namespace

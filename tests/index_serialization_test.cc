@@ -203,6 +203,33 @@ TEST(IndexSerializationTest, GarbageRejected) {
   std::remove(path.c_str());
 }
 
+TEST(IndexSerializationTest, VertexCountBeyondFileSizeRejected) {
+  // A bare header: magic, version, kind, vertex count n, edge count m = 0.
+  // Such an n once wrapped n + 1 to 0 in the graph build (a crash) or asked
+  // for tens of GB; it must fail on the file size before any allocation.
+  const std::string path = TempPath("ktg_huge_n.idx");
+  for (const uint8_t kind : {uint8_t{1}, uint8_t{2}}) {  // NL, NLRNL
+    for (const uint32_t n : {0xFFFFFFFFu, 0x7FFFFFFFu}) {
+      {
+        std::ofstream out(path, std::ios::binary);
+        const uint32_t magic = 0x4b544749;
+        const uint32_t version = 1;
+        const uint64_t m = 0;
+        out.write(reinterpret_cast<const char*>(&magic), sizeof magic);
+        out.write(reinterpret_cast<const char*>(&version), sizeof version);
+        out.write(reinterpret_cast<const char*>(&kind), sizeof kind);
+        out.write(reinterpret_cast<const char*>(&n), sizeof n);
+        out.write(reinterpret_cast<const char*>(&m), sizeof m);
+      }
+      const Status status = kind == 1 ? LoadNlIndex(path).status()
+                                      : LoadNlrnlIndex(path).status();
+      EXPECT_EQ(status.code(), StatusCode::kIoError)
+          << "kind " << int{kind} << " n " << n;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(IndexSerializationTest, TruncationDetected) {
   NlrnlIndex idx(CycleGraph(20));
   const std::string path = TempPath("ktg_trunc.idx");

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +20,7 @@
 #include "index/affected.h"
 #include "index/nl_index.h"
 #include "index/nlrnl_index.h"
+#include "index/serialization.h"
 #include "util/rng.h"
 
 namespace ktg {
@@ -230,6 +237,53 @@ TEST(NlrnlUpdateTest, RebuildCountIsBounded) {
   index.InsertEdge(0, 19);
   EXPECT_GT(index.last_update_rebuilds(), 0u);
   EXPECT_LT(index.last_update_rebuilds(), 20u);
+}
+
+// The bytes `save` writes for `index`.
+template <typename Index, typename Save>
+std::string SavedBytes(const Index& index, Save save) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ktg_build_paths.idx")
+          .string();
+  EXPECT_TRUE(save(index, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+// The build sweeps 64 sources at a time; RebuildRows runs one BFS per row.
+// Rebuilding every row of a fresh index must not change a byte.
+TEST(BuildPathsTest, FreshBuildEqualsRebuildOfEveryRow) {
+  Rng rng(99);
+  std::vector<Graph> graphs;
+  graphs.push_back(ErdosRenyi(150, 0.012, rng));  // disconnected
+  graphs.push_back(BarabasiAlbert(130, 2, rng));
+  graphs.push_back(PathGraph(70));
+  for (const Graph& g : graphs) {
+    std::vector<VertexId> all(g.num_vertices());
+    std::iota(all.begin(), all.end(), 0);
+    for (const uint32_t threads : {1u, 4u}) {
+      for (const uint32_t cap : {2u, 8u}) {
+        const NlIndex nl(g, {.max_stored_hops = cap, .num_threads = threads});
+        NlIndex nl_rows = nl;
+        nl_rows.RebuildRows(g, all);
+        EXPECT_EQ(SavedBytes(nl, SaveNlIndex),
+                  SavedBytes(nl_rows, SaveNlIndex))
+            << "NL n=" << g.num_vertices() << " threads=" << threads
+            << " max_stored_hops=" << cap;
+
+        const NlrnlIndex nlrnl(g, {.max_c = cap, .num_threads = threads});
+        NlrnlIndex nlrnl_rows = nlrnl;
+        nlrnl_rows.RebuildRows(g, all);
+        EXPECT_EQ(SavedBytes(nlrnl, SaveNlrnlIndex),
+                  SavedBytes(nlrnl_rows, SaveNlrnlIndex))
+            << "NLRNL n=" << g.num_vertices() << " threads=" << threads
+            << " max_c=" << cap;
+      }
+    }
+  }
 }
 
 }  // namespace
