@@ -95,11 +95,14 @@ void RunAblation() {
     bitmap.checker = CheckerKind::kKHopBitmap;
     auto bfs_per_pair = bfs;
     bfs_per_pair.engine.bulk_filtering = false;
+    auto nlrnl_per_pair = Base();
+    nlrnl_per_pair.engine.bulk_filtering = false;
     Report("distance checker",
            {{"BFS (bulk ball filter)", bfs},
             {"BFS (per-pair checks)", bfs_per_pair},
             {"NL", nl},
-            {"NLRNL", Base()},
+            {"NLRNL (k-line memo)", Base()},
+            {"NLRNL (per-pair checks)", nlrnl_per_pair},
             {"KHopBitmap (extension)", bitmap}});
   }
   {

@@ -59,7 +59,8 @@ bool CachingChecker::IsFartherThanImpl(VertexId u, VertexId v, HopDistance k) {
   if (KtgCache::BallPtr ball = cache_->PeekBall(v, k, epoch_)) {
     return !SortedContains(*ball, u);
   }
-  return inner_->IsFartherThan(u, v, k);
+  // This call's IsFartherThan has counted the check already.
+  return IsFartherThanUncounted(*inner_, u, v, k);
 }
 
 std::unique_ptr<DistanceChecker> MaybeWrapWithCache(

@@ -9,6 +9,8 @@
 #ifndef KTG_CORE_CANDIDATES_H_
 #define KTG_CORE_CANDIDATES_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "core/query.h"
@@ -20,6 +22,9 @@ namespace ktg {
 /// One entry of the remaining-candidates set S_R.
 struct Candidate {
   VertexId vertex = kInvalidVertex;
+  /// Position in the run's initially ranked S_R; children copy it. The
+  /// engine's k-line memo is indexed by it.
+  uint32_t slot = 0;
   /// Coverage mask relative to the query keyword list.
   CoverMask mask = 0;
   /// Cached degree (for the VKC-DEG tie-break).
@@ -43,6 +48,35 @@ std::vector<Candidate> ExtractCandidates(const AttributedGraph& g,
                                          DistanceChecker& checker,
                                          uint64_t* kline_removed = nullptr,
                                          uint64_t* checks = nullptr);
+
+/// Sorts `cands` by `less` in place, exploiting an order that is already
+/// nearly sorted: an insertion pass, O(n + inversions). A child's S_R
+/// keeps its parent's order with some vkc values lowered, so it has few
+/// inversions. Past a budget of element moves the pass finishes with
+/// std::sort instead, so a badly unsorted input costs O(n log n), not
+/// O(n^2). When `less` is a total order the result is exactly
+/// std::sort's.
+template <typename Less>
+void ResortCandidates(std::vector<Candidate>& cands, Less less) {
+  const size_t n = cands.size();
+  size_t moves_left = 8 * n;
+  for (size_t i = 1; i < n; ++i) {
+    if (!less(cands[i], cands[i - 1])) continue;
+    Candidate x = cands[i];
+    size_t j = i;
+    do {
+      if (moves_left == 0) {
+        cands[j] = x;
+        std::sort(cands.begin(), cands.end(), less);
+        return;
+      }
+      --moves_left;
+      cands[j] = cands[j - 1];
+      --j;
+    } while (j > 0 && less(x, cands[j - 1]));
+    cands[j] = x;
+  }
+}
 
 }  // namespace ktg
 

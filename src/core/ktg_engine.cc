@@ -68,23 +68,68 @@ void KtgEngine::RecordTrace(obs::TraceEventKind kind, VertexId vertex,
                          detail);
 }
 
-void KtgEngine::SortCandidates(std::vector<Candidate>& cands) const {
+void KtgEngine::SortCandidates(std::vector<Candidate>& cands,
+                               bool nearly_sorted) const {
+  const auto sort = [&](auto less) {
+    if (nearly_sorted) {
+      ResortCandidates(cands, less);
+    } else {
+      std::sort(cands.begin(), cands.end(), less);
+    }
+  };
   if (options_.sort == SortStrategy::kVkcDeg && options_.degree_ascending) {
-    std::sort(cands.begin(), cands.end(), StaticRankLess{});
+    sort(StaticRankLess{});
     return;
   }
   // kQkc and kVkc rank by vkc then id (kQkc is sorted once, with vkc ==
   // QKC counts, and never re-sorted); kVkcDeg here breaks vkc ties by
   // degree descending.
   const bool by_degree = options_.sort == SortStrategy::kVkcDeg;
-  std::sort(cands.begin(), cands.end(),
-            [by_degree](const Candidate& a, const Candidate& b) {
-              if (a.vkc != b.vkc) return a.vkc > b.vkc;
-              if (by_degree && a.degree != b.degree) {
-                return a.degree > b.degree;
-              }
-              return a.vertex < b.vertex;
-            });
+  sort([by_degree](const Candidate& a, const Candidate& b) {
+    if (a.vkc != b.vkc) return a.vkc > b.vkc;
+    if (by_degree && a.degree != b.degree) return a.degree > b.degree;
+    return a.vertex < b.vertex;
+  });
+}
+
+void KtgEngine::ResetMemo(size_t num_candidates) {
+  memo_words_ = (num_candidates + 63) / 64;
+  memo_row_.assign(num_candidates, kNoRow);
+  memo_bits_.clear();
+}
+
+uint64_t* KtgEngine::MemoRow(uint32_t slot) {
+  const size_t row_words = 2 * memo_words_;
+  if (memo_row_[slot] == kNoRow) {
+    memo_row_[slot] = static_cast<uint32_t>(memo_bits_.size() / row_words);
+    memo_bits_.resize(memo_bits_.size() + row_words, 0);
+  }
+  return memo_bits_.data() + size_t{memo_row_[slot]} * row_words;
+}
+
+bool KtgEngine::MemoWithinK(uint64_t* row, const Candidate& v,
+                            const Candidate& c) {
+  uint64_t* word = row + 2 * (c.slot / 64);  // {known, within}
+  const uint64_t bit = uint64_t{1} << (c.slot % 64);
+  if ((word[0] & bit) == 0) {
+    // c's own row, if c was a pivot before, may know the pair already.
+    const uint32_t c_row = memo_row_[c.slot];
+    const uint64_t* c_word = nullptr;
+    if (c_row != kNoRow) {
+      c_word = memo_bits_.data() + 2 * (c_row * memo_words_ + v.slot / 64);
+    }
+    const uint64_t v_bit = uint64_t{1} << (v.slot % 64);
+    bool within;
+    if (c_word != nullptr && (c_word[0] & v_bit) != 0) {
+      within = (c_word[1] & v_bit) != 0;
+    } else {
+      within = !checker_.IsFartherThan(c.vertex, v.vertex, k_,
+                                       &stats_.distance_checks);
+    }
+    word[0] |= bit;
+    if (within) word[1] |= bit;
+  }
+  return (word[1] & bit) != 0;
 }
 
 int KtgEngine::OptimisticGain(const std::vector<Candidate>& cands, size_t from,
@@ -145,10 +190,13 @@ std::vector<Candidate> KtgEngine::BuildChildCandidates(
   // Child S_R: candidates after i, k-line-filtered against v (Theorem 3),
   // with VKC refreshed against the enlarged S_I. When the checker can
   // materialize v's <=k ball, the whole filter costs one traversal plus
-  // binary searches.
+  // binary searches. Otherwise the bulk path is the run's k-line memo: a
+  // pair reaches the checker once, however many subtrees hold both.
   const std::vector<VertexId>* ball = nullptr;
+  uint64_t* row = nullptr;
   if (options_.eager_kline_filtering && options_.bulk_filtering) {
     ball = checker_.BallWithinK(v.vertex, k_, &stats_.distance_checks);
+    if (ball == nullptr) row = MemoRow(v.slot);
   }
   // The stopwatch read-back (and the clock reads it implies) happens only
   // when a sink is attached; sub-phase attribution is a diagnostic detail.
@@ -160,10 +208,15 @@ std::vector<Candidate> KtgEngine::BuildChildCandidates(
   for (size_t j = i + 1; j < sr.size(); ++j) {
     Candidate c = sr[j];
     if (options_.eager_kline_filtering) {
-      const bool conflict =
-          ball != nullptr ? SortedContains(*ball, c.vertex)
-                          : !checker_.IsFartherThan(c.vertex, v.vertex, k_,
-                                                    &stats_.distance_checks);
+      bool conflict;
+      if (ball != nullptr) {
+        conflict = SortedContains(*ball, c.vertex);
+      } else if (row != nullptr) {
+        conflict = MemoWithinK(row, v, c);
+      } else {
+        conflict = !checker_.IsFartherThan(c.vertex, v.vertex, k_,
+                                           &stats_.distance_checks);
+      }
       if (conflict) {
         ++dropped;
         continue;
@@ -173,7 +226,7 @@ std::vector<Candidate> KtgEngine::BuildChildCandidates(
     union_mask |= c.mask;
     child.push_back(c);
   }
-  if (options_.sort != SortStrategy::kQkc) SortCandidates(child);
+  if (options_.sort != SortStrategy::kQkc) SortCandidates(child, true);
   stats_.kline_filtered += dropped;
   if (instrument_) {
     stats_.phases[obs::Phase::kKlineFilter] += filter_watch.ElapsedMillis();
@@ -365,6 +418,7 @@ std::vector<Group> KtgEngine::ParallelRootSearch(
     clone.k_ = k_;
     clone.top_n_ = top_n_;
     clone.controls_ = RunControls(options_, run_watch, nullptr, &shared);
+    clone.ResetMemo(sr.size());
     // Root i is the serial first level's child i (members_ empty, covered
     // 0, need p_). Every Branch bound is non-increasing in the root index,
     // so a failed bound stops the claim loop (see core/root_parallel.h).
@@ -404,8 +458,12 @@ Result<SearchOutcome> KtgEngine::SearchCandidates(const KtgQuery& query,
   stats_ = *stats;
   {
     obs::PhaseTimer timer(&stats_.phases, obs::Phase::kCandidateGen);
-    SortCandidates(sr);
+    SortCandidates(sr, false);
+    for (size_t i = 0; i < sr.size(); ++i) {
+      sr[i].slot = static_cast<uint32_t>(i);
+    }
   }
+  ResetMemo(sr.size());
 
   CoverMask sr_union = 0;
   for (const Candidate& c : sr) sr_union |= c.mask;

@@ -90,10 +90,20 @@ class KtgEngine {
   std::vector<Candidate> BuildChildCandidates(const std::vector<Candidate>& sr,
                                               size_t i, CoverMask child_covered,
                                               CoverMask* child_union);
+  // Whether `c` is within k hops of the pivot `v`: read from v's memo row
+  // `row` (see memo_row_) or, on the pair's first question, from c's row
+  // or one checker call, then recorded in `row`.
+  bool MemoWithinK(uint64_t* row, const Candidate& v, const Candidate& c);
+  // The memo row of `slot`, allocated zeroed on its first use.
+  uint64_t* MemoRow(uint32_t slot);
+  // Empties the memo for a run over `num_candidates` slots.
+  void ResetMemo(size_t num_candidates);
   // Forwards to the attached QueryTrace (no-op when none); depth is the
   // current |S_I|.
   void RecordTrace(obs::TraceEventKind kind, VertexId vertex, int64_t detail);
-  void SortCandidates(std::vector<Candidate>& cands) const;
+  // Sorts into the search order: std::sort for the root's S_R, the
+  // near-sorted re-sort (ResortCandidates) for a child's.
+  void SortCandidates(std::vector<Candidate>& cands, bool nearly_sorted) const;
   // Anytime warm start: up to top_n_ greedy constructions over `sr`
   // (skip-based restart diversification, k-line feasibility through the
   // checker). Seeding the collector with them makes best-so-far non-empty
@@ -143,6 +153,17 @@ class KtgEngine {
   // The search's run controls: over collector_ on the serial path, over
   // the run's shared state on the per-worker clones of a parallel run.
   RunControls controls_;
+
+  // The run's k-line memo between S_R candidates, indexed by
+  // Candidate::slot. A candidate gets a row on its first use as a pivot:
+  // two bitsets over slots, `known` and `within`, interleaved word by word
+  // (2 * memo_words_ words). Only the pivot's row is written, so memory
+  // follows the pivots the run expands. The engine keeps the storage
+  // across runs; each root-parallel clone has its own for its run.
+  static constexpr uint32_t kNoRow = ~uint32_t{0};
+  std::vector<uint32_t> memo_row_;  // slot -> its row's index, or kNoRow
+  std::vector<uint64_t> memo_bits_;
+  size_t memo_words_ = 0;  // words per bitset: ceil(|S_R| / 64)
 };
 
 /// Convenience wrapper: builds a transient engine and runs one query.

@@ -149,11 +149,16 @@ struct EngineOptions {
   /// selection instead (same results; the ablation bench compares cost).
   bool eager_kline_filtering = true;
 
-  /// Use the checker's bulk ball materialization (one traversal per
-  /// selected member instead of per-pair checks) when the checker offers
-  /// one. Only the index-free BFS checker does today; NL/NLRNL per-pair
-  /// checks are already cheap, so this flag does not affect them. Turn off
-  /// to force the paper's per-pair accounting everywhere.
+  /// Answer the eager k-line filter in bulk instead of one checker call
+  /// per pair. A checker with a bulk ball materialization (BFS, and the
+  /// CachingChecker wrapper) answers a selected member's whole filter from
+  /// one ball. Any other checker (NL, NLRNL, bitmap) answers through the
+  /// run's k-line memo, which asks the checker about each candidate pair
+  /// at most once per run (per worker under the root-parallel search)
+  /// instead of once in every subtree that holds both. Results and node
+  /// counts are the same either way; only the check count falls. Turn off
+  /// to force the paper's per-pair accounting everywhere (the figure
+  /// benches do).
   bool bulk_filtering = true;
 
   /// Degree tie-break direction for kVkcDeg. The paper's motivation implies

@@ -151,6 +151,14 @@ class DistanceChecker {
 
   virtual bool IsFartherThanImpl(VertexId u, VertexId v, HopDistance k) = 0;
 
+  /// Answers through `other`'s implementation without counting a check or
+  /// its farther/within split: for decorators whose own IsFartherThan has
+  /// already counted the call.
+  static bool IsFartherThanUncounted(DistanceChecker& other, VertexId u,
+                                     VertexId v, HopDistance k) {
+    return other.IsFartherThanImpl(u, v, k);
+  }
+
   /// The bulk path behind BallWithinK; adds to `*traversals` each ball it
   /// had to materialize. The default has no bulk path.
   virtual const std::vector<VertexId>* BallWithinKImpl(

@@ -219,6 +219,34 @@ TEST(CachingCheckerTest, BallMatchesBfsAndSecondCallHits) {
   EXPECT_EQ(cache.BallStats().misses, before.misses);
 }
 
+// The ktgd pattern: a per-run wrapper around a snapshot's shared checker.
+// A check that falls through to the inner checker counts once, into the
+// run's tally, and never on the shared inner checker's own counter.
+TEST(CachingCheckerTest, FallThroughChecksCountOnceInTheRun) {
+  const AttributedGraph g = SmallGraph(0xC0DE, 40);
+  const InvertedIndex idx(g);
+  const auto inner = MakeChecker(CheckerKind::kNlrnl, g.graph(), 2);
+  KtgQuery query = SimpleQuery({0, 1, 2, 3, 4}, 3, 2, 3);
+  query.query_vertices = {7};
+  EngineOptions opts;
+  opts.mode = EngineMode::kAnytime;  // greedy seeds check per pair too
+  opts.bulk_filtering = false;       // no balls: every check falls through
+  const auto plain = RunKtg(g, idx, *inner, query, opts);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_GT(plain->stats.distance_checks, 0u);
+
+  KtgCache cache;
+  CachingChecker wrapped(inner.get(), g.graph(), &cache);
+  opts.cache = &cache;
+  const uint64_t inner_before = inner->num_checks();
+  const auto cached = RunKtg(g, idx, wrapped, query, opts);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(cached->groups, plain->groups);
+  EXPECT_EQ(cached->stats.distance_checks, plain->stats.distance_checks);
+  EXPECT_EQ(inner->num_checks(), inner_before);
+  EXPECT_EQ(wrapped.num_checks(), 0u);
+}
+
 // --- Invalidation through the affected-vertex path -------------------------
 
 // Warms a ball entry for every vertex at radius `k`.

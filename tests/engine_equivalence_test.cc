@@ -210,6 +210,83 @@ TEST(ResidualBoundTest, IdenticalGroupsAndMonotoneNodeCounts) {
   EXPECT_GT(total_ub_prunes, 0u);
 }
 
+// The k-line memo (bulk_filtering with an index checker) answers every
+// pair the per-pair path asks, from at most one checker call per pair: at
+// threads=1 the search is the per-pair search exactly, with no more checks.
+// Root-parallel runs, each clone with its own memo, keep brute force's
+// coverage profile.
+class KlineMemoTest
+    : public ::testing::TestWithParam<std::tuple<CheckerKind, bool>> {};
+
+TEST_P(KlineMemoTest, SameSearchAsPerPairChecksAndExactInParallel) {
+  const auto [kind, ascending] = GetParam();
+  Rng rng(0x3E30 + static_cast<int>(kind) * 31 + (ascending ? 1 : 0));
+  KeywordModel model;
+  model.vocabulary_size = 10;
+  model.min_per_vertex = 1;
+  model.max_per_vertex = 3;
+  model.empty_fraction = 0.1;
+  uint64_t memo_checks = 0;
+  uint64_t pair_checks = 0;
+  for (int round = 0; round < 3; ++round) {
+    const AttributedGraph g = AssignKeywords(
+        round % 2 == 0 ? ErdosRenyi(30, 0.1, rng) : BarabasiAlbert(30, 2, rng),
+        model, rng);
+    const InvertedIndex idx(g);
+    for (HopDistance k = 1; k <= 3; ++k) {
+      for (uint32_t p = 3; p <= 6; ++p) {
+        WorkloadOptions wopts;
+        wopts.num_queries = 1;
+        wopts.keyword_count = 6;
+        wopts.group_size = p;
+        wopts.tenuity = k;
+        wopts.top_n = 1 + (round + p) % 4;
+        const KtgQuery query = GenerateWorkload(g, wopts, rng).front();
+        SCOPED_TRACE(std::string(CheckerKindName(kind)) +
+                     (ascending ? " asc" : " desc") + " round=" +
+                     std::to_string(round) + " k=" + std::to_string(k) +
+                     " p=" + std::to_string(p));
+        auto checker = MakeChecker(kind, g.graph(), k);
+        EngineOptions opts;
+        opts.degree_ascending = ascending;
+        const auto memo = RunKtg(g, idx, *checker, query, opts);
+        opts.bulk_filtering = false;
+        const auto pair = RunKtg(g, idx, *checker, query, opts);
+        ASSERT_TRUE(memo.ok() && pair.ok());
+        EXPECT_EQ(memo->groups, pair->groups);
+        EXPECT_EQ(memo->stats.nodes_expanded, pair->stats.nodes_expanded);
+        EXPECT_EQ(memo->stats.kline_filtered, pair->stats.kline_filtered);
+        EXPECT_LE(memo->stats.distance_checks, pair->stats.distance_checks);
+        memo_checks += memo->stats.distance_checks;
+        pair_checks += pair->stats.distance_checks;
+
+        BfsChecker ref_checker(g.graph());
+        const auto truth = BruteForceKtg(g, idx, ref_checker, query);
+        ASSERT_TRUE(truth.ok());
+        opts.bulk_filtering = true;
+        opts.num_threads = 4;
+        const auto parallel = RunKtg(g, idx, *checker, query, opts);
+        ASSERT_TRUE(parallel.ok());
+        EXPECT_EQ(CoverageCounts(parallel->groups),
+                  CoverageCounts(truth->groups))
+            << "threads=4";
+      }
+    }
+  }
+  // The memo must engage somewhere, or the equalities above say nothing.
+  EXPECT_LT(memo_checks, pair_checks);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Checkers, KlineMemoTest,
+    ::testing::Combine(::testing::Values(CheckerKind::kNl, CheckerKind::kNlrnl,
+                                         CheckerKind::kKHopBitmap),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<CheckerKind, bool>>& info) {
+      return std::string(CheckerKindName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_ascending" : "_descending");
+    });
+
 // Query shapes the random workloads never draw. Both exact engines, serial
 // and root-parallel, exact and anytime, must return brute force's coverage
 // profile — and no groups at all where brute force finds none.

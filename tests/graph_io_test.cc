@@ -66,6 +66,28 @@ TEST(GraphIoTest, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(GraphIoTest, IdFarBeyondTheEdgesIsOutOfRange) {
+  // One edge cannot touch 2^32 ids; sizing the CSR by the id would ask for
+  // a 32 GB offset array.
+  const auto r = ParseEdgeList("0 4294967294\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  // Three edges may touch ids up to 2 * 3 + 2^16 - 1 = 65541.
+  const auto late = ParseEdgeList("0 1\n1 40000\n40000 65542\n");
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(GraphIoTest, SparseIdsWithinTheEdgeBudgetLoad) {
+  // SNAP-style files number vertices sparsely: ids up to twice the edge
+  // count plus a fixed slack still load, isolated vertices included.
+  const auto r = ParseEdgeList("0 1\n1 40000\n40000 65541\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->num_vertices(), 65542u);
+  EXPECT_EQ(r->num_edges(), 3u);
+  EXPECT_EQ(r->Degree(40000), 2u);
+}
+
 TEST(GraphIoTest, EmptyInputIsEmptyGraph) {
   const auto r = ParseEdgeList("");
   ASSERT_TRUE(r.ok());
