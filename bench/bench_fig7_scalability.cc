@@ -12,15 +12,6 @@
 namespace ktg::bench {
 namespace {
 
-// Pins the published engine's per-pair k-line checks and small-degree-first
-// tie-break instead of inheriting the library defaults, with a node budget
-// for pathological points.
-void PinPaperEngine(AlgoConfig& config) {
-  config.engine.bulk_filtering = false;
-  config.engine.degree_ascending = true;
-  config.engine.max_nodes = 5'000'000;
-}
-
 void RunPartA() {
   BenchDataset& ds = BenchDataset::Get("twitter");
   PrintHeader("Figure 7(a) (twitter, denser graph): latency (ms) vs p",
@@ -32,7 +23,10 @@ void RunPartA() {
       {"KTG-VKC-DEG-NLRNL", false, SortStrategy::kVkcDeg, CheckerKind::kNlrnl,
        {}},
   };
-  for (auto& c : configs) PinPaperEngine(c);
+  for (auto& c : configs) {
+    PinPaperEngine(c.engine);
+    c.engine.max_nodes = 5'000'000;  // caps pathological points
+  }
 
   std::vector<int> widths = {20};
   std::vector<std::string> head = {"algorithm"};
@@ -65,7 +59,10 @@ void RunPartB() {
       {"KTG-VKC-DEG-NLRNL", false, SortStrategy::kVkcDeg, CheckerKind::kNlrnl,
        {}},
   };
-  for (auto& c : configs) PinPaperEngine(c);
+  for (auto& c : configs) {
+    PinPaperEngine(c.engine);
+    c.engine.max_nodes = 5'000'000;  // caps pathological points
+  }
 
   std::vector<int> widths = {20};
   std::vector<std::string> head = {"algorithm"};

@@ -193,6 +193,13 @@ std::string BenchDataset::Summary() const {
   return buf;
 }
 
+void PinPaperEngine(EngineOptions& engine) {
+  engine.ceiling_prune = false;
+  engine.residual_bound = false;
+  engine.bulk_filtering = false;
+  engine.degree_ascending = true;
+}
+
 std::vector<AlgoConfig> PaperAlgoConfigs(bool include_qkc) {
   std::vector<AlgoConfig> configs;
   if (include_qkc) {
@@ -207,17 +214,9 @@ std::vector<AlgoConfig> PaperAlgoConfigs(bool include_qkc) {
                      CheckerKind::kNlrnl, {}});
   configs.push_back({"DKTG-Greedy", true, SortStrategy::kVkcDeg,
                      CheckerKind::kNlrnl, {}});
-  // Figure benches reproduce the published algorithm exactly: the additive
-  // Theorem-2 bound only (the library's reachable-coverage and residual
-  // suffix-union tightenings are measured separately in bench_ablation),
-  // one checker call per k-line pair (no memo, so NL vs NLRNL stays a
-  // per-pair comparison) and the paper's small-degree-first tie-break. A
-  // node budget caps pathological points on the scaled-down datasets.
+  // A node budget caps pathological points on the scaled-down datasets.
   for (auto& config : configs) {
-    config.engine.ceiling_prune = false;
-    config.engine.residual_bound = false;
-    config.engine.bulk_filtering = false;
-    config.engine.degree_ascending = true;
+    PinPaperEngine(config.engine);
     config.engine.max_nodes = 2'000'000;
   }
   return configs;

@@ -58,8 +58,9 @@ void WriteMetricsSidecar(const std::string& bench_name);
 void InstallBenchSignalFlush(const std::string& bench_name);
 
 /// Worker threads for index builds and the engine's root-parallel search
-/// (0 = hardware concurrency). Default 1: the figure benches reproduce the
-/// paper's serial latencies unless parallelism is asked for explicitly.
+/// (0 = every CPU the process may run on). Default 1: the figure benches
+/// reproduce the paper's serial latencies unless parallelism is asked for
+/// explicitly.
 /// Set with `--threads T` on any bench binary or env KTG_BENCH_THREADS
 /// (the flag wins).
 uint32_t BenchThreads();
@@ -123,7 +124,16 @@ struct AlgoConfig {
   EngineOptions engine;  // sort is overwritten by `sort`
 };
 
-/// The configurations of Figures 3-6.
+/// Pins the published algorithm on `engine` instead of the library
+/// defaults: the additive Theorem-2 bound only (ceiling_prune and
+/// residual_bound off; the library's tightenings are measured separately
+/// in bench_ablation), one checker call per k-line pair (bulk_filtering
+/// off, so NL vs NLRNL stays a per-pair comparison) and the paper's
+/// small-degree-first tie-break (degree_ascending on). Every figure bench
+/// runs through it; node budgets stay with the caller.
+void PinPaperEngine(EngineOptions& engine);
+
+/// The configurations of Figures 3-6, each with PinPaperEngine applied.
 std::vector<AlgoConfig> PaperAlgoConfigs(bool include_qkc);
 
 /// Measurement of one (algorithm, parameter point): average per-query

@@ -34,12 +34,12 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/tcp.h"
+#include "util/executor.h"
 #include "util/json_parse.h"
 #include "util/json_writer.h"
 #include "util/shutdown.h"
 #include "util/percentiles.h"
 #include "util/summary_stats.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ktg::cli {
@@ -79,8 +79,8 @@ Result<AttributedGraph> LoadInput(const Args& args, bool attrs_required) {
   return LoadAttributedGraph(std::move(graph).value(), attrs);
 }
 
-// Parses --threads: 0 means "use hardware concurrency", the per-knob
-// convention of the library (negative values are clamped to 0).
+// Parses --threads: 0 means "every CPU this process may run on", the
+// per-knob convention of the library (negative values are clamped to 0).
 Result<uint32_t> ParseThreads(const Args& args, int64_t default_value) {
   const auto threads = args.GetInt("threads", default_value);
   if (!threads.ok()) return threads.status();
@@ -589,7 +589,7 @@ Status CmdWorkload(const Args& args) {
         "avg best coverage %.3f; %u empty results; %llu BB nodes total\n",
         preset.c_str(), graph.num_vertices(),
         static_cast<unsigned long long>(lat.count),
-        ThreadPool::Resolve(bopts.threads), lat.mean,
+        ResolveThreads(bopts.threads), lat.mean,
         lat.min, lat.p50, lat.p90, lat.p99, lat.max, coverage.mean(), empty,
         static_cast<unsigned long long>(batch->totals.nodes_expanded));
   }
@@ -1020,11 +1020,11 @@ std::string UsageText() {
   text +=
       "  help         print this text\n"
       "\n"
-      "--threads semantics: 0 = all hardware threads. For build-index it\n"
-      "parallelizes construction (default 0). For query it parallelizes\n"
-      "index build and the search itself (default 1 = fully serial,\n"
-      "bit-for-bit reproducible). For workload it runs whole queries on\n"
-      "parallel workers (default 1).\n"
+      "--threads semantics: 0 = every CPU the process may run on. For\n"
+      "build-index it parallelizes construction (default 0). For query it\n"
+      "parallelizes index build and the search itself (default 1 = fully\n"
+      "serial, bit-for-bit reproducible). For workload it runs whole\n"
+      "queries on parallel workers (default 1).\n"
       "\n"
       "--metrics-json F writes a ktg.metrics.v1 snapshot (counters, phase\n"
       "timings, checker statistics) to F; --trace prints the query's\n"

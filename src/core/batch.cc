@@ -7,7 +7,7 @@
 #include "cache/caching_checker.h"
 #include "cache/ktg_cache.h"
 #include "core/obs_bridge.h"
-#include "util/thread_pool.h"
+#include "util/executor.h"
 
 namespace ktg {
 
@@ -29,7 +29,7 @@ Result<BatchResult> RunKtgBatch(const AttributedGraph& graph,
   if (queries.empty()) return batch;
 
   const uint32_t workers =
-      std::min<uint32_t>(ThreadPool::Resolve(options.threads),
+      std::min<uint32_t>(ResolveThreads(options.threads),
                          static_cast<uint32_t>(queries.size()));
 
   // With a cache attached, every worker's checker is wrapped so its ball
@@ -46,9 +46,18 @@ Result<BatchResult> RunKtgBatch(const AttributedGraph& graph,
                               options.engine.cache);
   };
 
+  // Build every checker serially first (factories may share caches), one
+  // per worker id, so each worker owns a dedicated checker.
+  std::vector<std::unique_ptr<DistanceChecker>> checkers;
+  checkers.reserve(workers);
+  for (uint32_t w = 0; w < workers; ++w) {
+    checkers.push_back(make_checker());
+    KTG_CHECK_MSG(checkers.back() != nullptr, "checker_factory returned null");
+  }
+
   std::atomic<size_t> next{0};
-  auto worker_loop = [&](DistanceChecker& checker) {
-    KtgEngine engine(graph, index, checker, options.engine);
+  RunWorkers(workers, [&](uint32_t worker_id) {
+    KtgEngine engine(graph, index, *checkers[worker_id], options.engine);
     while (true) {
       const size_t i = next.fetch_add(1);
       if (i >= queries.size()) break;
@@ -57,29 +66,7 @@ Result<BatchResult> RunKtgBatch(const AttributedGraph& graph,
       KTG_CHECK_MSG(r.ok(), r.status().ToString().c_str());
       batch.results[i] = std::move(r).value();
     }
-  };
-
-  if (workers == 1) {
-    auto checker = make_checker();
-    KTG_CHECK_MSG(checker != nullptr, "checker_factory returned null");
-    worker_loop(*checker);
-  } else {
-    // Build every checker serially first (factories may share caches),
-    // then run the workers on a pool sized so each submitted task owns a
-    // dedicated thread (and therefore a dedicated checker).
-    std::vector<std::unique_ptr<DistanceChecker>> checkers;
-    checkers.reserve(workers);
-    for (uint32_t w = 0; w < workers; ++w) {
-      checkers.push_back(make_checker());
-      KTG_CHECK_MSG(checkers.back() != nullptr,
-                    "checker_factory returned null");
-    }
-    ThreadPool pool(workers);
-    for (uint32_t w = 0; w < workers; ++w) {
-      pool.Submit([&, w] { worker_loop(*checkers[w]); });
-    }
-    pool.Wait();
-  }
+  });
 
   std::vector<double> latencies;
   latencies.reserve(batch.results.size());

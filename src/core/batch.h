@@ -34,9 +34,9 @@ using CheckerFactory = std::function<std::unique_ptr<DistanceChecker>()>;
 struct BatchOptions {
   EngineOptions engine;
   /// Worker threads across queries (1 = run inline on the calling thread,
-  /// 0 = hardware concurrency). Each worker owns a private checker from the
-  /// factory; this is independent of EngineOptions::num_threads, which
-  /// parallelizes within a single query.
+  /// 0 = the CPUs the calling thread may run on). Each worker owns a
+  /// private checker from the factory; this is independent of
+  /// EngineOptions::num_threads, which parallelizes within a single query.
   uint32_t threads = 1;
 };
 

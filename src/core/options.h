@@ -59,12 +59,13 @@ Result<EngineMode> ParseEngineMode(const std::string& name);
 /// Knobs of the exact KTG engine. The query run frame (core/run_frame.h)
 /// reads the budgets, sinks and cache fields; the engine reads the rest.
 struct EngineOptions {
-  /// Worker threads for the branch-and-bound search (0 = hardware
-  /// concurrency). With 1 (the default) the search is the serial engine,
-  /// bit-for-bit — including tie-breaks among equal-coverage groups. With
-  /// more, the first level of the search tree is split across workers by
-  /// the root-parallel driver (core/root_parallel.h); the workers share a
-  /// common top-N and pruning bound. Results are still the exact top-N
+  /// Worker threads for the branch-and-bound search (0 = the CPUs the
+  /// calling thread may run on, util/executor.h). With 1 (the default) the
+  /// search is the serial engine, bit-for-bit — including tie-breaks among
+  /// equal-coverage groups. With more, the first level of the search tree
+  /// is split across workers by the root-parallel driver
+  /// (core/root_parallel.h); the workers share a common top-N and pruning
+  /// bound. Results are still the exact top-N
   /// coverage multiset, but which members represent a tied coverage value
   /// can differ from the serial order (see docs/architecture.md). The
   /// engine needs a checker whose concurrent_read_safe() is true (NLRNL,

@@ -12,15 +12,10 @@
 // node budget and stop flag, and the merge of the workers' counters; the
 // engine supplies only a per-worker state and a per-root step.
 //
-// Threads. The calling thread is worker 0. The other workers are helpers
-// recruited from one process-wide executor, started on first use and kept
-// until the process exits; it grows to the largest helper count any run
-// has asked for and never shrinks. A helper runs under the caller's
-// CPU affinity mask. A helper that starts after the caller has finished
-// its own claims does nothing, and the caller waits only for helpers that
-// started before that. So a run never waits behind another run's
-// helpers, and a run started from inside a worker, or from many threads
-// at once, cannot deadlock.
+// Threads. The workers run on the process-wide executor (util/executor.h):
+// the calling thread is worker 0, helpers that start after it finished its
+// claims do nothing, and a run started from inside a worker, or from many
+// threads at once, cannot deadlock.
 //
 // Soundness of RootStep::kStop. A step may stop its worker's claim loop
 // only when the bound that failed is non-increasing in the root index
@@ -91,7 +86,7 @@ class RootParallelShared {
 using RootWorkerFn = std::function<SearchStats(RootParallelShared& shared)>;
 
 /// Worker count of a root-parallel run: 1 when `num_threads` is 1 or at
-/// most one root exists, else ThreadPool::Resolve(num_threads) capped at
+/// most one root exists, else ResolveThreads(num_threads) capped at
 /// `num_roots`.
 uint32_t RootWorkers(uint32_t num_threads, size_t num_roots);
 

@@ -118,7 +118,8 @@ class SnapshotStore {
     CheckerKind checker = CheckerKind::kNlrnl;
     /// k the bitmap checker is specialized to (kKHopBitmap only).
     HopDistance bitmap_k = 2;
-    /// Threads for full index builds (0 = hardware concurrency).
+    /// Threads for full index builds (0 = the CPUs the building thread may
+    /// run on).
     uint32_t build_threads = 0;
     /// Borrowed cross-query cache; when set, Apply() hands the new epoch
     /// over (KtgCache::AdvanceEpoch) *before* publishing the snapshot.

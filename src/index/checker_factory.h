@@ -31,9 +31,9 @@ const char* CheckerKindName(CheckerKind kind);
 /// Builds a checker of the given kind over `graph`. `k` is only consulted by
 /// the bitmap checker (which is specialized to a single k); pass the query's
 /// tenuity constraint. `num_threads` parallelizes the index construction
-/// loops (1 = serial, 0 = hardware concurrency; ignored by kBfs, which has
-/// nothing to build). The graph must outlive the checker for kBfs and
-/// kKHopBitmap; kNl/kNlrnl copy it.
+/// loops (1 = serial, 0 = the CPUs the calling thread may run on; ignored
+/// by kBfs, which has nothing to build). The graph must outlive the checker
+/// for kBfs and kKHopBitmap; kNl/kNlrnl copy it.
 std::unique_ptr<DistanceChecker> MakeChecker(CheckerKind kind,
                                              const Graph& graph, HopDistance k,
                                              uint32_t num_threads = 1);

@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "graph/bfs.h"
-#include "util/thread_pool.h"
+#include "util/executor.h"
 
 namespace ktg {
 
@@ -16,11 +16,10 @@ KHopBitmapChecker::KHopBitmapChecker(const Graph& graph, HopDistance k,
   bits_.assign(static_cast<uint64_t>(n) * words_per_row_, 0);
   // Rows are disjoint word ranges, so the per-vertex builds never touch the
   // same memory and the matrix is identical for every thread count.
-  ThreadPool pool(options.num_threads);
-  const uint64_t grain =
-      std::max<uint64_t>(1, n / (8ull * pool.num_threads()));
-  pool.ParallelFor(0, n, grain, [this, &graph, k](uint64_t begin,
-                                                  uint64_t end) {
+  const uint32_t threads = ResolveThreads(options.num_threads);
+  const uint64_t grain = std::max<uint64_t>(1, n / (8ull * threads));
+  ParallelFor(threads, 0, n, grain, [this, &graph, k](uint64_t begin,
+                                                      uint64_t end) {
     BoundedBfs bfs(graph);
     for (uint64_t v = begin; v < end; ++v) {
       const auto vid = static_cast<VertexId>(v);

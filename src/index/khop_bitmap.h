@@ -23,9 +23,9 @@ namespace ktg {
 /// Tuning knobs for KHopBitmapChecker.
 struct KHopBitmapOptions {
   /// Worker threads for the construction-time per-vertex BFS loop
-  /// (0 = hardware concurrency). Rows are partitioned by vertex, so every
-  /// thread count produces the identical bit matrix; 1 runs the exact
-  /// serial loop with no pool involved.
+  /// (0 = the CPUs the calling thread may run on). Rows are partitioned by
+  /// vertex, so every thread count produces the identical bit matrix; 1
+  /// runs the exact serial loop on the calling thread.
   uint32_t num_threads = 0;
 };
 

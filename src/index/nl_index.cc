@@ -10,7 +10,7 @@
 #include "index/affected.h"
 #include "util/bits.h"
 #include "util/sorted_vector.h"
-#include "util/thread_pool.h"
+#include "util/executor.h"
 
 namespace ktg {
 
@@ -67,13 +67,13 @@ void CountBatch(const SweepBatch& batch, uint32_t max_stored_hops,
 void NlIndex::BuildAll() {
   const uint32_t n = graph_.num_vertices();
   const uint64_t num_batches = SweepBatch::Count(n);
-  ThreadPool pool(options_.num_threads);
-  const uint64_t grain =
-      std::max<uint64_t>(1, num_batches / (8ull * pool.num_threads()));
+  const uint32_t threads = ResolveThreads(options_.num_threads);
+  const uint64_t grain = std::max<uint64_t>(1, num_batches / (8ull * threads));
 
   // Count: one sweep per batch fixes every vertex's h and level sizes.
   std::vector<std::vector<uint32_t>> plans(num_batches);
-  pool.ParallelFor(0, num_batches, grain, [&](uint64_t begin, uint64_t end) {
+  ParallelFor(threads, 0, num_batches, grain,
+              [&](uint64_t begin, uint64_t end) {
     LevelSweep sweep(graph_);
     for (uint64_t b = begin; b < end; ++b) {
       CountBatch(SweepBatch(b, n), options_.max_stored_hops, sweep, plans[b]);
@@ -81,7 +81,7 @@ void NlIndex::BuildAll() {
   });
 
   // Reserve every level on this thread, in vertex order: lists allocated by
-  // the pool's workers would scatter over per-thread malloc arenas.
+  // helper threads would scatter over per-thread malloc arenas.
   VertexId v = 0;
   for (const auto& plan : plans) {
     for (size_t at = 0; at < plan.size(); ++v) {
@@ -98,7 +98,8 @@ void NlIndex::BuildAll() {
 
   // Fill: a second sweep per batch, stopped at the batch's deepest h,
   // appends the ids to the reserved levels.
-  pool.ParallelFor(0, num_batches, grain, [&](uint64_t begin, uint64_t end) {
+  ParallelFor(threads, 0, num_batches, grain,
+              [&](uint64_t begin, uint64_t end) {
     LevelSweep sweep(graph_);
     for (uint64_t b = begin; b < end; ++b) {
       const SweepBatch batch(b, n);

@@ -40,11 +40,12 @@ struct NlIndexOptions {
   /// out-of-horizon checks fall back to plain bounded BFS.
   bool memoize_expansions = true;
 
-  /// Worker threads for the construction-time level sweeps (0 = hardware
-  /// concurrency). Every thread count produces an identical index — the
-  /// 64-vertex batches are independent — and 1 runs the sweeps serially
-  /// with no pool involved. Only construction is affected; queries and
-  /// dynamic updates always run on the calling thread.
+  /// Worker threads for the construction-time level sweeps (0 = the CPUs
+  /// the calling thread may run on). Every thread count produces an
+  /// identical index — the 64-vertex batches are independent — and 1 runs
+  /// the sweeps serially on the calling thread. Only construction is
+  /// affected; queries and dynamic updates always run on the calling
+  /// thread.
   uint32_t num_threads = 0;
 };
 

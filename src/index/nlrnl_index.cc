@@ -9,7 +9,7 @@
 #include "graph/stats.h"
 #include "index/affected.h"
 #include "util/bits.h"
-#include "util/thread_pool.h"
+#include "util/executor.h"
 
 namespace ktg {
 
@@ -104,13 +104,13 @@ void FillBatch(const SweepBatch& batch, LevelSweep& sweep,
 void NlrnlIndex::BuildAll() {
   const uint32_t n = graph_.num_vertices();
   const uint64_t num_batches = SweepBatch::Count(n);
-  ThreadPool pool(options_.num_threads);
-  const uint64_t grain =
-      std::max<uint64_t>(1, num_batches / (8ull * pool.num_threads()));
+  const uint32_t threads = ResolveThreads(options_.num_threads);
+  const uint64_t grain = std::max<uint64_t>(1, num_batches / (8ull * threads));
 
   // Count: one sweep per batch fixes every entry's c and size.
   std::vector<EntryShape> shapes(n);
-  pool.ParallelFor(0, num_batches, grain, [&](uint64_t begin, uint64_t end) {
+  ParallelFor(threads, 0, num_batches, grain,
+              [&](uint64_t begin, uint64_t end) {
     LevelSweep sweep(graph_);
     for (uint64_t b = begin; b < end; ++b) {
       const SweepBatch batch(b, n);
@@ -119,7 +119,7 @@ void NlrnlIndex::BuildAll() {
   });
 
   // Allocate every entry on this thread, in vertex order: entries made by
-  // the pool's workers would scatter over per-thread malloc arenas.
+  // helper threads would scatter over per-thread malloc arenas.
   std::vector<uint32_t*> rows(n);
   for (VertexId v = 0; v < n; ++v) {
     const EntryShape& shape = shapes[v];
@@ -134,7 +134,8 @@ void NlrnlIndex::BuildAll() {
   }
 
   // Fill: a second sweep per batch writes the ids in place.
-  pool.ParallelFor(0, num_batches, grain, [&](uint64_t begin, uint64_t end) {
+  ParallelFor(threads, 0, num_batches, grain,
+              [&](uint64_t begin, uint64_t end) {
     LevelSweep sweep(graph_);
     for (uint64_t b = begin; b < end; ++b) {
       const SweepBatch batch(b, n);

@@ -49,10 +49,10 @@ struct NlrnlIndexOptions {
   /// pick deeper levels on large-diameter graphs.
   uint32_t max_c = 8;
 
-  /// Worker threads for the construction-time level sweeps (0 = hardware
-  /// concurrency). Every thread count produces an identical index; 1 runs
-  /// the sweeps serially with no pool involved. Queries and dynamic
-  /// updates always run on the calling thread.
+  /// Worker threads for the construction-time level sweeps (0 = the CPUs
+  /// the calling thread may run on). Every thread count produces an
+  /// identical index; 1 runs the sweeps serially on the calling thread.
+  /// Queries and dynamic updates always run on the calling thread.
   uint32_t num_threads = 0;
 };
 

@@ -3,7 +3,7 @@
 // histograms, exportable as JSON.
 //
 // Design constraints, in order:
-//   1. Updates must be safe from the thread pool (relaxed atomics; counter
+//   1. Updates must be safe from parallel workers (relaxed atomics; counter
 //      increments are exact, never sampled or lossy).
 //   2. Hot loops must not pay for the registry: callers resolve a metric
 //      once (one mutex-protected map lookup) and then touch only the

@@ -8,9 +8,9 @@
 #include "cache/caching_checker.h"
 #include "core/ktg_engine.h"
 #include "index/bfs_checker.h"
+#include "util/executor.h"
 #include "util/json_writer.h"
 #include "util/macros.h"
-#include "util/thread_pool.h"
 
 namespace ktg::server {
 namespace {
@@ -48,7 +48,7 @@ KtgServer::~KtgServer() { Stop(); }
 
 Status KtgServer::Start() {
   KTG_CHECK_MSG(!started_, "KtgServer::Start called twice");
-  workers_ = ThreadPool::Resolve(options_.workers);
+  workers_ = ResolveThreads(options_.workers);
   if (options_.cache_mb > 0) {
     cache_ = std::make_unique<KtgCache>(CacheOptionsForMb(options_.cache_mb));
   }

@@ -73,7 +73,7 @@ namespace ktg::server {
 /// overridden per request, num_threads is forced to 1, and metrics/cache
 /// sinks are installed by the server).
 struct ServerOptions {
-  /// Query worker threads (0 = hardware concurrency).
+  /// Query worker threads (0 = the CPUs the starting thread may run on).
   uint32_t workers = 1;
 
   /// Admission bound: queued (not yet executing) requests beyond this are
@@ -100,7 +100,8 @@ struct ServerOptions {
   CheckerKind checker = CheckerKind::kNlrnl;
   HopDistance bitmap_k = 2;
 
-  /// Threads for index/checker construction at Start() (0 = hardware).
+  /// Threads for index/checker construction at Start() (0 = the CPUs the
+  /// starting thread may run on).
   uint32_t build_threads = 0;
 
   EngineOptions engine;
@@ -214,9 +215,10 @@ class KtgServer {
   double ema_request_ms_ = 0.0;
   bool ema_seeded_ = false;
 
-  // One resident WorkerLoop per thread. Plain threads, not a ThreadPool: a
-  // size-1 pool runs Submit inline by contract and could never host a
-  // loop. Declared last so every member a loop touches outlives it.
+  // One resident WorkerLoop per thread. Plain threads, not the executor:
+  // its helpers serve fork-join runs, and a one-worker run is inline on the
+  // caller, so it could never host a loop. Declared last so every member a
+  // loop touches outlives it.
   std::vector<std::thread> threads_;
 };
 

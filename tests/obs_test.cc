@@ -1,6 +1,6 @@
 // Copyright (c) 2026 The ktg Authors.
-// Observability layer: metrics registry (including exactness under the
-// thread pool — run under `ctest -L tsan` with KTG_SANITIZE=thread),
+// Observability layer: metrics registry (including exactness under
+// parallel workers — run under `ctest -L tsan` with KTG_SANITIZE=thread),
 // phase-timer nesting, the query-trace ring, and the engine wiring that
 // mirrors SearchStats into a registry.
 
@@ -27,7 +27,7 @@
 #include "obs/phases.h"
 #include "obs/schema_check.h"
 #include "obs/query_trace.h"
-#include "util/thread_pool.h"
+#include "util/executor.h"
 
 namespace ktg::obs {
 namespace {
@@ -68,15 +68,14 @@ TEST(MetricsRegistryTest, StableAddressesAcrossInserts) {
   EXPECT_EQ(&first, &reg.counter("first"));
 }
 
-TEST(MetricsRegistryTest, CountersExactUnderThreadPool) {
+TEST(MetricsRegistryTest, CountersExactUnderParallelFor) {
   MetricsRegistry reg;
   constexpr uint32_t kWorkers = 8;
   constexpr uint64_t kPerWorker = 20'000;
   Counter& shared = reg.counter("shared");
   Histogram& hist = reg.histogram("latency");
-  ThreadPool pool(kWorkers);
-  for (uint32_t w = 0; w < kWorkers; ++w) {
-    pool.Submit([&reg, &shared, &hist, w] {
+  ParallelFor(kWorkers, 0, kWorkers, 1, [&](uint64_t begin, uint64_t end) {
+    for (uint64_t w = begin; w < end; ++w) {
       for (uint64_t i = 0; i < kPerWorker; ++i) {
         shared.Add();
         hist.Record(static_cast<double>(w) + 1.0);
@@ -84,9 +83,8 @@ TEST(MetricsRegistryTest, CountersExactUnderThreadPool) {
         reg.counter("by_name").Add();
       }
       reg.gauge("last_worker").Set(static_cast<double>(w));
-    });
-  }
-  pool.Wait();
+    }
+  });
   EXPECT_EQ(shared.value(), kWorkers * kPerWorker);
   EXPECT_EQ(reg.CounterValue("by_name"), kWorkers * kPerWorker);
   EXPECT_EQ(hist.count(), kWorkers * kPerWorker);
