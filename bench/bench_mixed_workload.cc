@@ -27,6 +27,7 @@
 #include "bench/common.h"
 #include "datagen/mutation_gen.h"
 #include "server/server.h"
+#include "util/executor.h"
 #include "util/percentiles.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -66,7 +67,7 @@ MixResult RunMix(BenchDataset& dataset, const std::vector<KtgQuery>& queries,
       GenerateMutationWorkload(dataset.graph(), mopts, rng);
 
   server::ServerOptions sopts;
-  sopts.workers = std::max(1u, std::thread::hardware_concurrency() / 2);
+  sopts.workers = std::max(1u, ResolveThreads(0) / 2);
   sopts.max_queue = kSlots;
   sopts.cache_mb = kCacheMb;
   sopts.build_threads = 0;

@@ -18,11 +18,11 @@
 #include <cstdio>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.h"
 #include "server/server.h"
+#include "util/executor.h"
 #include "util/timer.h"
 
 namespace ktg::bench {
@@ -61,7 +61,7 @@ void RunSaturation() {
     return;
   }
 
-  const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const uint32_t hw = ResolveThreads(0);
   std::vector<uint32_t> worker_counts;
   for (uint32_t w = 1; w < hw; w *= 2) worker_counts.push_back(w);
   worker_counts.push_back(hw);

@@ -45,4 +45,26 @@ std::vector<Candidate> ExtractCandidates(const AttributedGraph& g,
   return out;
 }
 
+void RankCandidates(std::vector<Candidate>& cands, SortStrategy sort,
+                    bool degree_ascending) {
+  std::sort(cands.begin(), cands.end(),
+            [&](const Candidate& a, const Candidate& b) {
+              if (sort == SortStrategy::kQkc && a.vkc != b.vkc) {
+                return a.vkc > b.vkc;
+              }
+              if (sort == SortStrategy::kVkcDeg && a.degree != b.degree) {
+                return degree_ascending ? a.degree < b.degree
+                                        : a.degree > b.degree;
+              }
+              return a.vertex < b.vertex;
+            });
+  for (size_t i = 0; i < cands.size(); ++i) {
+    cands[i].slot = static_cast<uint32_t>(i);
+  }
+  std::sort(cands.begin(), cands.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.vkc != b.vkc ? a.vkc > b.vkc : a.slot < b.slot;
+            });
+}
+
 }  // namespace ktg

@@ -9,10 +9,10 @@
 #ifndef KTG_CORE_CANDIDATES_H_
 #define KTG_CORE_CANDIDATES_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "core/options.h"
 #include "core/query.h"
 #include "index/distance_checker.h"
 #include "keywords/inverted_index.h"
@@ -22,18 +22,17 @@ namespace ktg {
 /// One entry of the remaining-candidates set S_R.
 struct Candidate {
   VertexId vertex = kInvalidVertex;
-  /// Position in the run's initially ranked S_R; children copy it. The
-  /// engine's k-line memo is indexed by it.
+  /// The candidate's bit in the engine's S_R bitsets and k-line memo rows,
+  /// numbered once per run by the sort strategy's tie key (RankCandidates).
   uint32_t slot = 0;
   /// Coverage mask relative to the query keyword list.
   CoverMask mask = 0;
   /// Cached degree (for the VKC-DEG tie-break).
   uint32_t degree = 0;
-  /// Valid keyword coverage count w.r.t. the current intermediate set
-  /// (Definition 8, as a count); maintained by the engine.
+  /// Valid keyword coverage count (Definition 8, as a count), against an
+  /// empty S_I at extraction. The greedy construction refreshes it; the
+  /// exact engine keeps a node's values as vkc buckets (core/frontier.h).
   int vkc = 0;
-
-  bool operator==(const Candidate&) const = default;
 };
 
 /// Materializes the initial candidate set of `query`: every vertex covering
@@ -49,34 +48,14 @@ std::vector<Candidate> ExtractCandidates(const AttributedGraph& g,
                                          uint64_t* kline_removed = nullptr,
                                          uint64_t* checks = nullptr);
 
-/// Sorts `cands` by `less` in place, exploiting an order that is already
-/// nearly sorted: an insertion pass, O(n + inversions). A child's S_R
-/// keeps its parent's order with some vkc values lowered, so it has few
-/// inversions. Past a budget of element moves the pass finishes with
-/// std::sort instead, so a badly unsorted input costs O(n log n), not
-/// O(n^2). When `less` is a total order the result is exactly
-/// std::sort's.
-template <typename Less>
-void ResortCandidates(std::vector<Candidate>& cands, Less less) {
-  const size_t n = cands.size();
-  size_t moves_left = 8 * n;
-  for (size_t i = 1; i < n; ++i) {
-    if (!less(cands[i], cands[i - 1])) continue;
-    Candidate x = cands[i];
-    size_t j = i;
-    do {
-      if (moves_left == 0) {
-        cands[j] = x;
-        std::sort(cands.begin(), cands.end(), less);
-        return;
-      }
-      --moves_left;
-      cands[j] = cands[j - 1];
-      --j;
-    } while (j > 0 && less(x, cands[j - 1]));
-    cands[j] = x;
-  }
-}
+/// Ranks a run's S_R for the exact engine. Each candidate's `slot` becomes
+/// its position under `sort`'s static tie key: for VKC-DEG, degree in the
+/// `degree_ascending` direction, then vertex; for VKC, vertex; for QKC,
+/// the root rank (vkc descending, then vertex). `cands` ends in the root
+/// order, vkc descending, then slot ascending, which is every strategy's
+/// order at every node (core/frontier.h).
+void RankCandidates(std::vector<Candidate>& cands, SortStrategy sort,
+                    bool degree_ascending);
 
 }  // namespace ktg
 

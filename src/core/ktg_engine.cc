@@ -3,6 +3,7 @@
 #include "core/ktg_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "core/greedy_heuristic.h"
@@ -11,20 +12,6 @@
 #include "util/timer.h"
 
 namespace ktg {
-
-namespace {
-
-// The static candidate rank: initial VKC descending, degree ascending,
-// vertex id ascending — the KTG-VKC-DEG order.
-struct StaticRankLess {
-  bool operator()(const Candidate& a, const Candidate& b) const {
-    if (a.vkc != b.vkc) return a.vkc > b.vkc;
-    if (a.degree != b.degree) return a.degree < b.degree;
-    return a.vertex < b.vertex;
-  }
-};
-
-}  // namespace
 
 const char* SortStrategyName(SortStrategy s) {
   switch (s) {
@@ -68,38 +55,16 @@ void KtgEngine::RecordTrace(obs::TraceEventKind kind, VertexId vertex,
                          detail);
 }
 
-void KtgEngine::SortCandidates(std::vector<Candidate>& cands,
-                               bool nearly_sorted) const {
-  const auto sort = [&](auto less) {
-    if (nearly_sorted) {
-      ResortCandidates(cands, less);
-    } else {
-      std::sort(cands.begin(), cands.end(), less);
-    }
-  };
-  if (options_.sort == SortStrategy::kVkcDeg && options_.degree_ascending) {
-    sort(StaticRankLess{});
-    return;
-  }
-  // kQkc and kVkc rank by vkc then id (kQkc is sorted once, with vkc ==
-  // QKC counts, and never re-sorted); kVkcDeg here breaks vkc ties by
-  // degree descending.
-  const bool by_degree = options_.sort == SortStrategy::kVkcDeg;
-  sort([by_degree](const Candidate& a, const Candidate& b) {
-    if (a.vkc != b.vkc) return a.vkc > b.vkc;
-    if (by_degree && a.degree != b.degree) return a.degree > b.degree;
-    return a.vertex < b.vertex;
-  });
-}
-
-void KtgEngine::ResetMemo(size_t num_candidates) {
-  memo_words_ = (num_candidates + 63) / 64;
-  memo_row_.assign(num_candidates, kNoRow);
+void KtgEngine::StartRun(const std::vector<Candidate>& sr) {
+  frontier_.Reset(sr, p_, options_.sort != SortStrategy::kQkc);
+  slot_vertex_.resize(sr.size());
+  for (const Candidate& c : sr) slot_vertex_[c.slot] = c.vertex;
+  memo_row_.assign(sr.size(), kNoRow);
   memo_bits_.clear();
 }
 
 uint64_t* KtgEngine::MemoRow(uint32_t slot) {
-  const size_t row_words = 2 * memo_words_;
+  const size_t row_words = 2 * frontier_.words();
   if (memo_row_[slot] == kNoRow) {
     memo_row_[slot] = static_cast<uint32_t>(memo_bits_.size() / row_words);
     memo_bits_.resize(memo_bits_.size() + row_words, 0);
@@ -107,62 +72,32 @@ uint64_t* KtgEngine::MemoRow(uint32_t slot) {
   return memo_bits_.data() + size_t{memo_row_[slot]} * row_words;
 }
 
-bool KtgEngine::MemoWithinK(uint64_t* row, const Candidate& v,
-                            const Candidate& c) {
-  uint64_t* word = row + 2 * (c.slot / 64);  // {known, within}
-  const uint64_t bit = uint64_t{1} << (c.slot % 64);
-  if ((word[0] & bit) == 0) {
+uint64_t KtgEngine::MemoWithinK(uint64_t* row, uint32_t v, size_t w,
+                                uint64_t bits) {
+  uint64_t* word = row + 2 * w;  // {known, within}
+  const size_t v_word = 2 * (v / 64);
+  const uint64_t v_bit = uint64_t{1} << (v % 64);
+  for (uint64_t unknown = bits & ~word[0]; unknown != 0;
+       unknown &= unknown - 1) {
+    const int bit = std::countr_zero(unknown);
+    const size_t c = w * 64 + bit;
     // c's own row, if c was a pivot before, may know the pair already.
-    const uint32_t c_row = memo_row_[c.slot];
-    const uint64_t* c_word = nullptr;
-    if (c_row != kNoRow) {
-      c_word = memo_bits_.data() + 2 * (c_row * memo_words_ + v.slot / 64);
-    }
-    const uint64_t v_bit = uint64_t{1} << (v.slot % 64);
+    const uint32_t c_row = memo_row_[c];
+    const uint64_t* c_word =
+        c_row == kNoRow ? nullptr
+                        : memo_bits_.data() +
+                              2 * size_t{c_row} * frontier_.words() + v_word;
     bool within;
     if (c_word != nullptr && (c_word[0] & v_bit) != 0) {
       within = (c_word[1] & v_bit) != 0;
     } else {
-      within = !checker_.IsFartherThan(c.vertex, v.vertex, k_,
+      within = !checker_.IsFartherThan(slot_vertex_[c], slot_vertex_[v], k_,
                                        &stats_.distance_checks);
     }
-    word[0] |= bit;
-    if (within) word[1] |= bit;
+    if (within) word[1] |= uint64_t{1} << bit;
   }
-  return (word[1] & bit) != 0;
-}
-
-int KtgEngine::OptimisticGain(const std::vector<Candidate>& cands, size_t from,
-                              uint32_t need) const {
-  if (need == 0 || from >= cands.size()) return 0;
-  int gain = 0;
-  if (options_.sort != SortStrategy::kQkc) {
-    // vkc-descending order: the first `need` entries are the top ones.
-    const size_t end = std::min(cands.size(), from + need);
-    for (size_t i = from; i < end; ++i) gain += cands[i].vkc;
-    return gain;
-  }
-  // QKC order is static, so select the `need` largest vkc values by scan
-  // (need <= p is tiny; an insertion pass beats sorting a copy).
-  int top[64] = {0};
-  const uint32_t cap = std::min<uint32_t>(need, 64);
-  uint32_t filled = 0;
-  for (size_t i = from; i < cands.size(); ++i) {
-    int x = cands[i].vkc;
-    if (filled < cap) {
-      top[filled++] = x;
-      for (uint32_t j = filled - 1; j > 0 && top[j] > top[j - 1]; --j) {
-        std::swap(top[j], top[j - 1]);
-      }
-    } else if (x > top[cap - 1]) {
-      top[cap - 1] = x;
-      for (uint32_t j = cap - 1; j > 0 && top[j] > top[j - 1]; --j) {
-        std::swap(top[j], top[j - 1]);
-      }
-    }
-  }
-  for (uint32_t j = 0; j < filled; ++j) gain += top[j];
-  return gain;
+  word[0] |= bits;
+  return word[1] & bits;
 }
 
 void KtgEngine::OfferCurrent(CoverMask covered) {
@@ -182,71 +117,78 @@ void KtgEngine::OfferCurrent(CoverMask covered) {
   }
 }
 
-std::vector<Candidate> KtgEngine::BuildChildCandidates(
-    const std::vector<Candidate>& sr, size_t i, CoverMask child_covered,
-    CoverMask* child_union) {
-  const Candidate& v = sr[i];
-
-  // Child S_R: candidates after i, k-line-filtered against v (Theorem 3),
-  // with VKC refreshed against the enlarged S_I. When the checker can
-  // materialize v's <=k ball, the whole filter costs one traversal plus
-  // binary searches. Otherwise the bulk path is the run's k-line memo: a
-  // pair reaches the checker once, however many subtrees hold both.
+uint32_t KtgEngine::BuildChild(uint32_t depth, uint32_t v) {
+  const VertexId pivot = slot_vertex_[v];
+  // When the checker can materialize v's <=k ball, the whole filter costs
+  // one traversal plus binary searches. Otherwise the bulk path is the
+  // run's k-line memo: a pair reaches the checker once, however many
+  // subtrees hold both.
   const std::vector<VertexId>* ball = nullptr;
   uint64_t* row = nullptr;
   if (options_.eager_kline_filtering && options_.bulk_filtering) {
-    ball = checker_.BallWithinK(v.vertex, k_, &stats_.distance_checks);
-    if (ball == nullptr) row = MemoRow(v.slot);
+    ball = checker_.BallWithinK(pivot, k_, &stats_.distance_checks);
+    if (ball == nullptr) row = MemoRow(v);
   }
   // The stopwatch read-back (and the clock reads it implies) happens only
   // when a sink is attached; sub-phase attribution is a diagnostic detail.
   Stopwatch filter_watch;
+  const uint64_t* rem = frontier_.remaining(depth);
+  uint64_t* child = frontier_.remaining(depth + 1);
   uint64_t dropped = 0;
-  std::vector<Candidate> child;
-  child.reserve(sr.size() - i - 1);
-  CoverMask union_mask = 0;
-  for (size_t j = i + 1; j < sr.size(); ++j) {
-    Candidate c = sr[j];
-    if (options_.eager_kline_filtering) {
-      bool conflict;
-      if (ball != nullptr) {
-        conflict = SortedContains(*ball, c.vertex);
-      } else if (row != nullptr) {
-        conflict = MemoWithinK(row, v, c);
-      } else {
-        conflict = !checker_.IsFartherThan(c.vertex, v.vertex, k_,
-                                           &stats_.distance_checks);
+  uint32_t size = 0;
+  // One pass over the words; `within(w, bits)` returns the slots of `bits`
+  // in word w that are within k hops of v.
+  const auto filter = [&](auto within) {
+    for (size_t w = 0; w < frontier_.words(); ++w) {
+      uint64_t keep = rem[w];
+      if (keep != 0) {
+        const uint64_t conflicts = within(w, keep);
+        dropped += PopCount(conflicts);
+        keep &= ~conflicts;
+        size += PopCount(keep);
       }
-      if (conflict) {
-        ++dropped;
-        continue;
-      }
+      child[w] = keep;
     }
-    c.vkc = PopCount(NovelBits(c.mask, child_covered));
-    union_mask |= c.mask;
-    child.push_back(c);
+  };
+  const auto per_slot = [&](auto conflict) {
+    return [&, conflict](size_t w, uint64_t bits) {
+      uint64_t out = 0;
+      ForEachSetBit(bits, [&](int bit) {
+        if (conflict(slot_vertex_[w * 64 + bit])) out |= uint64_t{1} << bit;
+      });
+      return out;
+    };
+  };
+  if (!options_.eager_kline_filtering) {
+    filter([](size_t, uint64_t) { return uint64_t{0}; });
+  } else if (ball != nullptr) {
+    filter(per_slot([&](VertexId c) { return SortedContains(*ball, c); }));
+  } else if (row != nullptr) {
+    filter([&](size_t w, uint64_t bits) {
+      return MemoWithinK(row, v, w, bits);
+    });
+  } else {
+    filter(per_slot([&](VertexId c) {
+      return !checker_.IsFartherThan(c, pivot, k_, &stats_.distance_checks);
+    }));
   }
-  if (options_.sort != SortStrategy::kQkc) SortCandidates(child, true);
   stats_.kline_filtered += dropped;
   if (instrument_) {
     stats_.phases[obs::Phase::kKlineFilter] += filter_watch.ElapsedMillis();
     if (dropped > 0) {
-      RecordTrace(obs::TraceEventKind::kKlineFilter, v.vertex,
+      RecordTrace(obs::TraceEventKind::kKlineFilter, pivot,
                   static_cast<int64_t>(dropped));
     }
   }
-  *child_union = union_mask;
-  return child;
+  return size;
 }
 
-void KtgEngine::Search(const std::vector<Candidate>& sr, CoverMask covered,
-                       CoverMask sr_union) {
+void KtgEngine::Search(uint32_t depth, CoverMask covered, uint32_t size) {
   if (controls_.StopRequested()) return;
   ++stats_.nodes_expanded;
   if (instrument_) {
     RecordTrace(obs::TraceEventKind::kExpand,
-                members_.empty() ? kInvalidVertex : members_.back(),
-                static_cast<int64_t>(sr.size()));
+                members_.empty() ? kInvalidVertex : members_.back(), size);
   }
   if (!controls_.ChargeNode(stats_.nodes_expanded)) return;
 
@@ -256,17 +198,17 @@ void KtgEngine::Search(const std::vector<Candidate>& sr, CoverMask covered,
   }
 
   const uint32_t need = p_ - static_cast<uint32_t>(members_.size());
-  if (sr.size() < need) return;
+  if (size < need) return;
+  const CoverMask reachable = frontier_.Open(depth, covered);
 
   // The reachable-coverage ceiling: no descendant can cover keywords outside
   // covered ∪ (union of remaining masks). It clamps the additive Theorem-2
   // bound, which otherwise exceeds |W_Q| on popular-keyword queries and
   // stops pruning entirely once the top groups reach full coverage.
-  const int ceiling = options_.ceiling_prune
-                          ? PopCount(covered | sr_union)
-                          : std::numeric_limits<int>::max();
+  const int ceiling = options_.ceiling_prune ? PopCount(reachable)
+                                             : std::numeric_limits<int>::max();
   if (options_.keyword_pruning && controls_.Full()) {
-    const int additive = PopCount(covered) + OptimisticGain(sr, 0, need);
+    const int additive = PopCount(covered) + frontier_.Gain(depth, need);
     if (std::min(additive, ceiling) <= controls_.Threshold()) {
       ++stats_.keyword_prunes;
       if (instrument_) {
@@ -278,71 +220,65 @@ void KtgEngine::Search(const std::vector<Candidate>& sr, CoverMask covered,
     }
   }
 
-  // Suffix reachable-coverage masks for the residual clamp: suffix[j] =
-  // ∪ masks of sr[j..]. The child branching on sr[i] draws its whole
-  // subtree from sr[i..], so popcount(covered | suffix[i]) bounds its
-  // final coverage — tighter than the node ceiling (which charges the
-  // already-skipped prefix) and monotone non-increasing in i. Built
-  // lazily, once per node, the first time a full collector makes the
-  // bound consultable; entries below the triggering child stay zero and
-  // are never read (the loop only moves forward).
-  std::vector<CoverMask> suffix;
+  // Suffix reachable-coverage masks for the residual clamp: the child
+  // branching on v draws its whole subtree from v and the slots after it,
+  // so popcount(covered | their masks' union) bounds its final coverage —
+  // tighter than the node ceiling (which charges the already-skipped
+  // prefix) and non-increasing along the walk. Built lazily, once per
+  // node, the first time a full collector makes the bound consultable.
+  const CoverMask* suffix = nullptr;
   const bool residual = options_.residual_bound && options_.keyword_pruning;
 
-  for (size_t i = 0; i + need <= sr.size(); ++i) {
-    if (controls_.StopRequested()) return;
-    if (residual && suffix.empty() && controls_.Full()) {
-      suffix.resize(sr.size() + 1);
-      suffix[sr.size()] = 0;
-      for (size_t j = sr.size(); j-- > i;) {
-        suffix[j] = sr[j].mask | suffix[j + 1];
-      }
+  frontier_.Walk(depth, size, [&](uint32_t v, int vkc, uint32_t left) {
+    if (left + 1 < need) return false;
+    if (controls_.StopRequested()) return false;
+    if (residual && suffix == nullptr && controls_.Full()) {
+      suffix = frontier_.Suffix(depth, left);
     }
-    if (!Branch(sr, i, covered, ceiling, need,
-                suffix.empty() ? nullptr : &suffix[i])) {
-      return;
-    }
-  }
+    CoverMask reach = 0;
+    if (suffix != nullptr) reach = frontier_.mask(v) | suffix[left];
+    return Branch(depth, v, vkc, covered, ceiling, need,
+                  suffix != nullptr ? &reach : nullptr);
+  });
 }
 
-bool KtgEngine::Branch(const std::vector<Candidate>& sr, size_t i,
-                       CoverMask covered, int ceiling, uint32_t need,
-                       const CoverMask* suffix) {
-  const Candidate& v = sr[i];
+bool KtgEngine::Branch(uint32_t depth, uint32_t v, int vkc, CoverMask covered,
+                       int ceiling, uint32_t need, const CoverMask* reach) {
+  const VertexId vertex = slot_vertex_[v];
 
   // Parent-side bound for this child (cheap for VKC orders; skipped for
-  // the static QKC order where it would cost a scan per child).
+  // the static QKC order, whose walk is not vkc-descending).
   if (options_.keyword_pruning && controls_.Full()) {
     const int threshold = controls_.Threshold();
     if (ceiling <= threshold) {
       ++stats_.keyword_prunes;
       if (instrument_) {
-        RecordTrace(obs::TraceEventKind::kKeywordPrune, v.vertex, ceiling);
+        RecordTrace(obs::TraceEventKind::kKeywordPrune, vertex, ceiling);
       }
       return false;  // no child can beat the N-th result
     }
     if (options_.sort != SortStrategy::kQkc) {
       const int bound =
-          PopCount(covered) + v.vkc + OptimisticGain(sr, i + 1, need - 1);
+          PopCount(covered) + vkc + frontier_.Gain(depth, need - 1);
       if (bound <= threshold) {
         ++stats_.keyword_prunes;
         if (instrument_) {
-          RecordTrace(obs::TraceEventKind::kKeywordPrune, v.vertex, bound);
+          RecordTrace(obs::TraceEventKind::kKeywordPrune, vertex, bound);
         }
-        // sr is vkc-descending: later children only bound lower.
+        // The walk is vkc-descending: later children only bound lower.
         return false;
       }
     }
-    if (suffix != nullptr) {
-      const int clamp = PopCount(covered | *suffix);
+    if (reach != nullptr) {
+      const int clamp = PopCount(covered | *reach);
       if (clamp <= threshold) {
         // The additive bound passed but the child's own suffix cannot
         // reach past the N-th coverage.
         ++stats_.ub_prunes;
         if (instrument_) {
-          RecordTrace(obs::TraceEventKind::kKeywordPrune, v.vertex, clamp);
+          RecordTrace(obs::TraceEventKind::kKeywordPrune, vertex, clamp);
         }
-        return false;  // suffix[i] ⊇ suffix[i+1]: later children clamp lower
+        return false;  // later children's suffixes are subsets of this one
       }
     }
   }
@@ -350,19 +286,16 @@ bool KtgEngine::Branch(const std::vector<Candidate>& sr, size_t i,
   // Lazy feasibility check (ablation mode): validate v against S_I now.
   if (!options_.eager_kline_filtering) {
     for (const VertexId m : members_) {
-      if (!checker_.IsFartherThan(v.vertex, m, k_, &stats_.distance_checks)) {
+      if (!checker_.IsFartherThan(vertex, m, k_, &stats_.distance_checks)) {
         return true;
       }
     }
   }
 
-  const CoverMask child_covered = covered | v.mask;
-  CoverMask child_union = 0;
-  std::vector<Candidate> child =
-      BuildChildCandidates(sr, i, child_covered, &child_union);
-
-  members_.push_back(v.vertex);
-  Search(child, child_covered, child_union);
+  const CoverMask child_covered = covered | frontier_.mask(v);
+  const uint32_t child_size = BuildChild(depth, v);
+  members_.push_back(vertex);
+  Search(depth + 1, child_covered, child_size);
   members_.pop_back();
   return true;
 }
@@ -400,17 +333,15 @@ uint32_t KtgEngine::EffectiveWorkers(size_t num_candidates) const {
 }
 
 std::vector<Group> KtgEngine::ParallelRootSearch(
-    const std::vector<Candidate>& sr, CoverMask sr_union, uint32_t workers,
+    const std::vector<Candidate>& sr, uint32_t workers,
     const std::vector<Group>& seeds, const Stopwatch& run_watch,
     bool* complete) {
   // Suffix masks for the per-root residual clamp, built once for every
-  // worker (see Search(); O(|sr|) here instead of O(|sr|) per root).
+  // worker over the root order (see Search()).
   std::vector<CoverMask> suffix(sr.size() + 1, 0);
+  for (size_t j = sr.size(); j-- > 0;) suffix[j] = sr[j].mask | suffix[j + 1];
   const bool residual = options_.residual_bound && options_.keyword_pruning;
-  if (residual) {
-    for (size_t j = sr.size(); j-- > 0;) suffix[j] = sr[j].mask | suffix[j + 1];
-  }
-  const int ceiling = options_.ceiling_prune ? PopCount(sr_union)
+  const int ceiling = options_.ceiling_prune ? PopCount(suffix[0])
                                              : std::numeric_limits<int>::max();
   const auto worker = [&](RootParallelShared& shared) {
     KtgEngine clone(graph_, index_, checker_, options_);
@@ -418,12 +349,20 @@ std::vector<Group> KtgEngine::ParallelRootSearch(
     clone.k_ = k_;
     clone.top_n_ = top_n_;
     clone.controls_ = RunControls(options_, run_watch, nullptr, &shared);
-    clone.ResetMemo(sr.size());
+    clone.StartRun(sr);
+    clone.frontier_.Open(0, 0);
     // Root i is the serial first level's child i (members_ empty, covered
-    // 0, need p_). Every Branch bound is non-increasing in the root index,
-    // so a failed bound stops the claim loop (see core/root_parallel.h).
+    // 0, need p_): the root S_R holds the slots after sr[i] in the root
+    // order. Roots are claimed in ascending order, so the worker takes
+    // each earlier root out once. Every Branch bound is non-increasing in
+    // the root index, so a failed bound stops the claim loop (see
+    // core/root_parallel.h).
+    size_t taken = 0;
     shared.ClaimRoots([&](size_t i) {
-      return clone.Branch(sr, i, 0, ceiling, p_,
+      for (; taken <= i; ++taken) {
+        clone.frontier_.Take(0, sr[taken].slot, sr[taken].vkc);
+      }
+      return clone.Branch(0, sr[i].slot, sr[i].vkc, 0, ceiling, p_,
                           residual ? &suffix[i] : nullptr)
                  ? RootStep::kContinue
                  : RootStep::kStop;
@@ -458,15 +397,8 @@ Result<SearchOutcome> KtgEngine::SearchCandidates(const KtgQuery& query,
   stats_ = *stats;
   {
     obs::PhaseTimer timer(&stats_.phases, obs::Phase::kCandidateGen);
-    SortCandidates(sr, false);
-    for (size_t i = 0; i < sr.size(); ++i) {
-      sr[i].slot = static_cast<uint32_t>(i);
-    }
+    RankCandidates(sr, options_.sort, options_.degree_ascending);
   }
-  ResetMemo(sr.size());
-
-  CoverMask sr_union = 0;
-  for (const Candidate& c : sr) sr_union |= c.mask;
 
   // Anytime warm start (greedy seeds; see GreedySeeds).
   std::vector<Group> seeds;
@@ -482,14 +414,15 @@ Result<SearchOutcome> KtgEngine::SearchCandidates(const KtgQuery& query,
     {
       obs::PhaseTimer timer(&stats_.phases, obs::Phase::kBbSearch);
       for (Group& g : seeds) collector_.Offer(std::move(g));
-      Search(sr, 0, sr_union);
+      StartRun(sr);
+      Search(0, 0, static_cast<uint32_t>(sr.size()));
     }
     obs::PhaseTimer timer(&stats_.phases, obs::Phase::kTopNMerge);
     out.groups = collector_.Take();
     out.complete = !controls_.stopped();
   } else {
-    out.groups = ParallelRootSearch(sr, sr_union, workers, seeds, run_watch,
-                                    &out.complete);
+    out.groups =
+        ParallelRootSearch(sr, workers, seeds, run_watch, &out.complete);
     out.parallel = true;
   }
   *stats = stats_;

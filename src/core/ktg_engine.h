@@ -9,10 +9,12 @@
 // how the paper names configurations like "KTG-VKC-DEG-NLRNL".
 //
 // Search space: combinations of the candidate set S_R. A tree node holds an
-// intermediate set S_I and a filtered, re-sorted remaining set; child i
-// selects the i-th remaining candidate and recurses on the candidates after
-// it (set-minus semantics keeps every combination visited exactly once even
-// though each child is re-sorted). Two accelerations cut the tree:
+// intermediate set S_I and its remaining candidates; child i selects the
+// i-th remaining candidate in the node's order and recurses on the ones
+// after it (set-minus semantics keeps every combination visited exactly
+// once although each node orders its candidates afresh). The S_R of a node
+// is a bitset over the run's slots, walked in vkc buckets (core/frontier.h).
+// Two accelerations cut the tree:
 //   * keyword pruning (Theorem 2): an optimistic coverage bound against the
 //     current N-th result,
 //   * k-line filtering (Theorem 3): candidates within k hops of the newly
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "core/candidates.h"
+#include "core/frontier.h"
 #include "core/options.h"
 #include "core/query.h"
 #include "core/root_parallel.h"
@@ -40,13 +43,18 @@ namespace ktg {
 
 /// Exact KTG query processor.
 ///
-/// Stateful per-run scratch; a single engine instance is not thread-safe.
-/// The graph, inverted index and checker must outlive the engine. When
-/// EngineOptions::num_threads > 1 and the checker is concurrent-read-safe,
-/// Run() splits the first level of the search tree across that many worker
-/// threads, each driving a private engine clone whose subtree results feed
-/// a shared top-N; the shared N-th score (a relaxed atomic snapshot) is the
-/// pruning bound, so every worker benefits from every other's results.
+/// Stateful per-run scratch: the frontier arena (one S_R bitset and its vkc
+/// buckets per search depth) and the k-line memo, both reused across runs.
+/// No node copies or sorts an S_R; the only allocation inside the search
+/// is a pivot's first memo row. A single engine instance is not
+/// thread-safe. The graph, inverted index and checker must outlive the
+/// engine. When EngineOptions::num_threads > 1 and the checker is
+/// concurrent-read-safe, Run() splits the first level of the search tree
+/// across that many worker threads, each driving a private engine clone
+/// (its own arena and memo) that builds a claimed root's S_R from the root
+/// order; subtree results feed a shared top-N whose N-th score (a relaxed
+/// atomic snapshot) is the pruning bound, so every worker benefits from
+/// every other's results.
 class KtgEngine {
  public:
   KtgEngine(const AttributedGraph& graph, const InvertedIndex& index,
@@ -70,40 +78,40 @@ class KtgEngine {
                                          std::vector<Candidate>& sr,
                                          const Stopwatch& run_watch,
                                          SearchStats* stats);
-  void Search(const std::vector<Candidate>& sr, CoverMask covered,
-              CoverMask sr_union);
-  // One child of a node: the parent-side bounds for branching on sr[i],
-  // the lazy feasibility check, then the child's subtree. `covered` is the
-  // node's coverage, `ceiling` its reachable-coverage ceiling, `need` the
-  // members still missing and `suffix` ∪ masks of sr[i..] for the
-  // residual clamp (null when the clamp is off or not yet built). Returns false when a bound that only
-  // falls with i pruned the child, so no later child can contribute. The
-  // serial loop and the root-parallel step both run it, so a root's
-  // subtree is exactly the serial first level's.
-  bool Branch(const std::vector<Candidate>& sr, size_t i, CoverMask covered,
-              int ceiling, uint32_t need, const CoverMask* suffix);
-  // The child-construction step of Branch(): candidates after `i`,
-  // k-line-filtered against sr[i] (Theorem 3), VKC refreshed against
-  // `child_covered`, re-sorted for VKC strategies. Charges filter
-  // time to the kKlineFilter sub-phase and emits a trace event when
-  // observability is attached.
-  std::vector<Candidate> BuildChildCandidates(const std::vector<Candidate>& sr,
-                                              size_t i, CoverMask child_covered,
-                                              CoverMask* child_union);
-  // Whether `c` is within k hops of the pivot `v`: read from v's memo row
-  // `row` (see memo_row_) or, on the pair's first question, from c's row
-  // or one checker call, then recorded in `row`.
-  bool MemoWithinK(uint64_t* row, const Candidate& v, const Candidate& c);
+  // Sizes the frontier and empties the k-line memo for a run over the
+  // ranked S_R `sr`.
+  void StartRun(const std::vector<Candidate>& sr);
+  // The node at `depth` (= |S_I|) with coverage `covered`; its S_R is
+  // frontier_.remaining(depth), `size` slots.
+  void Search(uint32_t depth, CoverMask covered, uint32_t size);
+  // One child of the node at `depth`: the parent-side bounds for branching
+  // on slot `v` (of vkc `vkc` in the node), the lazy feasibility check,
+  // then the child's subtree. The frontier has already taken v and every
+  // earlier sibling out of the node's S_R. `covered` is the node's
+  // coverage, `ceiling` its reachable-coverage ceiling, `need` the members
+  // still missing and `reach` the union of v's and the later siblings'
+  // masks for the residual clamp (null when the clamp is off or not yet
+  // built). Returns false when a bound that only falls along the node's
+  // order pruned the child, so no later child can contribute. The serial
+  // walk and the root-parallel step both run it, so a root's subtree is
+  // exactly the serial first level's.
+  bool Branch(uint32_t depth, uint32_t v, int vkc, CoverMask covered,
+              int ceiling, uint32_t need, const CoverMask* reach);
+  // Writes the S_R of v's child: the node's remaining slots minus those
+  // within k hops of v (Theorem 3), from the checker's ball, the k-line
+  // memo or one check per slot. Returns its size. Charges filter time to
+  // the kKlineFilter sub-phase and emits a trace event when observability
+  // is attached.
+  uint32_t BuildChild(uint32_t depth, uint32_t v);
+  // The slots of `bits` (word `w` of an S_R) within k hops of the pivot
+  // `v`, read from v's memo row; a pair the row does not know yet is read
+  // from the other slot's row or asked of the checker once, then recorded.
+  uint64_t MemoWithinK(uint64_t* row, uint32_t v, size_t w, uint64_t bits);
   // The memo row of `slot`, allocated zeroed on its first use.
   uint64_t* MemoRow(uint32_t slot);
-  // Empties the memo for a run over `num_candidates` slots.
-  void ResetMemo(size_t num_candidates);
   // Forwards to the attached QueryTrace (no-op when none); depth is the
   // current |S_I|.
   void RecordTrace(obs::TraceEventKind kind, VertexId vertex, int64_t detail);
-  // Sorts into the search order: std::sort for the root's S_R, the
-  // near-sorted re-sort (ResortCandidates) for a child's.
-  void SortCandidates(std::vector<Candidate>& cands, bool nearly_sorted) const;
   // Anytime warm start: up to top_n_ greedy constructions over `sr`
   // (skip-based restart diversification, k-line feasibility through the
   // checker). Seeding the collector with them makes best-so-far non-empty
@@ -111,10 +119,6 @@ class KtgEngine {
   // exactness of a completed run is unaffected (the collector still admits
   // every strictly-better group).
   std::vector<Group> GreedySeeds(const std::vector<Candidate>& sr);
-  // Sum of the `need` largest vkc values in `cands[from:]`; assumes the
-  // vector is vkc-descending for VKC strategies, scans otherwise.
-  int OptimisticGain(const std::vector<Candidate>& cands, size_t from,
-                     uint32_t need) const;
   void OfferCurrent(CoverMask covered);
 
   // --- root-parallel machinery -------------------------------------------
@@ -127,7 +131,7 @@ class KtgEngine {
   // run completed. `seeds` are pre-search groups (anytime warm start)
   // offered into the shared top-N before any worker claims a root.
   std::vector<Group> ParallelRootSearch(const std::vector<Candidate>& sr,
-                                        CoverMask sr_union, uint32_t workers,
+                                        uint32_t workers,
                                         const std::vector<Group>& seeds,
                                         const Stopwatch& run_watch,
                                         bool* complete);
@@ -154,16 +158,19 @@ class KtgEngine {
   // the run's shared state on the per-worker clones of a parallel run.
   RunControls controls_;
 
-  // The run's k-line memo between S_R candidates, indexed by
-  // Candidate::slot. A candidate gets a row on its first use as a pivot:
-  // two bitsets over slots, `known` and `within`, interleaved word by word
-  // (2 * memo_words_ words). Only the pivot's row is written, so memory
-  // follows the pivots the run expands. The engine keeps the storage
-  // across runs; each root-parallel clone has its own for its run.
+  // The run's S_R per search depth, and each slot's vertex.
+  Frontier frontier_;
+  std::vector<VertexId> slot_vertex_;
+
+  // The run's k-line memo between S_R candidates, indexed by slot. A
+  // candidate gets a row on its first use as a pivot: two bitsets over
+  // slots, `known` and `within`, interleaved word by word (2 * words
+  // words). Only the pivot's row is written, so memory follows the pivots
+  // the run expands. The engine keeps the storage across runs; each
+  // root-parallel clone has its own for its run.
   static constexpr uint32_t kNoRow = ~uint32_t{0};
   std::vector<uint32_t> memo_row_;  // slot -> its row's index, or kNoRow
   std::vector<uint64_t> memo_bits_;
-  size_t memo_words_ = 0;  // words per bitset: ceil(|S_R| / 64)
 };
 
 /// Convenience wrapper: builds a transient engine and runs one query.

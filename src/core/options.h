@@ -151,15 +151,18 @@ struct EngineOptions {
   bool eager_kline_filtering = true;
 
   /// Answer the eager k-line filter in bulk instead of one checker call
-  /// per pair. A checker with a bulk ball materialization (BFS, and the
-  /// CachingChecker wrapper) answers a selected member's whole filter from
-  /// one ball. Any other checker (NL, NLRNL, bitmap) answers through the
-  /// run's k-line memo, which asks the checker about each candidate pair
-  /// at most once per run (per worker under the root-parallel search)
-  /// instead of once in every subtree that holds both. Results and node
-  /// counts are the same either way; only the check count falls. Turn off
-  /// to force the paper's per-pair accounting everywhere (the figure
-  /// benches do).
+  /// per pair. Every mode builds a child's S_R the same way, as a bitset
+  /// over the run's slots: the parent's remaining slots minus those within
+  /// k hops of the selected member (core/frontier.h). A checker with a
+  /// bulk ball materialization (BFS, and the CachingChecker wrapper) marks
+  /// those slots from one ball. Any other checker (NL, NLRNL, bitmap)
+  /// answers through the run's k-line memo: a bitset row per selected
+  /// member, filled by asking the checker about each candidate pair at
+  /// most once per run (per worker under the root-parallel search), and
+  /// the child is one AND-NOT with that row. Results and node counts are
+  /// the same either way; only the check count falls. Turn off to ask the
+  /// checker once per remaining candidate, the paper's per-pair accounting
+  /// (the figure benches do).
   bool bulk_filtering = true;
 
   /// Degree tie-break direction for kVkcDeg. The paper's motivation implies
