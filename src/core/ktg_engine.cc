@@ -61,6 +61,55 @@ void KtgEngine::StartRun(const std::vector<Candidate>& sr) {
   for (const Candidate& c : sr) slot_vertex_[c.slot] = c.vertex;
   memo_row_.assign(sr.size(), kNoRow);
   memo_bits_.clear();
+  fill_floor_.assign(sr.size(), 0);
+  rows_ = nullptr;
+  rows_open_ = true;
+  rows_cost_ = 0;
+}
+
+bool KtgEngine::RowsPaidFor() {
+  if (!rows_open_) return false;
+  if (rows_cost_ == 0) {
+    rows_cost_ = ConflictRows::BuildCost(graph_.graph(), slot_vertex_, k_);
+  }
+  return stats_.distance_checks * CheckCost() >= rows_cost_;
+}
+
+void KtgEngine::FillFromGraph(uint64_t* row, uint32_t v, const uint64_t* rem) {
+  if (rows_ == nullptr && !RowsPaidFor()) return;
+  const size_t words = frontier_.words();
+  uint64_t& floor = fill_floor_[v];
+  // Every word with an unknown bit counted full: an O(words) bound that
+  // turns most pivots away before any bit is counted.
+  uint64_t open_words = 0;
+  for (size_t w = 0; w < words; ++w) {
+    open_words += (rem[w] & ~row[2 * w]) != 0 ? 1 : 0;
+  }
+  if (open_words == 0 || 64 * open_words * CheckCost() < floor) return;
+  uint64_t unknown = 0;
+  for (size_t w = 0; w < words; ++w) {
+    unknown += PopCount(rem[w] & ~row[2 * w]);
+  }
+  const uint64_t checks = unknown * CheckCost();
+  if (checks < floor) return;
+  // Priced with the checks as the cap: a walk that costs more is turned
+  // away as soon as its price passes them, and the price reached is kept
+  // as the slot's floor. A walk that costs less fills the row now, so no
+  // slot is priced again after its exact price is known.
+  const VertexId pivot = slot_vertex_[v];
+  const uint64_t cost =
+      ConflictRows::FillCost(graph_.graph(), pivot, k_, words, checks);
+  if (cost > checks) {
+    floor = cost;
+    return;
+  }
+  if (rows_ == nullptr) {
+    own_rows_.Build(graph_.graph(), slot_vertex_, k_);
+    rows_ = &own_rows_;
+  }
+  rows_->Fill(pivot, row + 1, 2);
+  for (size_t w = 0; w < words; ++w) row[2 * w] = ~uint64_t{0};
+  ++stats_.distance_checks;  // one traversal, as a BallWithinK counts
 }
 
 uint64_t* KtgEngine::MemoRow(uint32_t slot) {
@@ -122,7 +171,8 @@ uint32_t KtgEngine::BuildChild(uint32_t depth, uint32_t v) {
   // When the checker can materialize v's <=k ball, the whole filter costs
   // one traversal plus binary searches. Otherwise the bulk path is the
   // run's k-line memo: a pair reaches the checker once, however many
-  // subtrees hold both.
+  // subtrees hold both, or the whole row comes from the graph-side rows.
+  const uint64_t* rem = frontier_.remaining(depth);
   const std::vector<VertexId>* ball = nullptr;
   uint64_t* row = nullptr;
   if (options_.eager_kline_filtering && options_.bulk_filtering) {
@@ -132,7 +182,7 @@ uint32_t KtgEngine::BuildChild(uint32_t depth, uint32_t v) {
   // The stopwatch read-back (and the clock reads it implies) happens only
   // when a sink is attached; sub-phase attribution is a diagnostic detail.
   Stopwatch filter_watch;
-  const uint64_t* rem = frontier_.remaining(depth);
+  if (row != nullptr) FillFromGraph(row, v, rem);
   uint64_t* child = frontier_.remaining(depth + 1);
   uint64_t dropped = 0;
   uint32_t size = 0;
@@ -343,6 +393,18 @@ std::vector<Group> KtgEngine::ParallelRootSearch(
   const bool residual = options_.residual_bound && options_.keyword_pruning;
   const int ceiling = options_.ceiling_prune ? PopCount(suffix[0])
                                              : std::numeric_limits<int>::max();
+  // The graph-side rows, built here once for every worker when the
+  // workers' first rows alone would ask checks worth the build.
+  const ConflictRows* rows = nullptr;
+  if (options_.eager_kline_filtering && options_.bulk_filtering) {
+    slot_vertex_.resize(sr.size());
+    for (const Candidate& c : sr) slot_vertex_[c.slot] = c.vertex;
+    if (ConflictRows::BuildCost(graph_.graph(), slot_vertex_, k_) <=
+        sr.size() * workers * CheckCost()) {
+      own_rows_.Build(graph_.graph(), slot_vertex_, k_);
+      rows = &own_rows_;
+    }
+  }
   const auto worker = [&](RootParallelShared& shared) {
     KtgEngine clone(graph_, index_, checker_, options_);
     clone.p_ = p_;
@@ -350,6 +412,8 @@ std::vector<Group> KtgEngine::ParallelRootSearch(
     clone.top_n_ = top_n_;
     clone.controls_ = RunControls(options_, run_watch, nullptr, &shared);
     clone.StartRun(sr);
+    clone.rows_ = rows;
+    clone.rows_open_ = false;
     clone.frontier_.Open(0, 0);
     // Root i is the serial first level's child i (members_ empty, covered
     // 0, need p_): the root S_R holds the slots after sr[i] in the root

@@ -23,9 +23,12 @@
 #ifndef KTG_CORE_KTG_ENGINE_H_
 #define KTG_CORE_KTG_ENGINE_H_
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "core/candidates.h"
+#include "core/conflict_rows.h"
 #include "core/frontier.h"
 #include "core/options.h"
 #include "core/query.h"
@@ -44,15 +47,18 @@ namespace ktg {
 /// Exact KTG query processor.
 ///
 /// Stateful per-run scratch: the frontier arena (one S_R bitset and its vkc
-/// buckets per search depth) and the k-line memo, both reused across runs.
-/// No node copies or sorts an S_R; the only allocation inside the search
-/// is a pivot's first memo row. A single engine instance is not
-/// thread-safe. The graph, inverted index and checker must outlive the
-/// engine. When EngineOptions::num_threads > 1 and the checker is
-/// concurrent-read-safe, Run() splits the first level of the search tree
-/// across that many worker threads, each driving a private engine clone
-/// (its own arena and memo) that builds a claimed root's S_R from the root
-/// order; subtree results feed a shared top-N whose N-th score (a relaxed
+/// buckets per search depth), the k-line memo and the graph-side rows that
+/// fill it, all reused across runs.
+/// No node copies or sorts an S_R; the only allocations inside the search
+/// are a pivot's first memo row and the graph-side rows' build. A single
+/// engine instance is not thread-safe. The graph, inverted index and
+/// checker must outlive the engine, and the checker must answer distances
+/// on the graph's own social graph: the memo takes rows from either. When
+/// EngineOptions::num_threads > 1 and the checker is concurrent-read-safe,
+/// Run() splits the first level of the search tree across that many worker
+/// threads, each driving a private engine clone (its own arena and memo,
+/// reading the graph-side rows the calling engine built) that builds a
+/// claimed root's S_R from the root order; subtree results feed a shared top-N whose N-th score (a relaxed
 /// atomic snapshot) is the pruning bound, so every worker benefits from
 /// every other's results.
 class KtgEngine {
@@ -107,6 +113,14 @@ class KtgEngine {
   // `v`, read from v's memo row; a pair the row does not know yet is read
   // from the other slot's row or asked of the checker once, then recorded.
   uint64_t MemoWithinK(uint64_t* row, uint32_t v, size_t w, uint64_t bits);
+  // Before v's memo row answers the S_R `rem`: fills the whole row from the
+  // run's graph-side rows when the fill policy (see the cost constants)
+  // prices that below the checks the row would still ask.
+  void FillFromGraph(uint64_t* row, uint32_t v, const uint64_t* rem);
+  // Whether this run may build the graph-side rows now: a serial run once
+  // its checks would have paid for the build (a parallel run's clones
+  // read the rows the coordinating engine built, if any, and never build).
+  bool RowsPaidFor();
   // The memo row of `slot`, allocated zeroed on its first use.
   uint64_t* MemoRow(uint32_t slot);
   // Forwards to the attached QueryTrace (no-op when none); depth is the
@@ -171,6 +185,28 @@ class KtgEngine {
   static constexpr uint32_t kNoRow = ~uint32_t{0};
   std::vector<uint32_t> memo_row_;  // slot -> its row's index, or kNoRow
   std::vector<uint64_t> memo_bits_;
+
+  // Graph-side k-line rows (core/conflict_rows.h) for the memo, priced in
+  // word operations against a checker call's CheckCost(). A pivot's row is
+  // filled from the graph when the checks it still needs in the node cost
+  // more than the pivot's walk. A serial run builds the rows once its
+  // checks would have paid for the build, a rent-or-buy rule that costs at
+  // most about twice what the better choice would have; a root-parallel
+  // run's coordinator builds them for its clones when the workers' first
+  // rows alone would ask that much. The prices are by k, as an index
+  // check scans up to k levels; k >= 4 is priced as 4.
+  static constexpr std::array<uint64_t, 5> kCheckCost = {16, 48, 112, 144,
+                                                         160};
+  uint64_t CheckCost() const {
+    return kCheckCost[std::min<size_t>(k_, kCheckCost.size() - 1)];
+  }
+  ConflictRows own_rows_;
+  const ConflictRows* rows_ = nullptr;  // the run's rows once built
+  bool rows_open_ = false;  // whether this run may still build own_rows_
+  uint64_t rows_cost_ = 0;  // own_rows_'s estimated build, 0 = not priced
+  // slot -> a floor under its fill's price, from a pricing that stopped
+  // at the checks it was weighed against (0 = none yet)
+  std::vector<uint64_t> fill_floor_;
 };
 
 /// Convenience wrapper: builds a transient engine and runs one query.

@@ -157,12 +157,15 @@ struct EngineOptions {
   /// bulk ball materialization (BFS, and the CachingChecker wrapper) marks
   /// those slots from one ball. Any other checker (NL, NLRNL, bitmap)
   /// answers through the run's k-line memo: a bitset row per selected
-  /// member, filled by asking the checker about each candidate pair at
-  /// most once per run (per worker under the root-parallel search), and
-  /// the child is one AND-NOT with that row. Results and node counts are
-  /// the same either way; only the check count falls. Turn off to ask the
-  /// checker once per remaining candidate, the paper's per-pair accounting
-  /// (the figure benches do).
+  /// member, and the child is one AND-NOT with that row. A row is filled
+  /// either by asking the checker about each candidate pair at most once
+  /// per run (per worker under the root-parallel search), or whole from
+  /// the graph-side rows (core/conflict_rows.h) when a fixed cost rule
+  /// prices that lower. Results and node counts are the same either way;
+  /// only the check count falls. A row filled from the graph counts as one
+  /// check, as a ball traversal does. Turn off to ask the checker once per
+  /// remaining candidate, the paper's per-pair accounting (the figure
+  /// benches do).
   bool bulk_filtering = true;
 
   /// Degree tie-break direction for kVkcDeg. The paper's motivation implies

@@ -90,9 +90,11 @@ struct SearchStats {
   /// docs/bounds.md) did not. Disjoint from keyword_prunes.
   uint64_t ub_prunes = 0;
   uint64_t kline_filtered = 0;      ///< S_R removals by Theorem 3
-  /// Checker invocations, tallied by the run itself (a bulk ball
-  /// traversal counts as one), so concurrent runs on a shared checker
-  /// never count each other's.
+  /// Checker invocations, tallied by the run itself, so concurrent runs
+  /// on a shared checker never count each other's. A bulk ball traversal
+  /// and a k-line row filled from the graph count as one each (see
+  /// EngineOptions::bulk_filtering), so on the bulk path this counts
+  /// answers obtained, not pairs answered.
   uint64_t distance_checks = 0;
   uint64_t candidates = 0;          ///< initial |S_R|
   /// Sound upper bound on the best achievable coverage count of this

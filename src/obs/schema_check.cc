@@ -2,7 +2,10 @@
 
 #include "obs/schema_check.h"
 
+#include <algorithm>
+#include <cmath>
 #include <initializer_list>
+#include <map>
 
 #include "obs/phases.h"
 #include "util/json_parse.h"
@@ -240,6 +243,135 @@ std::vector<std::string> CheckLoadgenV1(std::string_view json) {
   return problems;
 }
 
+namespace {
+
+// Quantile q of sorted `v` by linear interpolation between order
+// statistics (position q * (n - 1)).
+double Quantile(const std::vector<double>& v, double q) {
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<size_t>(std::floor(pos));
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+bool Near(double a, double b) {
+  return std::fabs(a - b) <= 1e-9 * std::max({1.0, std::fabs(a), std::fabs(b)});
+}
+
+void CheckBenchSide(const JsonValue& side, const std::string& where,
+                    std::vector<std::string>& problems) {
+  const JsonValue* runs = side.Find("runs");
+  if (runs == nullptr || !runs->is_array() || runs->AsArray().empty()) {
+    Note(problems, where + " lacks a non-empty array 'runs'");
+    return;
+  }
+  std::map<std::string, std::vector<double>> values;
+  for (size_t i = 0; i < runs->AsArray().size(); ++i) {
+    const JsonValue& run = runs->AsArray()[i];
+    const std::string at = where + ".runs[" + std::to_string(i) + "]";
+    if (!run.is_object()) {
+      Note(problems, at + " is not an object");
+      continue;
+    }
+    for (const char* key : {"seed", "attempted", "failed"}) {
+      RequireNumber(run, at, key, problems);
+    }
+    const JsonValue* correct = run.Find("correct");
+    if (correct == nullptr || !correct->is_bool()) {
+      Note(problems, at + " lacks boolean member 'correct'");
+    }
+    const JsonValue* metrics = run.Find("metrics");
+    if (metrics == nullptr || !metrics->is_object()) {
+      Note(problems, at + " lacks object member 'metrics'");
+      continue;
+    }
+    for (const auto& [name, value] : metrics->AsObject()) {
+      if (!value.is_number()) {
+        Note(problems, at + ".metrics." + name + " is not a number");
+        continue;
+      }
+      values[name].push_back(value.AsDouble());
+    }
+  }
+  const JsonValue* summary = side.Find("summary");
+  if (summary == nullptr || !summary->is_object()) {
+    Note(problems, where + " lacks object member 'summary'");
+    return;
+  }
+  for (const auto& [name, entry] : summary->AsObject()) {
+    if (values.find(name) == values.end()) {
+      Note(problems, where + ".summary." + name + " has no runs");
+    }
+  }
+  for (auto& [name, v] : values) {
+    const std::string at = where + ".summary." + name;
+    const JsonValue* entry = summary->Find(name);
+    if (entry == nullptr || !entry->is_object()) {
+      Note(problems, at + " is missing");
+      continue;
+    }
+    std::sort(v.begin(), v.end());
+    const double median = Quantile(v, 0.5);
+    const double spread =
+        median == 0.0 ? 0.0
+                      : (Quantile(v, 0.75) - Quantile(v, 0.25)) / median;
+    const std::pair<const char*, double> want[] = {
+        {"n", static_cast<double>(v.size())},
+        {"min", v.front()},
+        {"median", median},
+        {"rel_spread", spread}};
+    for (const auto& [key, expected] : want) {
+      const JsonValue* got = entry->Find(key);
+      if (got == nullptr || !got->is_number()) {
+        Note(problems, at + " lacks numeric member '" + key + "'");
+      } else if (!Near(got->AsDouble(), expected)) {
+        Note(problems, at + "." + key + " is " +
+                           std::to_string(got->AsDouble()) +
+                           ", the runs give " + std::to_string(expected));
+      }
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<std::string> CheckBenchV1(std::string_view json) {
+  std::vector<std::string> problems;
+  auto doc = ParseEnvelope(json, "ktg.bench.v1", problems);
+  if (!doc.ok()) return problems;
+
+  const JsonValue* command = doc->Find("command");
+  if (command == nullptr || !command->is_string()) {
+    Note(problems, "missing string member 'command'");
+  }
+  RequireNumber(*doc, "ledger", "nproc", problems);
+  for (const char* side : {"parent", "change"}) {
+    const JsonValue* v = doc->Find(side);
+    const JsonValue* commit = v == nullptr ? nullptr : v->Find("commit");
+    if (commit == nullptr || !commit->is_string()) {
+      Note(problems, std::string(side) + " lacks string member 'commit'");
+    }
+  }
+  const JsonValue* workloads = doc->Find("workloads");
+  if (workloads == nullptr || !workloads->is_object() ||
+      workloads->AsObject().empty()) {
+    Note(problems, "missing non-empty object member 'workloads'");
+    return problems;
+  }
+  for (const auto& [name, workload] : workloads->AsObject()) {
+    for (const char* side : {"parent", "change"}) {
+      const std::string where = "workloads." + name + "." + side;
+      const JsonValue* v = workload.Find(side);
+      if (v == nullptr || !v->is_object()) {
+        Note(problems, where + " is missing");
+        continue;
+      }
+      CheckBenchSide(*v, where, problems);
+    }
+  }
+  return problems;
+}
+
 std::vector<std::string> CheckAnyKnownSchema(std::string_view json) {
   std::vector<std::string> problems;
   auto doc = ParseJson(json);
@@ -257,6 +389,7 @@ std::vector<std::string> CheckAnyKnownSchema(std::string_view json) {
   if (schema == "ktg.trace.v1") return CheckTraceV1(json);
   if (schema == "ktg.response.v1") return CheckResponseV1(json);
   if (schema == "ktg.loadgen.v1") return CheckLoadgenV1(json);
+  if (schema == "ktg.bench.v1") return CheckBenchV1(json);
   Note(problems, "unknown schema '" + schema + "'");
   return problems;
 }

@@ -37,6 +37,16 @@ std::vector<std::string> CheckResponseV1(std::string_view json);
 /// wall_s/qps, and a latency_ms summary object.
 std::vector<std::string> CheckLoadgenV1(std::string_view json);
 
+/// ktg.bench.v1 (a perfbench ledger, BENCH_<n>.json): "command", "nproc",
+/// "parent" and "change" objects naming their "commit", and "workloads",
+/// each with a "parent" and a "change" side. A side holds its "runs"
+/// ([{seed, correct, attempted, failed, metrics: {name: num}}]) and a
+/// "summary" ({name: {n, min, median, rel_spread}}) that must agree with
+/// the runs: n values, their minimum and median (the mean of the middle
+/// two for even n), and rel_spread the distance between the quartiles
+/// (linear interpolation between order statistics) over the median.
+std::vector<std::string> CheckBenchV1(std::string_view json);
+
 /// Dispatches on the document's "schema" member to the matching Check*
 /// validator. Unknown or missing schemas are themselves problems.
 std::vector<std::string> CheckAnyKnownSchema(std::string_view json);

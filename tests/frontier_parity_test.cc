@@ -190,243 +190,245 @@ struct Pinned {
   uint64_t checks;
 };
 
-// Recorded from the engine whose S_R was a re-sorted vector of candidates.
-// One row per run, instances in Instances() order and, within each, the
+// Recorded from the engine whose S_R was a re-sorted vector of candidates;
+// the memo rows' distance_checks were re-recorded when the memo began to
+// fill k-line rows from the graph (core/conflict_rows.h), a fill counting
+// as one check. One row per run, instances in Instances() order and, within each, the
 // configs in Configs() order: per sort order QKC, VKC, DEG+, DEG-, the
 // filters memo, pair, ball, lazy, then memo/-ceil, memo/-res, pair/-both.
 // On a mismatch the test names the run and prints the row it measured.
 constexpr Pinned kPinned[] = {
     // er_k1_p3
-    {0x9c75e6f232ea81c4, 337, 586, 122, 7, 3291},
+    {0x9c75e6f232ea81c4, 337, 586, 122, 7, 157},
     {0x9c75e6f232ea81c4, 337, 586, 122, 7, 16531},
     {0x9c75e6f232ea81c4, 337, 586, 122, 7, 336},
     {0x9c75e6f232ea81c4, 390, 0, 148, 7, 600},
-    {0x9c75e6f232ea81c4, 337, 586, 122, 7, 3291},
-    {0x9c75e6f232ea81c4, 532, 705, 227, 0, 3321},
+    {0x9c75e6f232ea81c4, 337, 586, 122, 7, 157},
+    {0x9c75e6f232ea81c4, 532, 705, 227, 0, 162},
     {0x9c75e6f232ea81c4, 532, 705, 227, 0, 20202},
-    {0x6a2cac85c5e50f41, 18, 44, 9, 0, 952},
+    {0x6a2cac85c5e50f41, 18, 44, 9, 0, 93},
     {0x6a2cac85c5e50f41, 18, 44, 9, 0, 1277},
     {0x6a2cac85c5e50f41, 18, 44, 9, 0, 17},
     {0x6a2cac85c5e50f41, 18, 0, 9, 0, 22},
-    {0x6a2cac85c5e50f41, 18, 44, 9, 0, 952},
-    {0x6a2cac85c5e50f41, 18, 44, 9, 0, 952},
+    {0x6a2cac85c5e50f41, 18, 44, 9, 0, 93},
+    {0x6a2cac85c5e50f41, 18, 44, 9, 0, 93},
     {0x6a2cac85c5e50f41, 18, 44, 9, 0, 1277},
-    {0xb049e64d41f1c8d7, 18, 43, 9, 0, 887},
+    {0xb049e64d41f1c8d7, 18, 43, 9, 0, 92},
     {0xb049e64d41f1c8d7, 18, 43, 9, 0, 1282},
     {0xb049e64d41f1c8d7, 18, 43, 9, 0, 17},
     {0xb049e64d41f1c8d7, 18, 0, 9, 0, 22},
-    {0xb049e64d41f1c8d7, 18, 43, 9, 0, 887},
-    {0xb049e64d41f1c8d7, 18, 43, 9, 0, 887},
+    {0xb049e64d41f1c8d7, 18, 43, 9, 0, 92},
+    {0xb049e64d41f1c8d7, 18, 43, 9, 0, 92},
     {0xb049e64d41f1c8d7, 18, 43, 9, 0, 1282},
-    {0x9bc69f6fd5cac51a, 19, 48, 9, 0, 993},
+    {0x9bc69f6fd5cac51a, 19, 48, 9, 0, 94},
     {0x9bc69f6fd5cac51a, 19, 48, 9, 0, 1327},
     {0x9bc69f6fd5cac51a, 19, 48, 9, 0, 18},
     {0x9bc69f6fd5cac51a, 19, 0, 9, 0, 24},
-    {0x9bc69f6fd5cac51a, 19, 48, 9, 0, 993},
-    {0x9bc69f6fd5cac51a, 19, 48, 9, 0, 993},
+    {0x9bc69f6fd5cac51a, 19, 48, 9, 0, 94},
+    {0x9bc69f6fd5cac51a, 19, 48, 9, 0, 94},
     {0x9bc69f6fd5cac51a, 19, 48, 9, 0, 1327},
     // ba_k2_p4
-    {0x93296e77e2ced470, 770, 4259, 636, 33, 2144},
+    {0x93296e77e2ced470, 770, 4259, 636, 33, 125},
     {0x93296e77e2ced470, 770, 4259, 636, 33, 22143},
     {0x93296e77e2ced470, 770, 4259, 636, 33, 769},
     {0x93296e77e2ced470, 1028, 0, 873, 46, 2408},
-    {0x93296e77e2ced470, 770, 4259, 635, 34, 2144},
-    {0x93296e77e2ced470, 1276, 4759, 1105, 0, 2211},
+    {0x93296e77e2ced470, 770, 4259, 635, 34, 125},
+    {0x93296e77e2ced470, 1276, 4759, 1105, 0, 131},
     {0x93296e77e2ced470, 1284, 4763, 1112, 0, 27466},
-    {0xe2755f4389e461c0, 89, 729, 81, 0, 1398},
+    {0xe2755f4389e461c0, 89, 729, 81, 0, 95},
     {0xe2755f4389e461c0, 89, 729, 81, 0, 3633},
     {0xe2755f4389e461c0, 89, 729, 81, 0, 87},
     {0xe2755f4389e461c0, 98, 0, 90, 0, 192},
-    {0xe2755f4389e461c0, 89, 729, 80, 1, 1398},
-    {0xe2755f4389e461c0, 89, 729, 81, 0, 1398},
+    {0xe2755f4389e461c0, 89, 729, 80, 1, 95},
+    {0xe2755f4389e461c0, 89, 729, 81, 0, 95},
     {0xe2755f4389e461c0, 90, 729, 82, 0, 3642},
-    {0xc15464ee0b3f3b8f, 101, 1033, 95, 0, 1372},
+    {0xc15464ee0b3f3b8f, 101, 1033, 95, 0, 93},
     {0xc15464ee0b3f3b8f, 101, 1033, 95, 0, 4674},
     {0xc15464ee0b3f3b8f, 101, 1033, 95, 0, 98},
     {0xc15464ee0b3f3b8f, 127, 0, 121, 0, 189},
-    {0xc15464ee0b3f3b8f, 101, 1033, 94, 1, 1372},
-    {0xc15464ee0b3f3b8f, 101, 1033, 95, 0, 1372},
+    {0xc15464ee0b3f3b8f, 101, 1033, 94, 1, 93},
+    {0xc15464ee0b3f3b8f, 101, 1033, 95, 0, 93},
     {0xc15464ee0b3f3b8f, 102, 1053, 96, 0, 4720},
-    {0xe2755f4389e461c0, 89, 661, 81, 0, 1389},
+    {0xe2755f4389e461c0, 89, 661, 81, 0, 94},
     {0xe2755f4389e461c0, 89, 661, 81, 0, 3568},
     {0xe2755f4389e461c0, 89, 661, 81, 0, 85},
     {0xe2755f4389e461c0, 98, 0, 90, 0, 190},
-    {0xe2755f4389e461c0, 89, 661, 80, 1, 1389},
-    {0xe2755f4389e461c0, 89, 661, 81, 0, 1389},
+    {0xe2755f4389e461c0, 89, 661, 80, 1, 94},
+    {0xe2755f4389e461c0, 89, 661, 81, 0, 94},
     {0xe2755f4389e461c0, 90, 661, 82, 0, 3577},
     // er_k3_p5
-    {0xb7b6a4aebf17da9e, 26, 132, 7, 4, 222},
+    {0xb7b6a4aebf17da9e, 26, 132, 7, 4, 103},
     {0xb7b6a4aebf17da9e, 26, 132, 7, 4, 306},
     {0xb7b6a4aebf17da9e, 26, 132, 7, 4, 24},
     {0xb7b6a4aebf17da9e, 50, 0, 14, 6, 620},
-    {0xb7b6a4aebf17da9e, 26, 132, 2, 9, 222},
-    {0xb7b6a4aebf17da9e, 53, 164, 18, 0, 248},
+    {0xb7b6a4aebf17da9e, 26, 132, 2, 9, 103},
+    {0xb7b6a4aebf17da9e, 53, 164, 18, 0, 106},
     {0xb7b6a4aebf17da9e, 865, 8354, 778, 0, 20304},
-    {0xf210f2d8426cdc8b, 11, 81, 5, 0, 157},
+    {0xf210f2d8426cdc8b, 11, 81, 5, 0, 97},
     {0xf210f2d8426cdc8b, 11, 81, 5, 0, 157},
     {0xf210f2d8426cdc8b, 11, 81, 5, 0, 10},
     {0xf210f2d8426cdc8b, 11, 0, 5, 0, 122},
-    {0xf210f2d8426cdc8b, 11, 81, 2, 3, 157},
-    {0xf210f2d8426cdc8b, 11, 81, 5, 0, 157},
+    {0xf210f2d8426cdc8b, 11, 81, 2, 3, 97},
+    {0xf210f2d8426cdc8b, 11, 81, 5, 0, 97},
     {0xf210f2d8426cdc8b, 82, 1847, 76, 0, 3882},
-    {0xbc5e9a27a3c5e116, 28, 209, 17, 1, 392},
+    {0xbc5e9a27a3c5e116, 28, 209, 17, 1, 102},
     {0xbc5e9a27a3c5e116, 28, 209, 17, 1, 537},
     {0xbc5e9a27a3c5e116, 28, 209, 17, 1, 25},
     {0xbc5e9a27a3c5e116, 33, 0, 18, 5, 383},
-    {0xbc5e9a27a3c5e116, 28, 209, 15, 3, 392},
-    {0xbc5e9a27a3c5e116, 29, 218, 19, 0, 398},
+    {0xbc5e9a27a3c5e116, 28, 209, 15, 3, 102},
+    {0xbc5e9a27a3c5e116, 29, 218, 19, 0, 102},
     {0xbc5e9a27a3c5e116, 103, 2242, 93, 0, 4741},
-    {0x8bbae9d93bc69284, 11, 80, 5, 0, 153},
+    {0x8bbae9d93bc69284, 11, 80, 5, 0, 97},
     {0x8bbae9d93bc69284, 11, 80, 5, 0, 153},
     {0x8bbae9d93bc69284, 11, 80, 5, 0, 10},
     {0x8bbae9d93bc69284, 11, 0, 5, 0, 125},
-    {0x8bbae9d93bc69284, 11, 80, 2, 3, 153},
-    {0x8bbae9d93bc69284, 11, 80, 5, 0, 153},
+    {0x8bbae9d93bc69284, 11, 80, 2, 3, 97},
+    {0x8bbae9d93bc69284, 11, 80, 5, 0, 97},
     {0x8bbae9d93bc69284, 73, 1440, 67, 0, 3083},
     // ba_k1_p6
-    {0x03e49239d73dce9d, 204, 164, 40, 6, 1538},
+    {0x03e49239d73dce9d, 204, 164, 40, 6, 112},
     {0x03e49239d73dce9d, 204, 164, 40, 6, 6049},
     {0x03e49239d73dce9d, 204, 164, 40, 6, 203},
     {0x03e49239d73dce9d, 243, 0, 40, 6, 1335},
-    {0x03e49239d73dce9d, 204, 164, 34, 12, 1538},
-    {0x03e49239d73dce9d, 307, 194, 57, 0, 1548},
+    {0x03e49239d73dce9d, 204, 164, 34, 12, 112},
+    {0x03e49239d73dce9d, 307, 194, 57, 0, 116},
     {0x03e49239d73dce9d, 12017, 6186, 11344, 0, 256981},
-    {0x073350c6f45130ad, 14, 24, 6, 0, 630},
+    {0x073350c6f45130ad, 14, 24, 6, 0, 74},
     {0x073350c6f45130ad, 14, 24, 6, 0, 630},
     {0x073350c6f45130ad, 14, 24, 6, 0, 13},
     {0x073350c6f45130ad, 14, 0, 6, 0, 58},
-    {0x073350c6f45130ad, 14, 24, 2, 4, 630},
-    {0x073350c6f45130ad, 14, 24, 6, 0, 630},
+    {0x073350c6f45130ad, 14, 24, 2, 4, 74},
+    {0x073350c6f45130ad, 14, 24, 6, 0, 74},
     {0x073350c6f45130ad, 442, 516, 434, 0, 20060},
-    {0x3ae81fdbe9ba2490, 14, 10, 6, 0, 668},
+    {0x3ae81fdbe9ba2490, 14, 10, 6, 0, 74},
     {0x3ae81fdbe9ba2490, 14, 10, 6, 0, 668},
     {0x3ae81fdbe9ba2490, 14, 10, 6, 0, 13},
     {0x3ae81fdbe9ba2490, 14, 0, 6, 0, 53},
-    {0x3ae81fdbe9ba2490, 14, 10, 1, 5, 668},
-    {0x3ae81fdbe9ba2490, 14, 10, 6, 0, 668},
+    {0x3ae81fdbe9ba2490, 14, 10, 1, 5, 74},
+    {0x3ae81fdbe9ba2490, 14, 10, 6, 0, 74},
     {0x3ae81fdbe9ba2490, 442, 696, 434, 0, 20489},
-    {0x86ea4006888f9399, 14, 30, 6, 0, 611},
+    {0x86ea4006888f9399, 14, 30, 6, 0, 74},
     {0x86ea4006888f9399, 14, 30, 6, 0, 611},
     {0x86ea4006888f9399, 14, 30, 6, 0, 13},
     {0x86ea4006888f9399, 14, 0, 6, 0, 65},
-    {0x86ea4006888f9399, 14, 30, 1, 5, 611},
-    {0x86ea4006888f9399, 14, 30, 6, 0, 611},
+    {0x86ea4006888f9399, 14, 30, 1, 5, 74},
+    {0x86ea4006888f9399, 14, 30, 6, 0, 74},
     {0x86ea4006888f9399, 438, 479, 430, 0, 20039},
     // er_k2_p6
-    {0xd21f7d290eca520c, 144, 295, 6, 3, 802},
+    {0xd21f7d290eca520c, 144, 295, 6, 3, 113},
     {0xd21f7d290eca520c, 144, 295, 6, 3, 2243},
     {0xd21f7d290eca520c, 144, 295, 6, 3, 143},
     {0xd21f7d290eca520c, 144, 0, 6, 4, 1240},
-    {0xd21f7d290eca520c, 144, 295, 0, 9, 802},
-    {0xd21f7d290eca520c, 147, 295, 6, 0, 802},
+    {0xd21f7d290eca520c, 144, 295, 0, 9, 113},
+    {0xd21f7d290eca520c, 147, 295, 6, 0, 113},
     {0xd21f7d290eca520c, 59010, 125871, 55834, 0, 812630},
-    {0xa25585b343efbc16, 11, 58, 6, 0, 357},
+    {0xa25585b343efbc16, 11, 58, 6, 0, 86},
     {0xa25585b343efbc16, 11, 58, 6, 0, 357},
     {0xa25585b343efbc16, 11, 58, 6, 0, 10},
     {0xa25585b343efbc16, 11, 0, 6, 0, 57},
-    {0xa25585b343efbc16, 11, 58, 3, 3, 357},
-    {0xa25585b343efbc16, 11, 58, 6, 0, 357},
+    {0xa25585b343efbc16, 11, 58, 3, 3, 86},
+    {0xa25585b343efbc16, 11, 58, 6, 0, 86},
     {0xa25585b343efbc16, 4610, 17263, 4605, 0, 129229},
-    {0x3afd21a753e55018, 11, 40, 6, 0, 527},
+    {0x3afd21a753e55018, 11, 40, 6, 0, 86},
     {0x3afd21a753e55018, 11, 40, 6, 0, 527},
     {0x3afd21a753e55018, 11, 40, 6, 0, 10},
     {0x3afd21a753e55018, 11, 0, 6, 0, 35},
-    {0x3afd21a753e55018, 11, 40, 2, 4, 527},
-    {0x3afd21a753e55018, 11, 40, 6, 0, 527},
+    {0x3afd21a753e55018, 11, 40, 2, 4, 86},
+    {0x3afd21a753e55018, 11, 40, 6, 0, 86},
     {0x3afd21a753e55018, 5651, 35446, 5646, 0, 175624},
-    {0x0e8c7542e673d5a9, 11, 63, 6, 0, 300},
+    {0x0e8c7542e673d5a9, 11, 63, 6, 0, 86},
     {0x0e8c7542e673d5a9, 11, 63, 6, 0, 300},
     {0x0e8c7542e673d5a9, 11, 63, 6, 0, 10},
     {0x0e8c7542e673d5a9, 11, 0, 6, 0, 126},
-    {0x0e8c7542e673d5a9, 11, 63, 2, 4, 300},
-    {0x0e8c7542e673d5a9, 11, 63, 6, 0, 300},
+    {0x0e8c7542e673d5a9, 11, 63, 2, 4, 86},
+    {0x0e8c7542e673d5a9, 11, 63, 6, 0, 86},
     {0x0e8c7542e673d5a9, 4730, 14447, 4725, 0, 125129},
     // ba_k3_p3
-    {0x8de68d7743abbdf8, 102, 1618, 54, 9, 2493},
+    {0x8de68d7743abbdf8, 102, 1618, 54, 9, 150},
     {0x8de68d7743abbdf8, 102, 1618, 54, 9, 3402},
     {0x8de68d7743abbdf8, 102, 1618, 54, 9, 101},
     {0x8de68d7743abbdf8, 144, 0, 78, 10, 841},
-    {0x8de68d7743abbdf8, 102, 1618, 53, 10, 2493},
-    {0x8de68d7743abbdf8, 260, 3680, 186, 0, 4950},
+    {0x8de68d7743abbdf8, 102, 1618, 53, 10, 150},
+    {0x8de68d7743abbdf8, 260, 3680, 186, 0, 203},
     {0x8de68d7743abbdf8, 263, 3680, 185, 0, 7171},
-    {0x6051b11899de07f4, 26, 348, 10, 1, 664},
+    {0x6051b11899de07f4, 26, 348, 10, 1, 119},
     {0x6051b11899de07f4, 26, 348, 10, 1, 709},
     {0x6051b11899de07f4, 26, 348, 10, 1, 24},
     {0x6051b11899de07f4, 30, 0, 15, 0, 142},
-    {0x6051b11899de07f4, 26, 348, 10, 1, 664},
-    {0x6051b11899de07f4, 29, 371, 14, 0, 727},
+    {0x6051b11899de07f4, 26, 348, 10, 1, 119},
+    {0x6051b11899de07f4, 29, 371, 14, 0, 120},
     {0x6051b11899de07f4, 29, 371, 14, 0, 793},
-    {0x633c46402bf00e70, 17, 316, 7, 1, 624},
+    {0x633c46402bf00e70, 17, 316, 7, 1, 112},
     {0x633c46402bf00e70, 17, 316, 7, 1, 655},
     {0x633c46402bf00e70, 17, 316, 7, 1, 16},
     {0x633c46402bf00e70, 23, 0, 14, 0, 65},
-    {0x633c46402bf00e70, 17, 316, 7, 1, 624},
-    {0x633c46402bf00e70, 22, 366, 13, 0, 697},
+    {0x633c46402bf00e70, 17, 316, 7, 1, 112},
+    {0x633c46402bf00e70, 22, 366, 13, 0, 114},
     {0x633c46402bf00e70, 22, 366, 13, 0, 800},
-    {0x6051b11899de07f4, 27, 370, 11, 1, 693},
+    {0x6051b11899de07f4, 27, 370, 11, 1, 120},
     {0x6051b11899de07f4, 27, 370, 11, 1, 738},
     {0x6051b11899de07f4, 27, 370, 11, 1, 26},
     {0x6051b11899de07f4, 30, 0, 15, 0, 147},
-    {0x6051b11899de07f4, 27, 370, 11, 1, 693},
-    {0x6051b11899de07f4, 29, 379, 14, 0, 727},
+    {0x6051b11899de07f4, 27, 370, 11, 1, 120},
+    {0x6051b11899de07f4, 29, 379, 14, 0, 120},
     {0x6051b11899de07f4, 29, 379, 14, 0, 793},
     // wide_sr
-    {0x40b52d37e3063b08, 801, 1391, 579, 8, 9853},
+    {0x40b52d37e3063b08, 801, 1391, 579, 8, 260},
     {0x40b52d37e3063b08, 801, 1391, 579, 8, 67138},
     {0x40b52d37e3063b08, 801, 1391, 579, 8, 800},
     {0x40b52d37e3063b08, 815, 0, 593, 8, 950},
-    {0x40b52d37e3063b08, 801, 1391, 579, 8, 9853},
-    {0x40b52d37e3063b08, 1071, 1477, 797, 0, 10153},
+    {0x40b52d37e3063b08, 801, 1391, 579, 8, 260},
+    {0x40b52d37e3063b08, 1071, 1477, 797, 0, 283},
     {0x40b52d37e3063b08, 1071, 1477, 797, 0, 72025},
-    {0x40b52d37e3063b08, 30, 79, 28, 0, 2885},
+    {0x40b52d37e3063b08, 30, 79, 28, 0, 163},
     {0x40b52d37e3063b08, 30, 79, 28, 0, 3848},
     {0x40b52d37e3063b08, 30, 79, 28, 0, 29},
     {0x40b52d37e3063b08, 30, 0, 28, 0, 11},
-    {0x40b52d37e3063b08, 30, 79, 28, 0, 2885},
-    {0x40b52d37e3063b08, 30, 79, 28, 0, 2885},
+    {0x40b52d37e3063b08, 30, 79, 28, 0, 163},
+    {0x40b52d37e3063b08, 30, 79, 28, 0, 163},
     {0x40b52d37e3063b08, 30, 79, 28, 0, 3848},
-    {0x40b52d37e3063b08, 36, 95, 32, 0, 2888},
+    {0x40b52d37e3063b08, 36, 95, 32, 0, 163},
     {0x40b52d37e3063b08, 36, 95, 32, 0, 4661},
     {0x40b52d37e3063b08, 36, 95, 32, 0, 35},
     {0x40b52d37e3063b08, 36, 0, 32, 0, 19},
-    {0x40b52d37e3063b08, 36, 95, 32, 0, 2888},
-    {0x40b52d37e3063b08, 36, 95, 32, 0, 2888},
+    {0x40b52d37e3063b08, 36, 95, 32, 0, 163},
+    {0x40b52d37e3063b08, 36, 95, 32, 0, 163},
     {0x40b52d37e3063b08, 36, 95, 32, 0, 4661},
-    {0x4b360f26d316af83, 30, 89, 28, 0, 2875},
+    {0x4b360f26d316af83, 30, 89, 28, 0, 163},
     {0x4b360f26d316af83, 30, 89, 28, 0, 3833},
     {0x4b360f26d316af83, 30, 89, 28, 0, 29},
     {0x4b360f26d316af83, 31, 0, 29, 0, 12},
-    {0x4b360f26d316af83, 30, 89, 28, 0, 2875},
-    {0x4b360f26d316af83, 30, 89, 28, 0, 2875},
+    {0x4b360f26d316af83, 30, 89, 28, 0, 163},
+    {0x4b360f26d316af83, 30, 89, 28, 0, 163},
     {0x4b360f26d316af83, 30, 89, 28, 0, 3833},
     // full_mask
-    {0x9da015d5c31533a1, 558, 3422, 421, 24, 1977},
+    {0x9da015d5c31533a1, 558, 3422, 421, 24, 119},
     {0x9da015d5c31533a1, 558, 3422, 421, 24, 13301},
     {0x9da015d5c31533a1, 558, 3422, 421, 24, 557},
     {0x9da015d5c31533a1, 833, 0, 556, 35, 2680},
-    {0x9da015d5c31533a1, 558, 3422, 421, 24, 1977},
-    {0x9da015d5c31533a1, 698, 3508, 539, 0, 2016},
+    {0x9da015d5c31533a1, 558, 3422, 421, 24, 119},
+    {0x9da015d5c31533a1, 698, 3508, 539, 0, 125},
     {0x9da015d5c31533a1, 698, 3508, 539, 0, 13945},
-    {0x9da015d5c31533a1, 45, 476, 36, 0, 790},
+    {0x9da015d5c31533a1, 45, 476, 36, 0, 80},
     {0x9da015d5c31533a1, 45, 476, 36, 0, 1547},
     {0x9da015d5c31533a1, 45, 476, 36, 0, 39},
     {0x9da015d5c31533a1, 48, 0, 39, 0, 153},
-    {0x9da015d5c31533a1, 45, 476, 36, 0, 790},
-    {0x9da015d5c31533a1, 45, 476, 36, 0, 790},
+    {0x9da015d5c31533a1, 45, 476, 36, 0, 80},
+    {0x9da015d5c31533a1, 45, 476, 36, 0, 80},
     {0x9da015d5c31533a1, 45, 476, 36, 0, 1547},
-    {0xfc4e6cbaba5f67cc, 40, 537, 36, 0, 820},
+    {0xfc4e6cbaba5f67cc, 40, 537, 36, 0, 77},
     {0xfc4e6cbaba5f67cc, 40, 537, 36, 0, 1829},
     {0xfc4e6cbaba5f67cc, 40, 537, 36, 0, 37},
     {0xfc4e6cbaba5f67cc, 44, 0, 40, 0, 118},
-    {0xfc4e6cbaba5f67cc, 40, 537, 36, 0, 820},
-    {0xfc4e6cbaba5f67cc, 40, 537, 36, 0, 820},
+    {0xfc4e6cbaba5f67cc, 40, 537, 36, 0, 77},
+    {0xfc4e6cbaba5f67cc, 40, 537, 36, 0, 77},
     {0xfc4e6cbaba5f67cc, 40, 537, 36, 0, 1829},
-    {0x9f8ab6c1c633ebab, 45, 474, 36, 0, 804},
+    {0x9f8ab6c1c633ebab, 45, 474, 36, 0, 80},
     {0x9f8ab6c1c633ebab, 45, 474, 36, 0, 1554},
     {0x9f8ab6c1c633ebab, 45, 474, 36, 0, 41},
     {0x9f8ab6c1c633ebab, 46, 0, 37, 0, 127},
-    {0x9f8ab6c1c633ebab, 45, 474, 36, 0, 804},
-    {0x9f8ab6c1c633ebab, 45, 474, 36, 0, 804},
+    {0x9f8ab6c1c633ebab, 45, 474, 36, 0, 80},
+    {0x9f8ab6c1c633ebab, 45, 474, 36, 0, 80},
     {0x9f8ab6c1c633ebab, 45, 474, 36, 0, 1554},
 };
 

@@ -108,6 +108,29 @@ TEST(MetricsRegistryTest, JsonSchema) {
   EXPECT_TRUE(problems.empty()) << problems.front();
 }
 
+// A perfbench ledger: the summary must restate its runs exactly.
+TEST(BenchLedgerSchemaTest, SummaryMustAgreeWithRuns) {
+  const auto ledger = [](const std::string& median) {
+    return std::string(R"({"schema":"ktg.bench.v1","command":"run.py",)") +
+           R"("nproc":4,"parent":{"commit":"a"},"change":{"commit":"b"},)" +
+           R"("workloads":{"w":{"parent":{"runs":[)" +
+           R"({"seed":1,"correct":true,"attempted":9,"failed":0,)" +
+           R"("metrics":{"q":1}},{"seed":2,"correct":true,"attempted":9,)" +
+           R"("failed":0,"metrics":{"q":2}},{"seed":3,"correct":true,)" +
+           R"("attempted":9,"failed":0,"metrics":{"q":4}}],)" +
+           R"("summary":{"q":{"n":3,"min":1,"median":)" + median +
+           R"(,"rel_spread":0.75}}},"change":{"runs":[{"seed":1,)" +
+           R"("correct":true,"attempted":9,"failed":0,"metrics":{"q":5}}],)" +
+           R"("summary":{"q":{"n":1,"min":5,"median":5,"rel_spread":0}}}}}})";
+  };
+  const auto good = ktg::obs::CheckAnyKnownSchema(ledger("2"));
+  EXPECT_TRUE(good.empty()) << good.front();
+  const auto bad = ktg::obs::CheckBenchV1(ledger("3"));
+  ASSERT_EQ(bad.size(), 1u);
+  EXPECT_NE(bad.front().find("median"), std::string::npos) << bad.front();
+  EXPECT_FALSE(ktg::obs::CheckBenchV1(R"({"schema":"ktg.bench.v1"})").empty());
+}
+
 TEST(PhaseTimerTest, NullSinkIsNoOp) {
   PhaseTimer timer(nullptr, Phase::kBbSearch);
   timer.Stop();  // must not crash or touch anything
@@ -318,8 +341,10 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   EXPECT_EQ(vr->stats.kline_filtered, excluded);
 }
 
-// Per-pair checkers (no bulk path) keep the strict invariant: every check
-// lands in exactly one of farther/within, and every check probes the index.
+// Per-pair checks keep the strict invariant: every check lands in exactly
+// one of farther/within, and every check probes the index. On the bulk
+// path a k-line row filled from the graph counts one check that reaches
+// neither, as a bulk ball traversal does.
 TEST(ObsWiringTest, PerPairCheckerVerdictsPartitionChecks) {
   const AttributedGraph g = PaperExampleGraph();
   const InvertedIndex idx(g);
@@ -327,18 +352,26 @@ TEST(ObsWiringTest, PerPairCheckerVerdictsPartitionChecks) {
   ASSERT_NE(checker, nullptr);
   const KtgQuery q = PaperExampleQuery(g);
 
-  MetricsRegistry reg;
-  EngineOptions opts;
-  opts.metrics = &reg;
-  const auto r = RunKtg(g, idx, *checker, q, opts);
-  ASSERT_TRUE(r.ok());
+  for (const bool bulk : {false, true}) {
+    MetricsRegistry reg;
+    EngineOptions opts;
+    opts.metrics = &reg;
+    opts.bulk_filtering = bulk;
+    const auto r = RunKtg(g, idx, *checker, q, opts);
+    ASSERT_TRUE(r.ok());
 
-  const uint64_t checks = reg.CounterValue("checker.NLRNL.checks");
-  EXPECT_GT(checks, 0u);
-  EXPECT_EQ(reg.CounterValue("checker.NLRNL.farther") +
-                reg.CounterValue("checker.NLRNL.within"),
-            checks);
-  EXPECT_GE(reg.CounterValue("checker.NLRNL.probes"), checks);
+    const uint64_t checks = reg.CounterValue("checker.NLRNL.checks");
+    const uint64_t verdicts = reg.CounterValue("checker.NLRNL.farther") +
+                              reg.CounterValue("checker.NLRNL.within");
+    EXPECT_GT(checks, 0u);
+    EXPECT_EQ(checks, r->stats.distance_checks);
+    if (bulk) {
+      EXPECT_LT(verdicts, checks);  // the graph filled some rows
+    } else {
+      EXPECT_EQ(verdicts, checks);
+      EXPECT_GE(reg.CounterValue("checker.NLRNL.probes"), checks);
+    }
+  }
 }
 
 // Runs sharing one checker at the same time each count only their own

@@ -1,8 +1,9 @@
 // Copyright (c) 2026 The ktg Authors.
 // Structural validator for ktg JSON artifacts (metrics/trace/response/
-// loadgen documents). CI smoke jobs run it over the sidecar files they
-// upload as artifacts, replacing ad-hoc grep/python assertions with the
-// same obs/schema_check validators the test suites use.
+// loadgen documents, and the BENCH_<n>.json perfbench ledgers). CI smoke
+// jobs run it over the sidecar files they upload as artifacts, replacing
+// ad-hoc grep/python assertions with the same obs/schema_check validators
+// the test suites use; a ctest runs it over every committed ledger.
 //
 // Usage: schema_validate FILE...
 //
