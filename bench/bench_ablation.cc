@@ -8,8 +8,7 @@
 //   3. k-line filtering      — eager (Theorem 3) vs lazy per-selection;
 //   4. degree tie-break      — ascending (paper intent) vs descending
 //                              (the paper's literal "descending" wording);
-//   5. distance checker      — BFS vs NL vs NLRNL vs KHopBitmap under the
-//                              same engine.
+//   5. distance checker      — BFS vs NL vs NLRNL under the same engine.
 // Reported: latency, branch-and-bound nodes, distance checks.
 
 #include <cstdio>
@@ -22,7 +21,8 @@ namespace {
 void Report(const std::string& section,
             const std::vector<std::pair<std::string, AlgoConfig>>& variants) {
   BenchDataset& ds = BenchDataset::Get("gowalla");
-  PrintHeader("Ablation: " + section, ds.Summary() + "  [p=4, k=2, |W_Q|=6, N=5]");
+  PrintHeader("Ablation: " + section,
+              ds.Summary() + "  [p=4, k=2, |W_Q|=6, N=5]");
   const bool repeated = BenchRepeats() > 1;
   std::vector<int> widths = {30, 12, 14, 16};
   std::vector<std::string> header = {"variant", "ms/query", "BB nodes",
@@ -91,8 +91,6 @@ void RunAblation() {
     bfs.checker = CheckerKind::kBfs;
     auto nl = Base();
     nl.checker = CheckerKind::kNl;
-    auto bitmap = Base();
-    bitmap.checker = CheckerKind::kKHopBitmap;
     auto bfs_per_pair = bfs;
     bfs_per_pair.engine.bulk_filtering = false;
     auto nlrnl_per_pair = Base();
@@ -102,8 +100,7 @@ void RunAblation() {
             {"BFS (per-pair checks)", bfs_per_pair},
             {"NL", nl},
             {"NLRNL (k-line memo)", Base()},
-            {"NLRNL (per-pair checks)", nlrnl_per_pair},
-            {"KHopBitmap (extension)", bitmap}});
+            {"NLRNL (per-pair checks)", nlrnl_per_pair}});
   }
   {
     // Bound extensions vs the paper's engine: the reachable-coverage

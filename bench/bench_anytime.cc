@@ -40,7 +40,7 @@ QualityPoint RunAnytime(BenchDataset& ds, const std::vector<KtgQuery>& queries,
   opts.mode = EngineMode::kAnytime;
   opts.max_nodes = max_nodes;
   opts.metrics = &Metrics();
-  DistanceChecker& checker = ds.Checker(CheckerKind::kNlrnl, kDefaultK);
+  DistanceChecker& checker = ds.Checker(CheckerKind::kNlrnl);
   KtgEngine engine(ds.graph(), ds.index(), checker, opts);
 
   QualityPoint point;

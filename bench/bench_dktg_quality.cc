@@ -18,7 +18,7 @@ namespace {
 
 void RunQualityStudy() {
   BenchDataset& ds = BenchDataset::Get("gowalla");
-  DistanceChecker& checker = ds.Checker(CheckerKind::kNlrnl, kDefaultK);
+  DistanceChecker& checker = ds.Checker(CheckerKind::kNlrnl);
 
   PrintHeader("DKTG quality: diversity and score vs N (gamma = 0.5)",
               ds.Summary() + "  [p=4, k=2, |W_Q|=6]");

@@ -93,7 +93,7 @@ void RunCaseStudy() {
   for (HopDistance k : {3, 4}) {
     wopts.tenuity = k;
     for (auto& q : GenerateWorkload(ds.graph(), wopts, qrng)) {
-      DistanceChecker& c = ds.Checker(CheckerKind::kNlrnl, q.tenuity);
+      DistanceChecker& c = ds.Checker(CheckerKind::kNlrnl);
       TagqOptions scan_opts;
       scan_opts.max_nodes = 200'000;
       const auto probe = RunTagq(ds.graph(), c, q, scan_opts);
@@ -119,7 +119,7 @@ void RunCaseStudy() {
   std::printf("}  p=%u k=%u N=%u\n", query.group_size, query.tenuity,
               query.top_n);
 
-  DistanceChecker& checker = ds.Checker(CheckerKind::kNlrnl, query.tenuity);
+  DistanceChecker& checker = ds.Checker(CheckerKind::kNlrnl);
 
   std::printf("\n--- KTG-VKC-DEG ---\n");
   const auto ktg = RunKtg(ds.graph(), ds.index(), checker, query);

@@ -1,6 +1,6 @@
 // Copyright (c) 2026 The ktg Authors.
 // Figure 9: index cost on the four datasets — (a) space, (b) construction
-// time — for NL vs NLRNL (plus the KHopBitmap extension for context).
+// time — for NL vs NLRNL.
 //
 // Expected shape: NLRNL space < NL space (it skips each vertex's biggest
 // level and stores each pair once), while NLRNL construction time > NL
@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "bench/common.h"
-#include "index/khop_bitmap.h"
 #include "index/nl_index.h"
 #include "index/nlrnl_index.h"
 #include "util/timer.h"
@@ -24,9 +23,8 @@ void RunFigure() {
               "scale=" + Fmt(BenchScale(), 2) +
                   "  (paper: 120 GB server, full-size datasets)");
 
-  const std::vector<int> widths = {14, 12, 12, 12, 14, 14, 14};
-  PrintRow({"dataset", "NL MB", "NLRNL MB", "Bitmap MB", "NL build s",
-            "NLRNL build s", "Bitmap build s"},
+  const std::vector<int> widths = {14, 12, 12, 12, 14};
+  PrintRow({"dataset", "NL MB", "NLRNL MB", "NL build s", "NLRNL build s"},
            widths);
 
   for (const auto& name : datasets) {
@@ -41,15 +39,9 @@ void RunFigure() {
     const NlrnlIndex nlrnl(g);
     const double nlrnl_s = w2.ElapsedSeconds();
 
-    Stopwatch w3;
-    const KHopBitmapChecker bitmap(g, kDefaultK);
-    const double bitmap_s = w3.ElapsedSeconds();
-
     constexpr double kMb = 1024.0 * 1024.0;
     PrintRow({name, Fmt(nl.MemoryBytes() / kMb),
-              Fmt(nlrnl.MemoryBytes() / kMb),
-              Fmt(bitmap.MemoryBytes() / kMb), Fmt(nl_s, 3), Fmt(nlrnl_s, 3),
-              Fmt(bitmap_s, 3)},
+              Fmt(nlrnl.MemoryBytes() / kMb), Fmt(nl_s, 3), Fmt(nlrnl_s, 3)},
              widths);
   }
 

@@ -10,7 +10,6 @@
 
 #include "bench/common.h"
 #include "graph/graph.h"
-#include "index/khop_bitmap.h"
 #include "index/nl_index.h"
 #include "index/nlrnl_index.h"
 #include "util/rng.h"
@@ -39,7 +38,7 @@ void BM_DistanceCheck(benchmark::State& state) {
   const auto kind = static_cast<CheckerKind>(state.range(0));
   const auto k = static_cast<HopDistance>(state.range(1));
   BenchDataset& ds = BenchDataset::Get("gowalla");
-  DistanceChecker& checker = ds.Checker(kind, k);
+  DistanceChecker& checker = ds.Checker(kind);
   const auto& pairs = QueryPairs(ds.graph().graph());
 
   size_t i = 0;
@@ -75,28 +74,16 @@ void BM_NlrnlIndexBuild(benchmark::State& state) {
   }
 }
 
-void BM_BitmapBuild(benchmark::State& state) {
-  BenchDataset& ds = BenchDataset::GetScaled("brightkite", 0.5);
-  KHopBitmapOptions options;
-  options.num_threads = BenchThreads();
-  for (auto _ : state) {
-    KHopBitmapChecker index(ds.graph().graph(), kDefaultK, options);
-    benchmark::DoNotOptimize(index.MemoryBytes());
-  }
-}
-
 }  // namespace
 }  // namespace ktg::bench
 
 BENCHMARK(ktg::bench::BM_DistanceCheck)
     ->ArgsProduct({{static_cast<int>(ktg::CheckerKind::kBfs),
                     static_cast<int>(ktg::CheckerKind::kNl),
-                    static_cast<int>(ktg::CheckerKind::kNlrnl),
-                    static_cast<int>(ktg::CheckerKind::kKHopBitmap)},
+                    static_cast<int>(ktg::CheckerKind::kNlrnl)},
                    {1, 2, 4}});
 BENCHMARK(ktg::bench::BM_NlIndexBuild)->Unit(benchmark::kMillisecond);
 BENCHMARK(ktg::bench::BM_NlrnlIndexBuild)->Unit(benchmark::kMillisecond);
-BENCHMARK(ktg::bench::BM_BitmapBuild)->Unit(benchmark::kMillisecond);
 
 // Expanded BENCHMARK_MAIN so --threads can be consumed before
 // google-benchmark sees (and rejects) unknown flags.

@@ -58,7 +58,7 @@ void RunStudy() {
   BenchDataset& ds = BenchDataset::Get("gowalla");
   const Graph& g = ds.graph().graph();
   constexpr HopDistance kTenuity = 2;
-  DistanceChecker& checker = ds.Checker(CheckerKind::kNlrnl, kTenuity);
+  DistanceChecker& checker = ds.Checker(CheckerKind::kNlrnl);
 
   PrintHeader(
       "Tenuity metrics of returned groups (k = 2)",

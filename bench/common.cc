@@ -32,7 +32,8 @@ obs::MetricsRegistry& Metrics() {
 
 void WriteMetricsSidecar(const std::string& bench_name) {
   // Every sidecar names the thread count it was measured under.
-  Metrics().gauge("exec.bench.threads").Set(static_cast<double>(BenchThreads()));
+  Metrics().gauge("exec.bench.threads")
+      .Set(static_cast<double>(BenchThreads()));
   const char* env = std::getenv("KTG_BENCH_METRICS_PATH");
   const std::string path = (env != nullptr && env[0] != '\0')
                                ? std::string(env)
@@ -157,31 +158,20 @@ BenchDataset& BenchDataset::Get(const std::string& preset_name) {
   return GetScaled(preset_name, 1.0);
 }
 
-DistanceChecker& BenchDataset::Checker(CheckerKind kind, HopDistance k) {
-  // Bitmap checkers are k-specific; the others serve every k.
-  const int k_key = (kind == CheckerKind::kKHopBitmap) ? k : -1;
-  const auto key = std::make_pair(static_cast<int>(kind), k_key);
-  auto it = checkers_.find(key);
+DistanceChecker& BenchDataset::Checker(CheckerKind kind) {
+  auto it = checkers_.find(kind);
   if (it == checkers_.end()) {
     std::fprintf(stderr, "[bench] building %s checker for %s...\n",
                  CheckerKindName(kind), name_.c_str());
     Stopwatch watch;
-    auto checker = MakeChecker(kind, graph_.graph(), k, BenchThreads());
-    build_seconds_[key] = watch.ElapsedSeconds();
+    auto checker = MakeChecker(kind, graph_.graph(), BenchThreads());
     Metrics()
         .gauge(std::string("bench.build_s.") + CheckerKindName(kind) + "." +
                name_)
-        .Set(build_seconds_[key]);
-    it = checkers_.emplace(key, std::move(checker)).first;
+        .Set(watch.ElapsedSeconds());
+    it = checkers_.emplace(kind, std::move(checker)).first;
   }
   return *it->second;
-}
-
-double BenchDataset::checker_build_seconds(CheckerKind kind,
-                                           HopDistance k) const {
-  const int k_key = (kind == CheckerKind::kKHopBitmap) ? k : -1;
-  const auto it = build_seconds_.find({static_cast<int>(kind), k_key});
-  return it == build_seconds_.end() ? 0.0 : it->second;
 }
 
 std::string BenchDataset::Summary() const {
@@ -226,8 +216,7 @@ Measurement RunBatch(BenchDataset& dataset, const AlgoConfig& config,
                      const std::vector<KtgQuery>& queries) {
   Measurement m;
   if (queries.empty()) return m;
-  DistanceChecker& checker =
-      dataset.Checker(config.checker, queries.front().tenuity);
+  DistanceChecker& checker = dataset.Checker(config.checker);
 
   const uint32_t repeats = BenchRepeats();
   std::vector<double> repeat_ms;  // per-repeat average query latency
@@ -301,10 +290,12 @@ std::vector<KtgQuery> MakeWorkload(const BenchDataset& dataset, uint32_t p,
 }
 
 void PrintHeader(const std::string& title, const std::string& note) {
-  std::printf("\n================================================================\n");
+  std::printf(
+      "\n================================================================\n");
   std::printf("%s\n", title.c_str());
   if (!note.empty()) std::printf("%s\n", note.c_str());
-  std::printf("================================================================\n");
+  std::printf(
+      "================================================================\n");
 }
 
 void PrintRow(const std::vector<std::string>& cells,

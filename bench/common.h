@@ -96,10 +96,9 @@ class BenchDataset {
   const AttributedGraph& graph() const { return graph_; }
   const InvertedIndex& index() const { return index_; }
 
-  /// Lazily builds/caches a checker. Bitmap checkers are additionally keyed
-  /// by k. Build time (seconds) is recorded for index-cost reporting.
-  DistanceChecker& Checker(CheckerKind kind, HopDistance k);
-  double checker_build_seconds(CheckerKind kind, HopDistance k) const;
+  /// Lazily builds/caches a checker; every kind serves every k. The build
+  /// time is recorded as the bench.build_s.<kind>.<dataset> gauge.
+  DistanceChecker& Checker(CheckerKind kind);
 
   /// One-line dataset summary for table headers.
   std::string Summary() const;
@@ -110,8 +109,7 @@ class BenchDataset {
   std::string name_;
   AttributedGraph graph_;
   InvertedIndex index_;
-  std::map<std::pair<int, int>, std::unique_ptr<DistanceChecker>> checkers_;
-  std::map<std::pair<int, int>, double> build_seconds_;
+  std::map<CheckerKind, std::unique_ptr<DistanceChecker>> checkers_;
 };
 
 /// One named algorithm configuration as the paper labels them

@@ -8,7 +8,9 @@ counted, each by a fixed textual rule so the count compares between
 checkouts:
 
   fields  data members of every struct or class named *Options declared in
-          a header under src/ (one per member name and struct);
+          a header under src/ (one per member name and struct); a nested
+          one is qualified by its enclosing classes
+          (SnapshotStore::Options::checker);
   flags   (command, flag) pairs the CLI accepts: the allow-lists of the
           command registry in src/cli/commands.cc;
   env     distinct names read with getenv() by C++ code, or with
@@ -51,12 +53,33 @@ def strip_comments(text):
     return re.sub(r"//[^\n]*", "", text)
 
 
+def enclosing_classes(text, pos):
+    """Names of the structs and classes whose bodies contain `pos`,
+    outermost first."""
+    stack, head = [], 0
+    for i in range(pos):
+        ch = text[i]
+        if ch == "{":
+            # A class body opens after "struct|class Name ..." with no
+            # parameter list in between; any other brace names nothing.
+            m = re.match(r".*\b(?:struct|class)\s+(\w+)[^()]*$",
+                         text[head:i], flags=re.S)
+            stack.append(m.group(1) if m else None)
+        elif ch == "}" and stack:
+            stack.pop()
+        if ch in "{};":
+            head = i + 1
+    return [name for name in stack if name]
+
+
 def option_fields(root):
     knobs = []
     for path in walk(root, ("src",), (".h",)):
         text = strip_comments(open(path, encoding="utf-8").read())
-        for m in re.finditer(r"\b(?:struct|class)\s+(\w+Options)\b[^;{]*\{",
+        for m in re.finditer(r"\b(?:struct|class)\s+(\w*Options)\b[^;{]*\{",
                              text):
+            name = "::".join(enclosing_classes(text, m.start()) +
+                             [m.group(1)])
             # The body at depth 1; nested braces (initializers, inline
             # bodies) are kept as an empty pair.
             depth, i, body = 1, m.end(), []
@@ -80,7 +103,7 @@ def option_fields(root):
                     continue
                 mm = MEMBER.match(decl + ";")
                 if mm:
-                    knobs.append(f"{m.group(1)}::{mm.group(1)}")
+                    knobs.append(f"{name}::{mm.group(1)}")
     return sorted(set(knobs))
 
 

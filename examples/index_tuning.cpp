@@ -1,13 +1,12 @@
 // Copyright (c) 2026 The ktg Authors.
-// Index selection guide — when to pick BFS, NL, NLRNL or the bitmap.
+// Index selection guide — when to pick BFS, NL or NLRNL.
 //
 //   $ ./build/examples/index_tuning [preset] [scale]
 //
 // Builds every DistanceChecker over one dataset and reports build time,
 // memory and the average cost of a k-line check at several k, then runs
 // the same KTG workload under each. This is the decision the paper's
-// Section V + Figure 9 inform; the bitmap is this library's extension for
-// deployments with a pinned k.
+// Section V + Figure 9 inform.
 
 #include <cstdio>
 #include <cstdlib>
@@ -46,10 +45,10 @@ int main(int argc, char** argv) {
     double build_s;
   };
   std::vector<Entry> entries;
-  for (const auto kind : {CheckerKind::kBfs, CheckerKind::kNl,
-                          CheckerKind::kNlrnl, CheckerKind::kKHopBitmap}) {
+  for (const auto kind :
+       {CheckerKind::kBfs, CheckerKind::kNl, CheckerKind::kNlrnl}) {
     Stopwatch watch;
-    auto checker = MakeChecker(kind, graph.graph(), kTenuity);
+    auto checker = MakeChecker(kind, graph.graph());
     entries.push_back({kind, std::move(checker), watch.ElapsedSeconds()});
   }
 
@@ -96,7 +95,6 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nguidance: BFS needs no build (one-off queries); NLRNL is the "
-      "paper's\nbest general index; the bitmap wins when k is pinned and "
-      "n is moderate.\n");
+      "paper's\nbest general index.\n");
   return 0;
 }

@@ -6,7 +6,7 @@
 //  * BallWithinK (the engines' bulk-filtering fast path): on a cache miss
 //    the wrapper materializes the ball with its own hop-bounded BFS, stores
 //    it, and serves it — so any checker gains the bulk path, including the
-//    NL/NLRNL/bitmap checkers that do not offer one natively.
+//    NL/NLRNL checkers that do not offer one natively.
 //  * IsFartherThan: probes the cache for either endpoint's ball (a binary
 //    search on a hit) and falls through to the wrapped checker otherwise —
 //    a probe miss is NOT a cache miss, because the fallback is the inner

@@ -2,6 +2,8 @@
 
 #include "cli/commands.h"
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -101,8 +103,7 @@ Result<std::unique_ptr<DistanceChecker>> CheckIndexGraph(
 
 // Builds or loads the distance checker requested by --index / --checker.
 Result<std::unique_ptr<DistanceChecker>> MakeQueryChecker(
-    const Args& args, const Graph& graph, HopDistance k,
-    uint32_t num_threads) {
+    const Args& args, const Graph& graph, uint32_t num_threads) {
   const std::string index_path = args.GetString("index");
   if (!index_path.empty()) {
     // Try both kinds; the file header knows which one it is.
@@ -118,7 +119,24 @@ Result<std::unique_ptr<DistanceChecker>> MakeQueryChecker(
   }
   const auto kind = ParseCheckerKind(args.GetString("checker", "nlrnl"));
   if (!kind.ok()) return kind.status();
-  return MakeChecker(kind.value(), graph, k, num_threads);
+  return MakeChecker(kind.value(), graph, num_threads);
+}
+
+// One --authors entry: a decimal vertex id in [0, kInvalidVertex). The
+// range is checked before the cast, so 2^32 is refused instead of wrapping
+// onto vertex 0.
+Result<VertexId> ParseVertexIdFlag(const std::string& text) {
+  const bool digits =
+      !text.empty() && text.size() <= 10 &&
+      std::all_of(text.begin(), text.end(),
+                  [](unsigned char c) { return std::isdigit(c) != 0; });
+  if (digits) {
+    const uint64_t v = std::stoull(text);
+    if (v < kInvalidVertex) return static_cast<VertexId>(v);
+  }
+  return Status::InvalidArgument(
+      "--authors vertex ids must be integers in [0, " +
+      std::to_string(kInvalidVertex) + ")");
 }
 
 Result<KtgQuery> BuildQuery(const Args& args, const AttributedGraph& graph) {
@@ -132,17 +150,16 @@ Result<KtgQuery> BuildQuery(const Args& args, const AttributedGraph& graph) {
   if (!p.ok()) return p.status();
   if (!k.ok()) return k.status();
   if (!n.ok()) return n.status();
+  KTG_RETURN_IF_ERROR(CheckQueryParams(p.value(), k.value(), n.value(),
+                                       static_cast<int64_t>(terms.size())));
 
   KtgQuery query = MakeQuery(graph, terms, static_cast<uint32_t>(p.value()),
                              static_cast<HopDistance>(k.value()),
                              static_cast<uint32_t>(n.value()));
   for (const auto& a : args.GetList("authors")) {
-    char* end = nullptr;
-    const uint64_t v = std::strtoull(a.c_str(), &end, 10);
-    if (end == a.c_str() || *end != '\0') {
-      return Status::InvalidArgument("--authors expects vertex ids");
-    }
-    query.query_vertices.push_back(static_cast<VertexId>(v));
+    const auto v = ParseVertexIdFlag(a);
+    if (!v.ok()) return v.status();
+    query.query_vertices.push_back(v.value());
   }
   int unknown = 0;
   for (const KeywordId kw : query.keywords) {
@@ -155,6 +172,34 @@ Result<KtgQuery> BuildQuery(const Args& args, const AttributedGraph& graph) {
                  unknown);
   }
   return query;
+}
+
+// Shared workload knobs of `workload` and `loadgen` (same defaults, so a
+// loadgen run reproduces the queries a workload run would measure).
+Result<WorkloadOptions> ParseWorkloadOptions(const Args& args) {
+  WorkloadOptions wopts;
+  const auto queries = args.GetInt("queries", 20);
+  const auto p = args.GetInt("p", 4);
+  const auto k = args.GetInt("k", 2);
+  const auto n = args.GetInt("n", 5);
+  const auto wq = args.GetInt("wq", 6);
+  if (!queries.ok()) return queries.status();
+  if (!p.ok()) return p.status();
+  if (!k.ok()) return k.status();
+  if (!n.ok()) return n.status();
+  if (!wq.ok()) return wq.status();
+  KTG_RETURN_IF_ERROR(
+      CheckQueryParams(p.value(), k.value(), n.value(), wq.value()));
+  if (queries.value() < 0 || queries.value() > UINT32_MAX) {
+    return Status::InvalidArgument("--queries must be in [0, 4294967295]");
+  }
+  wopts.num_queries = static_cast<uint32_t>(queries.value());
+  wopts.group_size = static_cast<uint32_t>(p.value());
+  wopts.tenuity = static_cast<HopDistance>(k.value());
+  wopts.top_n = static_cast<uint32_t>(n.value());
+  wopts.keyword_count = static_cast<uint32_t>(wq.value());
+  wopts.frequency_banded = args.GetBool("banded", true);
+  return wopts;
 }
 
 // Emits a KTG result as a JSON document on stdout (--json).
@@ -368,8 +413,7 @@ Status CmdQuery(const Args& args) {
   if (!query.ok()) return query.status();
   const auto threads = ParseThreads(args, /*default_value=*/1);
   if (!threads.ok()) return threads.status();
-  auto checker =
-      MakeQueryChecker(args, dataset.graph(), query->tenuity, threads.value());
+  auto checker = MakeQueryChecker(args, dataset.graph(), threads.value());
   if (!checker.ok()) return checker.status();
   const InvertedIndex index(dataset);
 
@@ -500,25 +544,11 @@ Status CmdWorkload(const Args& args) {
   const AttributedGraph graph = BuildDataset(*spec);
   const InvertedIndex index(graph);
 
-  WorkloadOptions wopts;
-  const auto queries = args.GetInt("queries", 20);
-  const auto p = args.GetInt("p", 4);
-  const auto k = args.GetInt("k", 2);
-  const auto n = args.GetInt("n", 5);
-  const auto wq = args.GetInt("wq", 6);
+  const auto parsed = ParseWorkloadOptions(args);
+  if (!parsed.ok()) return parsed.status();
+  const WorkloadOptions& wopts = *parsed;
   const auto seed = args.GetInt("seed", 7);
-  if (!queries.ok()) return queries.status();
-  if (!p.ok()) return p.status();
-  if (!k.ok()) return k.status();
-  if (!n.ok()) return n.status();
-  if (!wq.ok()) return wq.status();
   if (!seed.ok()) return seed.status();
-  wopts.num_queries = static_cast<uint32_t>(queries.value());
-  wopts.group_size = static_cast<uint32_t>(p.value());
-  wopts.tenuity = static_cast<HopDistance>(k.value());
-  wopts.top_n = static_cast<uint32_t>(n.value());
-  wopts.keyword_count = static_cast<uint32_t>(wq.value());
-  wopts.frequency_banded = args.GetBool("banded", true);
 
   const auto kind = ParseCheckerKind(args.GetString("checker", "nlrnl"));
   if (!kind.ok()) return kind.status();
@@ -568,7 +598,7 @@ Status CmdWorkload(const Args& args) {
     const auto workload = GenerateWorkload(graph, wopts, rng);
     const auto batch = RunKtgBatch(
         graph, index,
-        [&] { return MakeChecker(kind.value(), graph.graph(), wopts.tenuity); },
+        [&] { return MakeChecker(kind.value(), graph.graph()); },
         workload, bopts);
     if (!batch.ok()) return batch.status();
 
@@ -628,29 +658,6 @@ Result<AttributedGraph> LoadServingDataset(const Args& args) {
   if (!seed.ok()) return seed.status();
   spec->seed = static_cast<uint64_t>(seed.value());
   return BuildDataset(*spec);
-}
-
-// Shared workload knobs of `workload` and `loadgen` (same defaults, so a
-// loadgen run reproduces the queries a workload run would measure).
-Result<WorkloadOptions> ParseWorkloadOptions(const Args& args) {
-  WorkloadOptions wopts;
-  const auto queries = args.GetInt("queries", 20);
-  const auto p = args.GetInt("p", 4);
-  const auto k = args.GetInt("k", 2);
-  const auto n = args.GetInt("n", 5);
-  const auto wq = args.GetInt("wq", 6);
-  if (!queries.ok()) return queries.status();
-  if (!p.ok()) return p.status();
-  if (!k.ok()) return k.status();
-  if (!n.ok()) return n.status();
-  if (!wq.ok()) return wq.status();
-  wopts.num_queries = static_cast<uint32_t>(queries.value());
-  wopts.group_size = static_cast<uint32_t>(p.value());
-  wopts.tenuity = static_cast<HopDistance>(k.value());
-  wopts.top_n = static_cast<uint32_t>(n.value());
-  wopts.keyword_count = static_cast<uint32_t>(wq.value());
-  wopts.frequency_banded = args.GetBool("banded", true);
-  return wopts;
 }
 
 }  // namespace
@@ -861,7 +868,6 @@ Status CmdLoadgen(const Args& args) {
     if (!kind.ok()) return kind.status();
     SnapshotStore::Options oopts;
     oopts.checker = kind.value();
-    oopts.bitmap_k = wopts->tenuity;
     oracle = std::make_unique<SnapshotStore>(*graph, oopts);
     oracle_pins[oracle->epoch()] = oracle->Pin();
     lopts.on_mutation_applied = [&](uint64_t epoch, size_t mi) {
@@ -941,7 +947,8 @@ const std::vector<CommandSpec>& CommandRegistry() {
   static const auto* kRegistry = new std::vector<CommandSpec>{
       {"generate", &CmdGenerate,
        "  generate     build a synthetic preset dataset and save it\n"
-       "               --preset NAME --scale S [--seed S] [--edges F] [--attrs F]\n",
+       "               --preset NAME --scale S [--seed S] [--edges F]\n"
+       "               [--attrs F]\n",
        {"preset", "scale", "seed", "edges", "attrs"}},
       {"stats", &CmdStats,
        "  stats        structural statistics of an edge list\n"
@@ -955,7 +962,7 @@ const std::vector<CommandSpec>& CommandRegistry() {
        "  query        run one query\n"
        "               --edges F --attrs F --keywords a,b,c [--p P] [--k K]\n"
        "               [--n N] [--algo vkc-deg|vkc|qkc|greedy|dktg|tagq]\n"
-       "               [--index F | --checker bfs|nl|nlrnl|bitmap]\n"
+       "               [--index F | --checker bfs|nl|nlrnl]\n"
        "               [--authors v1,v2] [--gamma G] [--max-nodes M] [--json]\n"
        "               [--explain] [--threads T] [--metrics-json F] [--trace]\n"
        "               [--cache-mb M] [--budget-ms B]\n"
@@ -974,7 +981,8 @@ const std::vector<CommandSpec>& CommandRegistry() {
         "banded", "threads", "metrics-json", "cache-mb", "batches"}},
       {"serve", &CmdServe,
        "  serve        run ktgd, the resident query service (docs/server.md)\n"
-       "               [--preset NAME --scale S --seed S | --edges F --attrs F]\n"
+       "               [--preset NAME --scale S --seed S |\n"
+       "                --edges F --attrs F]\n"
        "               [--port P] [--port-file F] [--workers W] [--queue Q]\n"
        "               [--batch-max B] [--batch-window W] [--cache-mb M]\n"
        "               [--deadline-ms D] [--checker C] [--threads T]\n"

@@ -28,7 +28,9 @@ GroupExplanation ExplainGroup(const AttributedGraph& graph,
       const CoverMask mask = CoverMaskOf(graph, v, query.keywords);
       joint |= mask;
       for (size_t bit = 0; bit < query.keywords.size(); ++bit) {
-        if (mask & (CoverMask{1} << bit)) ev.covered_terms.push_back(term_of(bit));
+        if (mask & (CoverMask{1} << bit)) {
+          ev.covered_terms.push_back(term_of(bit));
+        }
       }
       ev.covered_count = static_cast<int>(ev.covered_terms.size());
     }

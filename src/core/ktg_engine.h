@@ -5,7 +5,7 @@
 //   KTG-QKC      — SortStrategy::kQkc     (static query-keyword-coverage sort)
 //   KTG-VKC      — SortStrategy::kVkc     (Algorithm 1)
 //   KTG-VKC-DEG  — SortStrategy::kVkcDeg  (VKC + degree tie-break)
-// combined with any DistanceChecker (BFS / NL / NLRNL / bitmap), which is
+// combined with any DistanceChecker (BFS / NL / NLRNL), which is
 // how the paper names configurations like "KTG-VKC-DEG-NLRNL".
 //
 // Search space: combinations of the candidate set S_R. A tree node holds an
@@ -58,9 +58,9 @@ namespace ktg {
 /// Run() splits the first level of the search tree across that many worker
 /// threads, each driving a private engine clone (its own arena and memo,
 /// reading the graph-side rows the calling engine built) that builds a
-/// claimed root's S_R from the root order; subtree results feed a shared top-N whose N-th score (a relaxed
-/// atomic snapshot) is the pruning bound, so every worker benefits from
-/// every other's results.
+/// claimed root's S_R from the root order; subtree results feed a shared
+/// top-N whose N-th score (a relaxed atomic snapshot) is the pruning bound,
+/// so every worker benefits from every other's results.
 class KtgEngine {
  public:
   KtgEngine(const AttributedGraph& graph, const InvertedIndex& index,

@@ -69,7 +69,7 @@ struct EngineOptions {
   /// coverage multiset, but which members represent a tied coverage value
   /// can differ from the serial order (see docs/architecture.md). The
   /// engine needs a checker whose concurrent_read_safe() is true (NLRNL,
-  /// bitmap, NL without memoization) and otherwise silently runs serially.
+  /// NL without memoization) and otherwise silently runs serially.
   uint32_t num_threads = 1;
 
   /// Completeness/latency trade-off (see EngineMode).
@@ -155,7 +155,7 @@ struct EngineOptions {
   /// over the run's slots: the parent's remaining slots minus those within
   /// k hops of the selected member (core/frontier.h). A checker with a
   /// bulk ball materialization (BFS, and the CachingChecker wrapper) marks
-  /// those slots from one ball. Any other checker (NL, NLRNL, bitmap)
+  /// those slots from one ball. Any other checker (NL, NLRNL)
   /// answers through the run's k-line memo: a bitset row per selected
   /// member, and the child is one AND-NOT with that row. A row is filled
   /// either by asking the checker about each candidate pair at most once

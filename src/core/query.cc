@@ -53,4 +53,23 @@ Status ValidateQuery(const KtgQuery& query, const AttributedGraph& g) {
   return Status::OK();
 }
 
+Status CheckQueryParams(int64_t p, int64_t k, int64_t n,
+                        int64_t num_keywords) {
+  struct Range {
+    const char* name;
+    int64_t value, lo, hi;
+  };
+  for (const Range& r : {Range{"p", p, 1, 64}, Range{"k", k, 0, 255},
+                         Range{"n", n, 1, 4096},
+                         Range{"keyword count", num_keywords, 1, 64}}) {
+    if (r.value < r.lo || r.value > r.hi) {
+      return Status::InvalidArgument(
+          std::string(r.name) + " must be in [" + std::to_string(r.lo) +
+          ", " + std::to_string(r.hi) + "] (got " + std::to_string(r.value) +
+          ")");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace ktg

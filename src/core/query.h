@@ -58,6 +58,14 @@ KtgQuery MakeQuery(const AttributedGraph& g,
 /// Validates structural constraints (sizes, vertex ranges, <= 64 keywords).
 Status ValidateQuery(const KtgQuery& query, const AttributedGraph& g);
 
+/// The parameter ranges every front end (wire requests, CLI flags) accepts:
+/// p in [1, 64], k in [0, 255], N in [1, 4096] and 1 to 64 keywords.
+/// Front ends check the raw values here before narrowing them into a
+/// KtgQuery, so an out-of-range value is refused instead of wrapping onto
+/// a valid one.
+Status CheckQueryParams(int64_t p, int64_t k, int64_t n,
+                        int64_t num_keywords);
+
 /// A candidate result group.
 struct Group {
   /// Member vertices, sorted ascending.

@@ -12,8 +12,9 @@
 //   * options.max_nodes == 0, and
 //   * options.stop_at_count == 0 (such runs stop early by design).
 // The key holds the query and the options that break coverage ties
-// (sort, degree_ascending). A time budget or a thread count does not block a lookup. A run's result
-// is stored only when the run also completed on one worker. Every stored
+// (sort, degree_ascending). A time budget or a thread count does not block
+// a lookup. A run's result is stored only when the run also completed on
+// one worker. Every stored
 // result is therefore a complete serial run's, and a hit is bit-identical
 // to an uncached serial run at any thread count and under any deadline.
 

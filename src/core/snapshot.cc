@@ -8,7 +8,6 @@
 
 #include "cache/ktg_cache.h"
 #include "index/affected.h"
-#include "index/khop_bitmap.h"
 #include "index/nl_index.h"
 #include "index/nlrnl_index.h"
 #include "obs/metrics.h"
@@ -45,12 +44,11 @@ Status ValidateEndpoints(const char* what, VertexId a, VertexId b,
 }  // namespace
 
 EngineSnapshot::EngineSnapshot(uint64_t epoch, AttributedGraph graph,
-                               CheckerKind kind, HopDistance bitmap_k,
-                               uint32_t build_threads)
+                               CheckerKind kind, uint32_t build_threads)
     : epoch_(epoch),
       graph_(std::move(graph)),
       index_(graph_),
-      checker_(MakeSnapshotChecker(kind, graph_.graph(), bitmap_k,
+      checker_(MakeSnapshotChecker(kind, graph_.graph(), /*k=*/0,
                                    build_threads)),
       kind_(kind) {}
 
@@ -71,8 +69,7 @@ SnapshotStore::SnapshotStore(AttributedGraph graph, Options options)
   const uint64_t epoch0 =
       options_.cache != nullptr ? options_.cache->epoch() : 0;
   current_ = std::make_shared<const EngineSnapshot>(
-      epoch0, std::move(graph), options_.checker, options_.bitmap_k,
-      options_.build_threads);
+      epoch0, std::move(graph), options_.checker, options_.build_threads);
   if (options_.metrics != nullptr) {
     options_.metrics->gauge("snapshot.epoch")
         .Set(static_cast<double>(epoch0));
@@ -179,10 +176,6 @@ Result<SnapshotStore::ApplyInfo> SnapshotStore::Apply(
         break;
       case CheckerKind::kNlrnl:
         checker = RebuiltCopy<NlrnlIndex>(*checker, final_graph, affected);
-        break;
-      case CheckerKind::kKHopBitmap:
-        checker =
-            RebuiltCopy<KHopBitmapChecker>(*checker, final_graph, affected);
         break;
       case CheckerKind::kBfs:
         break;  // no checker object; readers build their own

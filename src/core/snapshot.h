@@ -81,7 +81,7 @@ class EngineSnapshot {
  public:
   /// Full build: constructs the index and checker from scratch.
   EngineSnapshot(uint64_t epoch, AttributedGraph graph, CheckerKind kind,
-                 HopDistance bitmap_k, uint32_t build_threads);
+                 uint32_t build_threads);
 
   /// Incremental build: adopts a checker the writer already updated (or
   /// shares the predecessor's when topology did not change).
@@ -116,8 +116,6 @@ class SnapshotStore {
  public:
   struct Options {
     CheckerKind checker = CheckerKind::kNlrnl;
-    /// k the bitmap checker is specialized to (kKHopBitmap only).
-    HopDistance bitmap_k = 2;
     /// Threads for full index builds (0 = the CPUs the building thread may
     /// run on).
     uint32_t build_threads = 0;
@@ -138,7 +136,7 @@ class SnapshotStore {
     /// Size of the union of the per-delta exact affected sets
     /// (index/affected.h): the cache balls erased.
     uint64_t affected_vertices = 0;
-    /// Checker rows (NL lists, NLRNL entries, bitmap rows) rebuilt, each
+    /// Checker rows (NL lists, NLRNL entries) rebuilt, each
     /// counted once: the union is rebuilt in one pass against the final
     /// graph, so this equals affected_vertices for the index kinds and is
     /// 0 for BFS and keyword-only batches.

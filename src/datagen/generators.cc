@@ -106,7 +106,8 @@ Graph ErdosRenyi(uint32_t n, double edge_probability, Rng& rng) {
     if (slot > total) break;
     // Map slot-1 (0-based) to a pair (i, j), i < j.
     const uint64_t e = slot - 1;
-    // Row i satisfies: offset_i <= e < offset_{i+1}, offset_i = i*n - i(i+3)/2...
+    // Row i satisfies: offset_i <= e < offset_{i+1},
+    // offset_i = i*n - i(i+3)/2...
     // Solve by the quadratic formula on cumulative row sizes.
     const double nn = static_cast<double>(n);
     uint64_t i = static_cast<uint64_t>(

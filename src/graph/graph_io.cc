@@ -19,7 +19,9 @@ LineKind ParseLine(const std::string& line, uint64_t* u, uint64_t* v) {
   size_t i = 0;
   while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i])))
     ++i;
-  if (i == line.size() || line[i] == '#' || line[i] == '%') return LineKind::kSkip;
+  if (i == line.size() || line[i] == '#' || line[i] == '%') {
+    return LineKind::kSkip;
+  }
 
   char* end = nullptr;
   *u = std::strtoull(line.c_str() + i, &end, 10);
@@ -57,7 +59,8 @@ Result<Graph> ParseStream(std::istream& in, const std::string& origin) {
                                        line + "'");
       case LineKind::kEdge:
         if (u > kInvalidVertex - 1 || v > kInvalidVertex - 1) {
-          return Status::OutOfRange(origin + ": vertex id exceeds 32 bits at line " +
+          return Status::OutOfRange(origin +
+                                    ": vertex id exceeds 32 bits at line " +
                                     std::to_string(line_no));
         }
         builder.AddEdge(static_cast<VertexId>(u), static_cast<VertexId>(v));

@@ -25,7 +25,7 @@
 // Pair symmetry: if a pair (w, x) changes distance, both d(w, ·) and
 // d(x, ·) change, so both w and x are in the set. Rebuilding the affected
 // vertices therefore also repairs all halved (smaller-id-side) pair
-// storage, every k-hop bitmap row and every cached ball.
+// storage and every cached ball.
 
 #ifndef KTG_INDEX_AFFECTED_H_
 #define KTG_INDEX_AFFECTED_H_

@@ -6,7 +6,6 @@
 #include <cctype>
 
 #include "index/bfs_checker.h"
-#include "index/khop_bitmap.h"
 #include "index/nl_index.h"
 #include "index/nlrnl_index.h"
 
@@ -19,9 +18,8 @@ Result<CheckerKind> ParseCheckerKind(const std::string& name) {
   if (lower == "bfs") return CheckerKind::kBfs;
   if (lower == "nl") return CheckerKind::kNl;
   if (lower == "nlrnl") return CheckerKind::kNlrnl;
-  if (lower == "bitmap" || lower == "khopbitmap")
-    return CheckerKind::kKHopBitmap;
-  return Status::InvalidArgument("unknown checker kind: " + name);
+  return Status::InvalidArgument("unknown checker kind '" + name +
+                                 "' (expected bfs|nl|nlrnl)");
 }
 
 const char* CheckerKindName(CheckerKind kind) {
@@ -32,14 +30,12 @@ const char* CheckerKindName(CheckerKind kind) {
       return "NL";
     case CheckerKind::kNlrnl:
       return "NLRNL";
-    case CheckerKind::kKHopBitmap:
-      return "KHopBitmap";
   }
   return "?";
 }
 
 std::unique_ptr<DistanceChecker> MakeChecker(CheckerKind kind,
-                                             const Graph& graph, HopDistance k,
+                                             const Graph& graph,
                                              uint32_t num_threads) {
   switch (kind) {
     case CheckerKind::kBfs:
@@ -54,19 +50,13 @@ std::unique_ptr<DistanceChecker> MakeChecker(CheckerKind kind,
       options.num_threads = num_threads;
       return std::make_unique<NlrnlIndex>(graph, options);
     }
-    case CheckerKind::kKHopBitmap: {
-      KHopBitmapOptions options;
-      options.num_threads = num_threads;
-      return std::make_unique<KHopBitmapChecker>(graph, k, options);
-    }
   }
   return nullptr;
 }
 
-std::unique_ptr<DistanceChecker> MakeSnapshotChecker(CheckerKind kind,
-                                                     const Graph& graph,
-                                                     HopDistance k,
-                                                     uint32_t num_threads) {
+std::unique_ptr<DistanceChecker> MakeSnapshotChecker(
+    CheckerKind kind, const Graph& graph, HopDistance /*k*/,
+    uint32_t num_threads) {
   switch (kind) {
     case CheckerKind::kBfs:
       return nullptr;  // per-run construction; see header
@@ -77,8 +67,7 @@ std::unique_ptr<DistanceChecker> MakeSnapshotChecker(CheckerKind kind,
       return std::make_unique<NlIndex>(graph, options);
     }
     case CheckerKind::kNlrnl:
-    case CheckerKind::kKHopBitmap:
-      return MakeChecker(kind, graph, k, num_threads);
+      return MakeChecker(kind, graph, num_threads);
   }
   return nullptr;
 }

@@ -16,34 +16,33 @@ namespace ktg {
 
 /// Available DistanceChecker implementations.
 enum class CheckerKind {
-  kBfs,         ///< no index, bidirectional bounded BFS per check
-  kNl,          ///< h-hop neighbors list (Section V.A)
-  kNlrnl,       ///< (c-1)-hop + reverse c-hop lists (Section V.B)
-  kKHopBitmap,  ///< dense within-k bit matrix (extension; fixed k)
+  kBfs,    ///< no index, bidirectional bounded BFS per check
+  kNl,     ///< h-hop neighbors list (Section V.A)
+  kNlrnl,  ///< (c-1)-hop + reverse c-hop lists (Section V.B)
 };
 
-/// Parses "bfs" | "nl" | "nlrnl" | "bitmap" (case-insensitive).
+/// Parses "bfs" | "nl" | "nlrnl" (case-insensitive); any other name is
+/// InvalidArgument naming the accepted kinds.
 Result<CheckerKind> ParseCheckerKind(const std::string& name);
 
 /// Human-readable name of a kind.
 const char* CheckerKindName(CheckerKind kind);
 
-/// Builds a checker of the given kind over `graph`. `k` is only consulted by
-/// the bitmap checker (which is specialized to a single k); pass the query's
-/// tenuity constraint. `num_threads` parallelizes the index construction
-/// loops (1 = serial, 0 = the CPUs the calling thread may run on; ignored
-/// by kBfs, which has nothing to build). The graph must outlive the checker
-/// for kBfs and kKHopBitmap; kNl/kNlrnl copy it.
+/// Builds a checker of the given kind over `graph`; every kind answers
+/// every k. `num_threads` parallelizes the index construction loops (1 =
+/// serial, 0 = the CPUs the calling thread may run on; ignored by kBfs,
+/// which has nothing to build). The graph must outlive the checker for
+/// kBfs; kNl/kNlrnl copy it.
 std::unique_ptr<DistanceChecker> MakeChecker(CheckerKind kind,
-                                             const Graph& graph, HopDistance k,
+                                             const Graph& graph,
                                              uint32_t num_threads = 1);
 
 /// Like MakeChecker, but every returned checker is concurrent_read_safe so
 /// one instance can be shared by all readers pinned to a snapshot:
 /// NL is built with memoize_expansions off (reads never mutate the lists),
-/// NLRNL and the bitmap are read-safe natively. kBfs returns nullptr —
-/// BfsChecker is stateful scratch and trivial to construct, so snapshot
-/// readers build one per run instead of sharing.
+/// NLRNL is read-safe natively. kBfs returns nullptr — BfsChecker is
+/// stateful scratch and trivial to construct, so snapshot readers build one
+/// per run instead of sharing. `k` is ignored: no kind is built for one k.
 std::unique_ptr<DistanceChecker> MakeSnapshotChecker(CheckerKind kind,
                                                      const Graph& graph,
                                                      HopDistance k,

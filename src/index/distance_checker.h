@@ -54,9 +54,9 @@ class DistanceChecker {
 
   /// True when IsFartherThan may be invoked from multiple threads
   /// concurrently with no external synchronization. Only implementations
-  /// whose check path never mutates index state qualify: NLRNL, the k-hop
-  /// bitmap, and NL with memoization disabled. BFS (shared traversal
-  /// scratch) and memoizing NL stay single-threaded.
+  /// whose check path never mutates index state qualify: NLRNL and NL
+  /// with memoization disabled. BFS (shared traversal scratch) and
+  /// memoizing NL stay single-threaded.
   virtual bool concurrent_read_safe() const { return false; }
 
   /// Short implementation name used in benchmark tables ("BFS", "NL", ...).
@@ -113,10 +113,10 @@ class DistanceChecker {
     return num_within_.load(std::memory_order_relaxed);
   }
 
-  /// Index-structure probes (per-level membership lookups for NL/NLRNL,
-  /// word reads for the bitmap) while detail stats are enabled; 0 for
-  /// checkers without an index (BFS). probes/checks is the "how hard did
-  /// the index work per answer" ratio of Section V.
+  /// Index-structure probes (per-level membership lookups for NL/NLRNL)
+  /// while detail stats are enabled; 0 for checkers without an index
+  /// (BFS). probes/checks is the "how hard did the index work per answer"
+  /// ratio of Section V.
   uint64_t num_probes() const {
     return num_probes_.load(std::memory_order_relaxed);
   }

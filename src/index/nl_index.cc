@@ -151,7 +151,9 @@ bool NlIndex::ExpandOneLevel(VertexId v) {
   // Ball membership: the origin plus every stored level.
   std::unordered_set<VertexId> ball;
   ball.insert(v);
-  for (const auto& level : entry.levels) ball.insert(level.begin(), level.end());
+  for (const auto& level : entry.levels) {
+    ball.insert(level.begin(), level.end());
+  }
 
   const auto& frontier = entry.levels.back();
   std::vector<VertexId> next;

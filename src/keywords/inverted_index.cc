@@ -14,7 +14,9 @@ InvertedIndex::InvertedIndex(const AttributedGraph& g) {
     for (const KeywordId kw : g.Keywords(v)) ++counts[kw + 1];
   }
   offsets_.assign(num_kw + 1, 0);
-  for (uint32_t i = 0; i < num_kw; ++i) offsets_[i + 1] = offsets_[i] + counts[i + 1];
+  for (uint32_t i = 0; i < num_kw; ++i) {
+    offsets_[i + 1] = offsets_[i] + counts[i + 1];
+  }
 
   postings_.resize(offsets_[num_kw]);
   std::vector<uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);

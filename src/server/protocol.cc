@@ -13,7 +13,6 @@ namespace {
 
 // Request lines come from the network; bound what a single line may nest.
 constexpr int kMaxRequestDepth = 16;
-constexpr size_t kMaxKeywords = 64;
 constexpr size_t kMaxAuthors = 1024;
 constexpr size_t kMaxMutationDeltas = 1024;
 constexpr size_t kMaxMutationTerm = 256;
@@ -162,30 +161,21 @@ Result<Request> ParseRequestLine(const std::string& line) {
     return Status::InvalidArgument(
         "query requires a non-empty 'keywords' array");
   }
-  if (kw->AsArray().size() > kMaxKeywords) {
-    return Status::InvalidArgument("too many keywords (max 64)");
-  }
-  for (const JsonValue& term : kw->AsArray()) {
-    if (!term.is_string()) {
-      return Status::InvalidArgument("'keywords' entries must be strings");
-    }
-    req.keywords.push_back(term.AsString());
-  }
-
   const auto p = doc->GetInt("p", 3);
   const auto k = doc->GetInt("k", 1);
   const auto n = doc->GetInt("n", 1);
   if (!p.ok()) return p.status();
   if (!k.ok()) return k.status();
   if (!n.ok()) return n.status();
-  if (p.value() < 1 || p.value() > 64) {
-    return Status::InvalidArgument("field 'p' must be in [1, 64]");
-  }
-  if (k.value() < 0 || k.value() > 255) {
-    return Status::InvalidArgument("field 'k' must be in [0, 255]");
-  }
-  if (n.value() < 1 || n.value() > 4096) {
-    return Status::InvalidArgument("field 'n' must be in [1, 4096]");
+  // Ranges first, so a hostile keyword array is refused before it is copied.
+  KTG_RETURN_IF_ERROR(
+      CheckQueryParams(p.value(), k.value(), n.value(),
+                       static_cast<int64_t>(kw->AsArray().size())));
+  for (const JsonValue& term : kw->AsArray()) {
+    if (!term.is_string()) {
+      return Status::InvalidArgument("'keywords' entries must be strings");
+    }
+    req.keywords.push_back(term.AsString());
   }
   req.group_size = static_cast<uint32_t>(p.value());
   req.tenuity = static_cast<HopDistance>(k.value());

@@ -56,7 +56,6 @@ Status KtgServer::Start() {
   // every worker pins (per-run stateful wrappers are built in ExecuteOne).
   SnapshotStore::Options sopts;
   sopts.checker = options_.checker;
-  sopts.bitmap_k = options_.bitmap_k;
   sopts.build_threads = options_.build_threads;
   sopts.cache = cache_.get();
   sopts.metrics = &metrics_;
@@ -154,14 +153,6 @@ void KtgServer::SubmitQuery(uint64_t id, KtgQuery query, SortStrategy sort,
   if (Status st = ValidateQuery(query, store_->Pin()->graph()); !st.ok()) {
     metrics_.counter("server.errors").Add();
     cb(ErrorResponseJson(id, st.message()));
-    return;
-  }
-  if (options_.checker == CheckerKind::kKHopBitmap &&
-      query.tenuity != options_.bitmap_k) {
-    metrics_.counter("server.errors").Add();
-    cb(ErrorResponseJson(
-        id, "this server's bitmap checker is specialized to k=" +
-                std::to_string(options_.bitmap_k)));
     return;
   }
 

@@ -95,10 +95,8 @@ struct ServerOptions {
   /// Cross-query cache budget in MiB (0 = caching disabled).
   size_t cache_mb = 0;
 
-  /// Distance checker built per worker. kKHopBitmap is specialized to one
-  /// k (bitmap_k); queries with a different tenuity are answered "error".
+  /// Distance checker of each snapshot, shared by every worker.
   CheckerKind checker = CheckerKind::kNlrnl;
-  HopDistance bitmap_k = 2;
 
   /// Threads for index/checker construction at Start() (0 = the CPUs the
   /// starting thread may run on).

@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The ktg Authors.
 // The one executor for parallel work: the engine's root-parallel search,
-// the NL / NLRNL / k-hop bitmap index builds and the batch runner all run
-// their workers here.
+// the NL / NLRNL index builds and the batch runner all run their workers
+// here.
 //
 // Threads. The calling thread is worker 0. The other workers are helpers
 // recruited from one process-wide set of threads, started on first use and

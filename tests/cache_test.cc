@@ -225,7 +225,7 @@ TEST(CachingCheckerTest, BallMatchesBfsAndSecondCallHits) {
 TEST(CachingCheckerTest, FallThroughChecksCountOnceInTheRun) {
   const AttributedGraph g = SmallGraph(0xC0DE, 40);
   const InvertedIndex idx(g);
-  const auto inner = MakeChecker(CheckerKind::kNlrnl, g.graph(), 2);
+  const auto inner = MakeChecker(CheckerKind::kNlrnl, g.graph());
   KtgQuery query = SimpleQuery({0, 1, 2, 3, 4}, 3, 2, 3);
   query.query_vertices = {7};
   EngineOptions opts;
@@ -475,14 +475,15 @@ TEST(EngineCacheTest, TruncatedSearchesBypassTheCache) {
 }
 
 // The cache rule (core/run_frame.h): look up only in exact mode, without a
-// node budget or stop_at_count; store only complete one-worker runs. Drives the engine through the rule's sequence, checking
-// the cache's hit/miss/entry counts after every step and that every hit is
+// node budget or stop_at_count; store only complete one-worker runs.
+// Drives the engine through the rule's sequence, checking the cache's
+// hit/miss/entry counts after every step and that every hit is
 // bit-identical to an uncached serial run.
 TEST(EngineCacheTest, EngineFollowsTheCacheRule) {
   const AttributedGraph g = SmallGraph(0xCAC4E);
   const InvertedIndex idx(g);
   // Concurrent-read-safe, so KtgEngine really runs root-parallel.
-  const auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph(), 2);
+  const auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph());
   const KtgQuery query = SimpleQuery({0, 1, 2, 3}, 2, 2, 3);
   const KtgQuery other = SimpleQuery({4, 5, 6, 7}, 2, 2, 3);
   const auto run = [&](const EngineOptions& o, const KtgQuery& q) {

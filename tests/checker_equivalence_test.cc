@@ -19,7 +19,16 @@
 namespace ktg {
 namespace {
 
-enum class Family { kPath, kCycle, kGrid, kTree, kEr, kBa, kWs, kTwoComponents };
+enum class Family {
+  kPath,
+  kCycle,
+  kGrid,
+  kTree,
+  kEr,
+  kBa,
+  kWs,
+  kTwoComponents
+};
 
 Graph MakeGraph(Family family, Rng& rng) {
   switch (family) {
@@ -80,9 +89,9 @@ TEST_P(CheckerEquivalenceTest, AllCheckersMatchGroundTruth) {
   for (VertexId v = 0; v < n; ++v) dist[v] = DistancesFrom(g, v);
 
   std::vector<std::unique_ptr<DistanceChecker>> checkers;
-  for (const auto kind : {CheckerKind::kBfs, CheckerKind::kNl,
-                          CheckerKind::kNlrnl, CheckerKind::kKHopBitmap}) {
-    checkers.push_back(MakeChecker(kind, g, k));
+  for (const auto kind :
+       {CheckerKind::kBfs, CheckerKind::kNl, CheckerKind::kNlrnl}) {
+    checkers.push_back(MakeChecker(kind, g));
   }
   // Also a horizon-starved NL (forces the Algorithm-2 expansion path).
   NlIndexOptions tight;

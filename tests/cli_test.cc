@@ -267,6 +267,77 @@ TEST_F(CliCommandTest, QueryRequiresKeywords) {
   EXPECT_FALSE(CmdQuery(*args).ok());
 }
 
+// Query parameters are range-checked before they are narrowed: a value
+// that would wrap (2^32 + 2 onto p = 2, 65537 onto k = 1, -1 onto 2^32 - 1)
+// is refused, as on the wire, instead of running as another query.
+TEST_F(CliCommandTest, QueryRefusesParametersThatWouldWrap) {
+  const auto query = [&](const std::string& flag, const std::string& value) {
+    const auto args = Args::Parse(
+        {"query", "--edges", edges_, "--attrs", attrs_, "--checker", "bfs",
+         "--keywords", "kw0,kw1,kw2", "--p", "2", "--k", "1", "--" + flag,
+         value},
+        {"edges", "attrs", "checker", "keywords", "p", "k", "n", "authors"});
+    return args.ok() ? CmdQuery(*args) : args.status();
+  };
+  for (const auto& [flag, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"p", "4294967298"}, {"p", "-1"}, {"p", "0"}, {"p", "65"},
+           {"k", "65537"}, {"k", "256"}, {"k", "-1"}, {"n", "-1"},
+           {"n", "4097"}, {"authors", "4294967296"}, {"authors", "-1"},
+           {"authors", "1.5"}}) {
+    const Status st = query(flag, value);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << "--" << flag << " " << value << ": " << st.ToString();
+  }
+  EXPECT_TRUE(query("k", "255").ok());
+  EXPECT_TRUE(query("n", "4096").ok());
+  EXPECT_TRUE(query("authors", "0").ok());
+  // An in-range id past the graph stays a vertex-range error.
+  EXPECT_EQ(query("authors", "4294967294").code(), StatusCode::kOutOfRange);
+}
+
+TEST_F(CliCommandTest, QueryRefusesBitmapChecker) {
+  const auto args = Args::Parse(
+      {"query", "--edges", edges_, "--attrs", attrs_, "--checker", "bitmap",
+       "--keywords", "kw0,kw1", "--p", "2", "--k", "2"},
+      {"edges", "attrs", "checker", "keywords", "p", "k"});
+  ASSERT_TRUE(args.ok());
+  const Status st = CmdQuery(*args);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("expected bfs|nl|nlrnl"), std::string::npos)
+      << st.ToString();
+}
+
+TEST_F(CliCommandTest, WorkloadAndLoadgenRefuseParametersThatWouldWrap) {
+  for (const auto& [flag, value] :
+       std::vector<std::pair<std::string, std::string>>{{"p", "4294967298"},
+                                                        {"k", "65537"},
+                                                        {"n", "-1"},
+                                                        {"wq", "65"},
+                                                        {"wq", "0"}}) {
+    const auto workload = Args::Parse(
+        {"workload", "--preset", "brightkite", "--scale", "0.02", "--queries",
+         "2", "--checker", "bfs", "--" + flag, value},
+        {"preset", "scale", "queries", "checker", "p", "k", "n", "wq"});
+    ASSERT_TRUE(workload.ok());
+    const Status wst = CmdWorkload(*workload);
+    EXPECT_EQ(wst.code(), StatusCode::kInvalidArgument)
+        << "workload --" << flag << " " << value << ": " << wst.ToString();
+
+    // Refused before any connection is attempted.
+    const auto loadgen = Args::Parse(
+        {"loadgen", "--preset", "brightkite", "--scale", "0.02", "--port",
+         "1", "--" + flag, value},
+        {"preset", "scale", "port", "p", "k", "n", "wq"});
+    ASSERT_TRUE(loadgen.ok());
+    const Status lst = CmdLoadgen(*loadgen);
+    EXPECT_EQ(lst.code(), StatusCode::kInvalidArgument)
+        << "loadgen --" << flag << " " << value << ": " << lst.ToString();
+    EXPECT_NE(lst.message().find("must be in"), std::string::npos)
+        << lst.ToString();
+  }
+}
+
 TEST_F(CliCommandTest, WorkloadRuns) {
   const auto args = Args::Parse(
       {"workload", "--preset", "brightkite", "--scale", "0.02", "--queries",

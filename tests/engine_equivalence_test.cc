@@ -99,7 +99,6 @@ TEST_P(EngineEquivalenceTest, MatchesBruteForceOnRandomInstances) {
       {SortStrategy::kVkcDeg, true, true, CheckerKind::kNl},
       {SortStrategy::kVkcDeg, true, true, CheckerKind::kNlrnl},
       {SortStrategy::kVkc, true, true, CheckerKind::kNlrnl},
-      {SortStrategy::kVkcDeg, true, true, CheckerKind::kKHopBitmap},
       // Published Theorem-2 bound only (no reachable-coverage tightening).
       {SortStrategy::kVkcDeg, true, true, CheckerKind::kBfs, false},
       {SortStrategy::kQkc, true, true, CheckerKind::kNlrnl, false},
@@ -109,7 +108,6 @@ TEST_P(EngineEquivalenceTest, MatchesBruteForceOnRandomInstances) {
       {SortStrategy::kVkcDeg, true, true, CheckerKind::kNlrnl, true, 4},
       {SortStrategy::kVkc, true, true, CheckerKind::kNlrnl, true, 4},
       {SortStrategy::kQkc, true, true, CheckerKind::kNlrnl, true, 2},
-      {SortStrategy::kVkcDeg, true, true, CheckerKind::kKHopBitmap, true, 4},
       {SortStrategy::kVkcDeg, false, true, CheckerKind::kNlrnl, true, 2},
       {SortStrategy::kVkcDeg, true, true, CheckerKind::kNlrnl, false, 4},
       // Residual suffix-union clamp off (the pre-clamp search), serial and
@@ -125,7 +123,7 @@ TEST_P(EngineEquivalenceTest, MatchesBruteForceOnRandomInstances) {
     const auto expected = CoverageCounts(truth->groups);
 
     for (const auto& config : configs) {
-      auto checker = MakeChecker(config.checker, g.graph(), query.tenuity);
+      auto checker = MakeChecker(config.checker, g.graph());
       EngineOptions opts;
       opts.sort = config.sort;
       opts.keyword_pruning = config.pruning;
@@ -246,7 +244,7 @@ TEST_P(KlineMemoTest, SameSearchAsPerPairChecksAndExactInParallel) {
                      (ascending ? " asc" : " desc") + " round=" +
                      std::to_string(round) + " k=" + std::to_string(k) +
                      " p=" + std::to_string(p));
-        auto checker = MakeChecker(kind, g.graph(), k);
+        auto checker = MakeChecker(kind, g.graph());
         EngineOptions opts;
         opts.degree_ascending = ascending;
         const auto memo = RunKtg(g, idx, *checker, query, opts);
@@ -279,8 +277,7 @@ TEST_P(KlineMemoTest, SameSearchAsPerPairChecksAndExactInParallel) {
 
 INSTANTIATE_TEST_SUITE_P(
     Checkers, KlineMemoTest,
-    ::testing::Combine(::testing::Values(CheckerKind::kNl, CheckerKind::kNlrnl,
-                                         CheckerKind::kKHopBitmap),
+    ::testing::Combine(::testing::Values(CheckerKind::kNl, CheckerKind::kNlrnl),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<std::tuple<CheckerKind, bool>>& info) {
       return std::string(CheckerKindName(std::get<0>(info.param))) +
@@ -366,8 +363,7 @@ TEST_P(DegenerateQueryTest, ExactAndAnytimeMatchBruteForce) {
     for (const uint32_t threads : {1u, 4u}) {
       const std::string where =
           std::string(EngineModeName(mode)) + " t" + std::to_string(threads);
-      auto checker =
-          MakeChecker(CheckerKind::kNlrnl, g.graph(), query.tenuity);
+      auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph());
       EngineOptions opts;
       opts.mode = mode;
       opts.num_threads = threads;

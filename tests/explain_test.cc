@@ -25,7 +25,8 @@ Group MakeGroup(std::vector<VertexId> members) {
 
 class ExplainTest : public ::testing::Test {
  protected:
-  ExplainTest() : graph_(PaperExampleGraph()), query_(PaperExampleQuery(graph_)) {}
+  ExplainTest()
+      : graph_(PaperExampleGraph()), query_(PaperExampleQuery(graph_)) {}
   AttributedGraph graph_;
   KtgQuery query_;
 };

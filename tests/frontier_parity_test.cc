@@ -149,7 +149,7 @@ std::unique_ptr<DistanceChecker> MakeConfigChecker(const Config& c,
                                                    const Instance& inst) {
   return MakeChecker(c.filter == Filter::kBall ? CheckerKind::kBfs
                                                : CheckerKind::kNlrnl,
-                     inst.graph.graph(), inst.query.tenuity);
+                     inst.graph.graph());
 }
 
 EngineOptions MakeOptions(const Config& c, uint32_t threads) {
@@ -193,9 +193,10 @@ struct Pinned {
 // Recorded from the engine whose S_R was a re-sorted vector of candidates;
 // the memo rows' distance_checks were re-recorded when the memo began to
 // fill k-line rows from the graph (core/conflict_rows.h), a fill counting
-// as one check. One row per run, instances in Instances() order and, within each, the
-// configs in Configs() order: per sort order QKC, VKC, DEG+, DEG-, the
-// filters memo, pair, ball, lazy, then memo/-ceil, memo/-res, pair/-both.
+// as one check. One row per run, instances in Instances() order and,
+// within each, the configs in Configs() order: per sort order QKC, VKC,
+// DEG+, DEG-, the filters memo, pair, ball, lazy, then memo/-ceil,
+// memo/-res, pair/-both.
 // On a mismatch the test names the run and prints the row it measured.
 constexpr Pinned kPinned[] = {
     // er_k1_p3
@@ -486,8 +487,8 @@ TEST(FrontierParityTest, FourThreadsKeepTheCoverageProfile) {
   };
   for (const Instance& inst : Instances()) {
     const InvertedIndex index(inst.graph);
-    auto oracle_checker = MakeChecker(CheckerKind::kNlrnl, inst.graph.graph(),
-                                      inst.query.tenuity);
+    auto oracle_checker =
+        MakeChecker(CheckerKind::kNlrnl, inst.graph.graph());
     const auto truth =
         inst.query.group_size <= 5
             ? BruteForceKtg(inst.graph, index, *oracle_checker, inst.query)

@@ -21,7 +21,8 @@ TEST(JsonWriterTest, FlatObject) {
       .Null()
       .EndObject();
   EXPECT_EQ(w.str(),
-            R"({"name":"ktg","vertices":42,"ratio":0.5,"ok":true,"missing":null})");
+            R"({"name":"ktg","vertices":42,"ratio":0.5,"ok":true,)"
+            R"("missing":null})");
 }
 
 TEST(JsonWriterTest, NestedArrays) {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <vector>
 
 #include "core/ktg_engine.h"
 #include "core/paper_example.h"
@@ -23,16 +25,40 @@ TEST(CheckerFactoryTest, ParsesAllSpellings) {
   EXPECT_EQ(ParseCheckerKind("BFS").value(), CheckerKind::kBfs);
   EXPECT_EQ(ParseCheckerKind("nl").value(), CheckerKind::kNl);
   EXPECT_EQ(ParseCheckerKind("NLRNL").value(), CheckerKind::kNlrnl);
-  EXPECT_EQ(ParseCheckerKind("bitmap").value(), CheckerKind::kKHopBitmap);
-  EXPECT_EQ(ParseCheckerKind("KHopBitmap").value(), CheckerKind::kKHopBitmap);
   EXPECT_FALSE(ParseCheckerKind("btree").ok());
+}
+
+// Names outside bfs|nl|nlrnl, the deleted k-hop bitmap's among them, are
+// refused with a message naming the accepted kinds.
+TEST(CheckerFactoryTest, RefusesBitmapNamingTheAcceptedKinds) {
+  for (const char* name : {"bitmap", "khopbitmap", "Bitmap"}) {
+    const auto kind = ParseCheckerKind(name);
+    ASSERT_FALSE(kind.ok()) << name;
+    EXPECT_EQ(kind.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(kind.status().message().find("expected bfs|nl|nlrnl"),
+              std::string::npos)
+        << kind.status().message();
+  }
+}
+
+TEST(QueryParamsTest, RangesAreInclusive) {
+  EXPECT_TRUE(CheckQueryParams(1, 0, 1, 1).ok());
+  EXPECT_TRUE(CheckQueryParams(64, 255, 4096, 64).ok());
+  for (const auto& [p, k, n, w] : std::vector<std::array<int64_t, 4>>{
+           {0, 2, 5, 6}, {65, 2, 5, 6}, {4, -1, 5, 6}, {4, 256, 5, 6},
+           {4, 2, 0, 6}, {4, 2, 4097, 6}, {4, 2, 5, 0}, {4, 2, 5, 65},
+           {int64_t{1} << 32 | 2, 2, 5, 6}}) {
+    const Status st = CheckQueryParams(p, k, n, w);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << p << " " << k << " " << n << " " << w;
+  }
 }
 
 TEST(CheckerFactoryTest, BuildsEveryKind) {
   const Graph g = CycleGraph(10);
-  for (const auto kind : {CheckerKind::kBfs, CheckerKind::kNl,
-                          CheckerKind::kNlrnl, CheckerKind::kKHopBitmap}) {
-    const auto checker = MakeChecker(kind, g, 2);
+  for (const auto kind :
+       {CheckerKind::kBfs, CheckerKind::kNl, CheckerKind::kNlrnl}) {
+    const auto checker = MakeChecker(kind, g);
     ASSERT_NE(checker, nullptr);
     EXPECT_EQ(checker->name(), CheckerKindName(kind));
     EXPECT_TRUE(checker->IsFartherThan(0, 5, 2));

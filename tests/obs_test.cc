@@ -292,7 +292,7 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   // Same partition for the root-parallel path, whose elapsed_ms is read
   // after the driver's pool has joined (NLRNL is concurrent-read-safe, so
   // four threads really split the roots).
-  const auto nlrnl = MakeChecker(CheckerKind::kNlrnl, g.graph(), q.tenuity);
+  const auto nlrnl = MakeChecker(CheckerKind::kNlrnl, g.graph());
   EngineOptions parallel_opts;
   parallel_opts.num_threads = 4;
   const auto pr = RunKtg(g, idx, *nlrnl, q, parallel_opts);
@@ -305,7 +305,7 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   // distance_checks on the bulk path (BFS: a ball traversal counts as one)
   // and the per-pair path (NLRNL), serially and on four workers.
   for (const CheckerKind kind : {CheckerKind::kBfs, CheckerKind::kNlrnl}) {
-    const auto run_checker = MakeChecker(kind, g.graph(), q.tenuity);
+    const auto run_checker = MakeChecker(kind, g.graph());
     for (const uint32_t threads : {1u, 4u}) {
       MetricsRegistry run_reg;
       EngineOptions run_opts;
@@ -348,7 +348,7 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
 TEST(ObsWiringTest, PerPairCheckerVerdictsPartitionChecks) {
   const AttributedGraph g = PaperExampleGraph();
   const InvertedIndex idx(g);
-  const auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph(), 2);
+  const auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph());
   ASSERT_NE(checker, nullptr);
   const KtgQuery q = PaperExampleQuery(g);
 
@@ -394,7 +394,7 @@ TEST(ObsWiringTest, ConcurrentRunsOnOneCheckerCountOnlyTheirOwnChecks) {
   wopts.tenuity = 2;
   wopts.top_n = 3;
   const auto queries = GenerateWorkload(g, wopts, rng);
-  const auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph(), 2);
+  const auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph());
 
   // Per query: the exact engine's, greedy's and brute force's checks.
   using Counts = std::vector<uint64_t>;

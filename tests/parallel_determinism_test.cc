@@ -20,7 +20,6 @@
 #include "datagen/presets.h"
 #include "datagen/query_gen.h"
 #include "index/checker_factory.h"
-#include "index/khop_bitmap.h"
 #include "index/nl_index.h"
 #include "index/nlrnl_index.h"
 #include "index/serialization.h"
@@ -91,27 +90,6 @@ TEST(ParallelDeterminismTest, NlrnlBuildIsThreadCountInvariant) {
   std::remove(serial_path.c_str());
 }
 
-TEST(ParallelDeterminismTest, BitmapBuildIsThreadCountInvariant) {
-  const AttributedGraph g = PresetGraph("gowalla", 0.05);
-  constexpr HopDistance kK = 2;
-  KHopBitmapOptions serial_opts;
-  serial_opts.num_threads = 1;
-  KHopBitmapChecker serial(g.graph(), kK, serial_opts);
-
-  KHopBitmapOptions parallel_opts;
-  parallel_opts.num_threads = 4;
-  KHopBitmapChecker parallel(g.graph(), kK, parallel_opts);
-
-  EXPECT_EQ(serial.MemoryBytes(), parallel.MemoryBytes());
-  Rng rng(0xD37);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const auto u = static_cast<VertexId>(rng.Below(g.num_vertices()));
-    const auto v = static_cast<VertexId>(rng.Below(g.num_vertices()));
-    ASSERT_EQ(serial.IsFartherThan(u, v, kK), parallel.IsFartherThan(u, v, kK))
-        << "u=" << u << " v=" << v;
-  }
-}
-
 std::vector<int> CoverageCounts(const std::vector<Group>& groups) {
   std::vector<int> out;
   out.reserve(groups.size());
@@ -134,7 +112,7 @@ TEST(ParallelDeterminismTest, ParallelSearchMatchesSerialOnPresets) {
     const auto queries = GenerateWorkload(g, wopts, rng);
     ASSERT_FALSE(queries.empty());
 
-    auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph(), wopts.tenuity);
+    auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph());
     ASSERT_TRUE(checker->concurrent_read_safe());
 
     for (const auto& query : queries) {
@@ -171,7 +149,7 @@ TEST(ParallelDeterminismTest, SingleThreadOptionIsBitForBitSerial) {
   Rng rng(0xABBA);
   const auto queries = GenerateWorkload(g, wopts, rng);
 
-  auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph(), wopts.tenuity);
+  auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph());
   for (const auto& query : queries) {
     EngineOptions opts1;
     opts1.num_threads = 1;
@@ -201,9 +179,9 @@ TEST(ParallelDeterminismTest, UnsafeCheckerFallsBackToSerial) {
 
   // The memoizing NL index mutates on reads — not concurrent-read-safe, so
   // num_threads > 1 must silently run the serial engine and still be exact.
-  auto memoizing = MakeChecker(CheckerKind::kNl, g.graph(), wopts.tenuity);
+  auto memoizing = MakeChecker(CheckerKind::kNl, g.graph());
   ASSERT_FALSE(memoizing->concurrent_read_safe());
-  auto reference = MakeChecker(CheckerKind::kNlrnl, g.graph(), wopts.tenuity);
+  auto reference = MakeChecker(CheckerKind::kNlrnl, g.graph());
 
   for (const auto& query : queries) {
     EngineOptions opts;

@@ -31,7 +31,8 @@ TEST(RobustnessTest, RandomGarbageEdgeLists) {
     // Must either parse or fail cleanly.
     const auto r = ParseEdgeList(text);
     if (r.ok()) {
-      EXPECT_LE(r->num_edges() * 2, r->num_vertices() * uint64_t{r->num_vertices()});
+      EXPECT_LE(r->num_edges() * 2,
+                r->num_vertices() * uint64_t{r->num_vertices()});
     } else {
       EXPECT_FALSE(r.status().message().empty());
     }

@@ -404,7 +404,7 @@ TEST_P(RootParallelEquivalenceTest, MatchesBruteForce) {
     const auto expected = Profile(truth->groups);
 
     for (const uint32_t threads : kThreadCounts) {
-      auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph(), query.tenuity);
+      auto checker = MakeChecker(CheckerKind::kNlrnl, g.graph());
       EngineOptions opts;
       opts.num_threads = threads;
       const auto got = RunKtg(g, idx, *checker, query, opts);

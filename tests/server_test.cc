@@ -218,7 +218,7 @@ TEST(KtgServerTest, QueryResponsesMatchDirectEngineRuns) {
 
   const InvertedIndex index(graph);
   const auto checker =
-      MakeChecker(CheckerKind::kNlrnl, graph.graph(), 2, /*num_threads=*/0);
+      MakeChecker(CheckerKind::kNlrnl, graph.graph(), /*num_threads=*/0);
 
   KtgServer server(graph, {});
   ASSERT_TRUE(server.Start().ok());
@@ -513,7 +513,7 @@ TEST(TcpEndToEndTest, LoadgenClosedLoopDifferentialIsClean) {
 
   const InvertedIndex index(graph);
   const auto checker =
-      MakeChecker(CheckerKind::kNlrnl, graph.graph(), 2, /*num_threads=*/0);
+      MakeChecker(CheckerKind::kNlrnl, graph.graph(), /*num_threads=*/0);
   std::mutex mu;
   std::map<size_t, KtgResult> memo;
 

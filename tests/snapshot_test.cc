@@ -107,7 +107,6 @@ TEST_P(SnapshotEquivalenceTest, IncrementalApplyMatchesFullRebuild) {
 
   SnapshotStore::Options opts;
   opts.checker = GetParam();
-  opts.bitmap_k = 2;
   SnapshotStore store(AttributedGraph(graph), opts);
 
   for (const MutationBatch& batch : batches) {
@@ -118,33 +117,21 @@ TEST_P(SnapshotEquivalenceTest, IncrementalApplyMatchesFullRebuild) {
 
     // A from-scratch snapshot of the same graph state is the ground truth
     // for the incrementally maintained index/checker.
-    const EngineSnapshot fresh(pin->epoch(),
-                               AttributedGraph(pin->graph()), GetParam(),
-                               /*bitmap_k=*/2, /*build_threads=*/0);
+    const EngineSnapshot fresh(pin->epoch(), AttributedGraph(pin->graph()),
+                               GetParam(), /*build_threads=*/0);
     ExpectSameResults(RunAll(*pin, queries), RunAll(fresh, queries));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCheckers, SnapshotEquivalenceTest,
                          ::testing::Values(CheckerKind::kBfs, CheckerKind::kNl,
-                                           CheckerKind::kNlrnl,
-                                           CheckerKind::kKHopBitmap));
+                                           CheckerKind::kNlrnl));
 
 // ---------------------------------------------------------------------------
 // Differential: 30 seeded batches on a sparse, disconnected graph; every
 // epoch answers every pair and k like an index built from scratch on its
 // graph, and pinned older epochs keep doing so while later epochs (whose
 // NLRNL copies share entries with them) are published.
-
-struct DifferentialCase {
-  CheckerKind kind;
-  HopDistance bitmap_k;  // the bitmap answers only the k it was built for
-};
-
-std::vector<HopDistance> CheckedKs(const DifferentialCase& c) {
-  if (c.kind == CheckerKind::kKHopBitmap) return {c.bitmap_k};
-  return {1, 2, 3, 4};
-}
 
 // IsFartherThan over every ordered pair and every k in `ks`.
 std::vector<bool> AllAnswers(DistanceChecker& checker, uint32_t n,
@@ -162,24 +149,23 @@ std::vector<bool> AllAnswers(DistanceChecker& checker, uint32_t n,
 }
 
 class SnapshotDifferentialTest
-    : public ::testing::TestWithParam<DifferentialCase> {};
+    : public ::testing::TestWithParam<CheckerKind> {};
 
 TEST_P(SnapshotDifferentialTest, EveryEpochMatchesAFreshIndex) {
-  const DifferentialCase c = GetParam();
-  const std::vector<HopDistance> ks = CheckedKs(c);
+  const CheckerKind kind = GetParam();
+  const std::vector<HopDistance> ks = {1, 2, 3, 4};
   Rng rng(0xD1FF);
   AttributedGraphBuilder builder;
   builder.SetGraph(ErdosRenyi(80, 0.035, rng));
   builder.AddKeyword(0, "seed");
   SnapshotStore::Options opts;
-  opts.checker = c.kind;
-  opts.bitmap_k = c.bitmap_k;
+  opts.checker = kind;
   opts.build_threads = 1;
   SnapshotStore store(builder.Build(), opts);
   const uint32_t n = store.Pin()->graph().num_vertices();
   auto fresh_answers = [&](const EngineSnapshot& snap) {
     const auto fresh =
-        MakeSnapshotChecker(c.kind, snap.graph().graph(), c.bitmap_k, 1);
+        MakeSnapshotChecker(kind, snap.graph().graph(), /*k=*/0, 1);
     return AllAnswers(*fresh, n, ks);
   };
 
@@ -233,7 +219,7 @@ TEST_P(SnapshotDifferentialTest, EveryEpochMatchesAFreshIndex) {
     pins.push_back(pin);
     ASSERT_TRUE(AllAnswers(*pin->checker(), n, ks) == fresh_answers(*pin))
         << "epoch " << pin->epoch();
-    if (c.kind == CheckerKind::kNlrnl) {
+    if (kind == CheckerKind::kNlrnl) {
       const auto& got = dynamic_cast<const NlrnlIndex&>(*pin->checker());
       const NlrnlIndex want(pin->graph().graph());
       for (VertexId v = 0; v < n; ++v) {
@@ -259,14 +245,9 @@ TEST_P(SnapshotDifferentialTest, EveryEpochMatchesAFreshIndex) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    IndexCheckers, SnapshotDifferentialTest,
-    ::testing::Values(DifferentialCase{CheckerKind::kNl, 2},
-                      DifferentialCase{CheckerKind::kNlrnl, 2},
-                      DifferentialCase{CheckerKind::kKHopBitmap, 1},
-                      DifferentialCase{CheckerKind::kKHopBitmap, 2},
-                      DifferentialCase{CheckerKind::kKHopBitmap, 3},
-                      DifferentialCase{CheckerKind::kKHopBitmap, 4}));
+INSTANTIATE_TEST_SUITE_P(IndexCheckers, SnapshotDifferentialTest,
+                         ::testing::Values(CheckerKind::kNl,
+                                           CheckerKind::kNlrnl));
 
 // ---------------------------------------------------------------------------
 // Epoch lifecycle.
@@ -362,7 +343,7 @@ TEST(SnapshotStoreTest, AbaDeleteReinsertDoesNotResurrectStaleState) {
   EXPECT_EQ(pin2->epoch(), 2u);
   for (const SnapshotPin& pin : {pin1, pin2}) {
     const EngineSnapshot fresh(pin->epoch(), AttributedGraph(pin->graph()),
-                               CheckerKind::kNlrnl, 2, 0);
+                               CheckerKind::kNlrnl, /*build_threads=*/0);
     ExpectSameResults(RunAll(*pin, queries), RunAll(fresh, queries));
   }
 
