@@ -179,9 +179,10 @@ uint32_t KtgEngine::BuildChild(uint32_t depth, uint32_t v) {
     ball = checker_.BallWithinK(pivot, k_, &stats_.distance_checks);
     if (ball == nullptr) row = MemoRow(v);
   }
-  // The stopwatch read-back (and the clock reads it implies) happens only
-  // when a sink is attached; sub-phase attribution is a diagnostic detail.
-  Stopwatch filter_watch;
+  // The kKlineFilter sub-phase is timed only when a sink is attached: an
+  // unobserved search reads no clock per child.
+  obs::PhaseTimer filter_timer(instrument_ ? &stats_.phases : nullptr,
+                               obs::Phase::kKlineFilter);
   if (row != nullptr) FillFromGraph(row, v, rem);
   uint64_t* child = frontier_.remaining(depth + 1);
   uint64_t dropped = 0;
@@ -223,12 +224,10 @@ uint32_t KtgEngine::BuildChild(uint32_t depth, uint32_t v) {
     }));
   }
   stats_.kline_filtered += dropped;
-  if (instrument_) {
-    stats_.phases[obs::Phase::kKlineFilter] += filter_watch.ElapsedMillis();
-    if (dropped > 0) {
-      RecordTrace(obs::TraceEventKind::kKlineFilter, pivot,
-                  static_cast<int64_t>(dropped));
-    }
+  filter_timer.Stop();
+  if (instrument_ && dropped > 0) {
+    RecordTrace(obs::TraceEventKind::kKlineFilter, pivot,
+                static_cast<int64_t>(dropped));
   }
   return size;
 }

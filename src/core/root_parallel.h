@@ -201,7 +201,7 @@ class RunControls {
   RootParallelShared* shared_ = nullptr;
   uint64_t max_nodes_ = 0;
   double time_budget_ms_ = 0.0;
-  Stopwatch run_watch_;
+  Stopwatch run_watch_{Stopwatch::kUnstarted};
   bool stop_ = false;
 };
 

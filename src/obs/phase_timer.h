@@ -39,7 +39,7 @@ class PhaseTimer {
  private:
   PhaseBreakdown* sink_;
   Phase phase_;
-  Stopwatch watch_;
+  Stopwatch watch_{Stopwatch::kUnstarted};
 };
 
 }  // namespace ktg::obs

@@ -9,10 +9,15 @@
 
 namespace ktg {
 
-/// A monotonic stopwatch. Starts running on construction.
+/// A monotonic stopwatch. Starts running on construction, unless built
+/// from kUnstarted: that one reads no clock until Reset().
 class Stopwatch {
  public:
+  struct Unstarted {};
+  static constexpr Unstarted kUnstarted{};
+
   Stopwatch() : start_(Clock::now()) {}
+  explicit Stopwatch(Unstarted) {}
 
   /// Restarts the stopwatch.
   void Reset() { start_ = Clock::now(); }

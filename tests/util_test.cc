@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "util/bits.h"
 #include "util/rng.h"
@@ -183,6 +185,35 @@ TEST(BitsTest, PopCountAndLowBits) {
   EXPECT_EQ(LowBits(3), 0b111u);
   EXPECT_EQ(LowBits(64), ~uint64_t{0});
   EXPECT_EQ(PopCount(LowBits(17)), 17);
+}
+
+// PopCount against a bit-by-bit reference. Builds with the POPCNT
+// instruction and with the portable lowering both run it.
+TEST(BitsTest, PopCountMatchesBitLoop) {
+  const auto reference = [](uint64_t m) {
+    int n = 0;
+    for (int bit = 0; bit < 64; ++bit) n += static_cast<int>((m >> bit) & 1);
+    return n;
+  };
+  std::vector<uint64_t> words = {
+      0,
+      ~uint64_t{0},
+      0x5555555555555555ull,
+      0xAAAAAAAAAAAAAAAAull,
+      0x3333333333333333ull,
+      0x0F0F0F0F0F0F0F0Full,
+      0xFFFFFFFF00000000ull,
+      0x00000000FFFFFFFFull,
+  };
+  for (int bit = 0; bit < 64; ++bit) {
+    words.push_back(uint64_t{1} << bit);
+    words.push_back(~(uint64_t{1} << bit));
+  }
+  Rng rng(0x9C47);
+  for (int i = 0; i < 10000; ++i) words.push_back(rng.Next());
+  for (const uint64_t m : words) {
+    ASSERT_EQ(PopCount(m), reference(m)) << std::hex << m;
+  }
 }
 
 TEST(BitsTest, NovelBits) {
