@@ -96,7 +96,7 @@ void RunAblation() {
     auto nlrnl_per_pair = Base();
     nlrnl_per_pair.engine.bulk_filtering = false;
     Report("distance checker",
-           {{"BFS (bulk ball filter)", bfs},
+           {{"BFS (k-line memo)", bfs},
             {"BFS (per-pair checks)", bfs_per_pair},
             {"NL", nl},
             {"NLRNL (k-line memo)", Base()},

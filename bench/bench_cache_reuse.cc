@@ -3,16 +3,13 @@
 //
 // Unlike the figure benches this one does not reproduce a paper plot; it
 // measures the serving-system win of caching across query batches. Each
-// dataset gets Zipf-skewed workloads (hot keywords repeat across queries,
-// so distinct queries still touch overlapping candidate sets) generated
-// with per-batch seeds from DeriveBatchSeed — decorrelated batches, not
-// replays. Four conditions per dataset, all BFS-checker (index-free, so
+// dataset gets a Zipf-skewed workload (hot keywords repeat across
+// queries). Three conditions per dataset, all BFS-checker (index-free, so
 // distance work dominates and the cache has something to save):
 //
-//   off        cache disabled — the PR 3 baseline path
+//   off        cache disabled
 //   cold       fresh cache, first batch (all fills, shows overhead vs off)
-//   warm-rep   the same batch repeated on the warm cache (result tier)
-//   warm-dist  a distinct batch on the warm cache (ball tier only)
+//   warm-rep   the same batch repeated on the warm cache (result hits)
 //
 // Acceptance: warm-rep >= 2x faster than cold; off within noise of cold.
 
@@ -43,8 +40,7 @@ uint64_t DatasetSalt(const std::string& name) {
   return h;
 }
 
-std::vector<KtgQuery> ZipfBatch(const BenchDataset& dataset, uint64_t batch,
-                                uint32_t count) {
+std::vector<KtgQuery> ZipfBatch(const BenchDataset& dataset, uint32_t count) {
   WorkloadOptions opts;
   opts.num_queries = count;
   opts.keyword_count = kDefaultWq;
@@ -53,7 +49,7 @@ std::vector<KtgQuery> ZipfBatch(const BenchDataset& dataset, uint64_t batch,
   opts.top_n = kDefaultN;
   opts.keyword_zipf = kZipfExponent;
   opts.frequency_banded = false;
-  Rng rng(DeriveBatchSeed(DatasetSalt(dataset.name()), batch));
+  Rng rng(DatasetSalt(dataset.name()));
   return GenerateWorkload(dataset.graph(), opts, rng);
 }
 
@@ -81,40 +77,27 @@ void RunCacheReuse() {
       "Zipf(" + Fmt(kZipfExponent) + ") workloads, " +
           std::to_string(per_batch) + " queries/batch, BFS checker, " +
           std::to_string(kCacheMb) + " MB cache; ms/query");
-  const std::vector<int> widths = {12, 9, 9, 9, 9, 8, 8, 8};
-  PrintRow({"dataset", "off", "cold", "warm-rep", "warm-dst", "rep-x",
-            "dst-x", "ball-hit"},
-           widths);
+  const std::vector<int> widths = {12, 9, 9, 9, 8};
+  PrintRow({"dataset", "off", "cold", "warm-rep", "rep-x"}, widths);
 
   for (const std::string preset : {"brightkite", "gowalla"}) {
     BenchDataset& dataset = BenchDataset::Get(preset);
-    const auto batch0 = ZipfBatch(dataset, 0, per_batch);
-    const auto batch1 = ZipfBatch(dataset, 1, per_batch);
+    const auto batch = ZipfBatch(dataset, per_batch);
 
-    const double off_ms = TimedBatch(dataset, batch0, nullptr);
+    const double off_ms = TimedBatch(dataset, batch, nullptr);
 
     KtgCache cache(CacheOptionsForMb(kCacheMb));
-    const double cold_ms = TimedBatch(dataset, batch0, &cache);
-    const double warm_rep_ms = TimedBatch(dataset, batch0, &cache);
-    const double warm_dist_ms = TimedBatch(dataset, batch1, &cache);
+    const double cold_ms = TimedBatch(dataset, batch, &cache);
+    const double warm_rep_ms = TimedBatch(dataset, batch, &cache);
 
-    const auto ball = cache.BallStats();
-    const double ball_total =
-        static_cast<double>(ball.hits + ball.misses);
-    const double ball_hit_pct =
-        ball_total > 0 ? 100.0 * static_cast<double>(ball.hits) / ball_total
-                       : 0.0;
     PrintRow({dataset.name(), Fmt(off_ms, 3), Fmt(cold_ms, 3),
-              Fmt(warm_rep_ms, 3), Fmt(warm_dist_ms, 3),
-              Fmt(warm_rep_ms > 0 ? cold_ms / warm_rep_ms : 0.0, 1),
-              Fmt(warm_dist_ms > 0 ? cold_ms / warm_dist_ms : 0.0, 1),
-              Fmt(ball_hit_pct, 1) + "%"},
+              Fmt(warm_rep_ms, 3),
+              Fmt(warm_rep_ms > 0 ? cold_ms / warm_rep_ms : 0.0, 1)},
              widths);
   }
   std::printf(
-      "\nwarm-rep replays the cold batch (result-tier hits); warm-dst is a\n"
-      "distinct DeriveBatchSeed batch (ball-tier reuse only). rep-x/dst-x\n"
-      "are speedups over the cold batch; acceptance wants rep-x >= 2.\n");
+      "\nwarm-rep replays the cold batch (result-tier hits); rep-x is its\n"
+      "speedup over the cold batch; acceptance wants rep-x >= 2.\n");
 }
 
 }  // namespace

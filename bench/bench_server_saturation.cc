@@ -5,7 +5,7 @@
 // numbers isolate the serving layer (queue, batching, per-worker engine
 // runs, cache) from socket transport. For each worker count the same
 // request stream is played twice against one server instance — the first
-// pass is cold (result/ball tiers empty), the second warm — so the table
+// pass is cold (result cache empty), the second warm — so the table
 // shows both the scaling curve and the cache's contribution at every
 // point. Requests draw from a small workload round-robin, the repeat-heavy
 // regime the query-result tier is built for.

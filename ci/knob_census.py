@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Counts the configuration knobs a checkout exposes.
 
-    python3 ci/knob_census.py [--root DIR] [--list]
+    python3 ci/knob_census.py [--root DIR] [--list] [--max N]
 
 A knob is anything a user can set without editing code. Four kinds are
 counted, each by a fixed textual rule so the count compares between
@@ -20,6 +20,9 @@ checkouts:
           files (build trees excluded).
 
 Prints one line per kind and the total; --list prints every knob too.
+With --max N it exits 1 when the total exceeds N: the ctest
+knob_census_ceiling runs it so, and a change that adds a knob raises the
+ceiling in the same diff and names the knob it removed.
 Compile-time constants are not knobs and are not counted.
 """
 
@@ -155,6 +158,8 @@ def main():
     parser.add_argument("--root", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     parser.add_argument("--list", action="store_true")
+    parser.add_argument("--max", type=int, metavar="N",
+                        help="exit 1 when the total exceeds N")
     args = parser.parse_args()
     kinds = [("fields", option_fields(args.root)),
              ("flags", cli_flags(args.root)),
@@ -168,6 +173,10 @@ def main():
             for knob in knobs:
                 print(f"  {knob}")
     print(f"total: {total}")
+    if args.max is not None and total > args.max:
+        print(f"error: {total} knobs exceed the ceiling of {args.max}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,6 +1,6 @@
 // Copyright (c) 2026 The ktg Authors.
 // A memory-bounded, thread-safe, sharded LRU map — the storage engine of
-// both cross-query cache tiers (see docs/caching.md).
+// the cross-query result cache (see docs/caching.md).
 //
 // Keys are hashed to one of `shards` independent sub-caches, each guarded by
 // its own mutex, so concurrent batch workers contend only when they touch
@@ -78,40 +78,12 @@ class ShardedLru {
     return it->second->value;
   }
 
-  /// Like Get, but a probe: absence is not counted as a miss. Used by
-  /// opportunistic consumers (per-pair distance checks) whose fallback is
-  /// not a cache fill — counting those as misses would drown the
-  /// materialization hit-rate the miss counter is meant to expose.
-  ValuePtr GetIfPresent(const Key& key) {
-    Shard& s = ShardFor(key);
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.map.find(key);
-    if (it == s.map.end()) return nullptr;
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second->value;
-  }
-
   /// Inserts or replaces `key`. `value_bytes` is the caller-estimated value
   /// footprint; the entry is charged value_bytes + kEntryOverhead.
   void Put(const Key& key, ValuePtr value, size_t value_bytes) {
-    PutIf(key, std::move(value), value_bytes, [] { return true; });
-  }
-
-  /// Like Put, but the insert happens only while `pred()` holds — evaluated
-  /// under the shard lock, so the decision is atomic against any Erase/
-  /// EraseIf pass on the same shard. The epoch handoff depends on this: a
-  /// writer bumps the cache epoch *before* its erase pass, so a reader's
-  /// Put guarded by "my pinned epoch is still current" either lands before
-  /// the bump (and the erase pass sweeps it if affected) or is dropped.
-  /// Returns whether the value was admitted.
-  template <typename Pred>
-  bool PutIf(const Key& key, ValuePtr value, size_t value_bytes,
-             Pred&& pred) {
     const size_t charge = value_bytes + kEntryOverhead;
     Shard& s = ShardFor(key);
     std::lock_guard<std::mutex> lock(s.mu);
-    if (!pred()) return false;
     size_t freed = 0;
     auto it = s.map.find(key);
     if (it != s.map.end()) {
@@ -138,7 +110,6 @@ class ShardedLru {
     }
     bytes_.fetch_add(charge, std::memory_order_relaxed);
     bytes_.fetch_sub(freed, std::memory_order_relaxed);
-    return true;
   }
 
   /// Erases one key if present (counted as an invalidation); returns 1/0.

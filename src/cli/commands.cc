@@ -12,7 +12,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "cache/caching_checker.h"
 #include "cache/ktg_cache.h"
 #include "core/batch.h"
 #include "core/dktg_greedy.h"
@@ -506,7 +505,7 @@ Status CmdQuery(const Args& args) {
     return Status::InvalidArgument("unknown --algo: " + algo);
   }
   // --cache-mb mostly matters for workload (cross-query reuse); on a single
-  // query it exercises the same wiring: result tier + wrapped checker.
+  // query it exercises the same wiring: a result-tier lookup and store.
   const auto cache_mb = args.GetInt("cache-mb", 0);
   if (!cache_mb.ok()) return cache_mb.status();
   std::unique_ptr<KtgCache> cache;
@@ -514,8 +513,6 @@ Status CmdQuery(const Args& args) {
     cache = std::make_unique<KtgCache>(
         CacheOptionsForMb(static_cast<size_t>(cache_mb.value())));
     options.cache = cache.get();
-    *checker = MaybeWrapWithCache(std::move(*checker), dataset.graph(),
-                                  cache.get());
   }
   auto result = RunKtg(dataset, index, **checker, *query, options);
   if (cache != nullptr && metrics != nullptr) cache->ExportMetrics(*metrics);
@@ -624,16 +621,12 @@ Status CmdWorkload(const Args& args) {
         static_cast<unsigned long long>(batch->totals.nodes_expanded));
   }
   if (cache != nullptr) {
-    const CacheTierStats balls = cache->BallStats();
     const CacheTierStats results = cache->QueryStats();
     std::fprintf(stderr,
-                 "cache: ball %llu hits / %llu misses, query %llu hits / "
-                 "%llu misses, %.2f MB resident\n",
-                 static_cast<unsigned long long>(balls.hits),
-                 static_cast<unsigned long long>(balls.misses),
+                 "cache: query %llu hits / %llu misses, %.2f MB resident\n",
                  static_cast<unsigned long long>(results.hits),
                  static_cast<unsigned long long>(results.misses),
-                 (balls.bytes + results.bytes) / (1024.0 * 1024.0));
+                 results.bytes / (1024.0 * 1024.0));
   }
   if (!metrics_path.empty()) {
     KTG_RETURN_IF_ERROR(WriteTextFile(metrics_path, registry.ToJson() + "\n"));
@@ -1038,12 +1031,11 @@ std::string UsageText() {
       "timings, checker statistics) to F; --trace prints the query's\n"
       "ktg.trace.v1 event ring to stdout. See docs/observability.md.\n"
       "\n"
-      "--cache-mb M enables the cross-query cache (M megabytes shared by\n"
-      "all workers: k-hop neighborhoods + query results; off by default).\n"
+      "--cache-mb M enables the cross-query result cache (M megabytes, all\n"
+      "of them for query results, shared by all workers; off by default).\n"
       "--batches B runs B workload batches against the same cache, each\n"
-      "drawn from a seed derived from --seed, so batch 2+ measures warm\n"
-      "reuse on fresh queries rather than replaying batch 1. See\n"
-      "docs/caching.md.\n"
+      "drawn from a seed derived from --seed, so batch 2+ runs fresh\n"
+      "queries rather than replaying batch 1. See docs/caching.md.\n"
       "\n"
       "--mode picks the execution strategy (docs/heuristics.md): exact\n"
       "(default) proves optimality; anytime seeds the search greedily and\n"

@@ -4,7 +4,6 @@
 
 #include <atomic>
 
-#include "cache/caching_checker.h"
 #include "cache/ktg_cache.h"
 #include "core/obs_bridge.h"
 #include "util/executor.h"
@@ -32,26 +31,12 @@ Result<BatchResult> RunKtgBatch(const AttributedGraph& graph,
       std::min<uint32_t>(ResolveThreads(options.threads),
                          static_cast<uint32_t>(queries.size()));
 
-  // With a cache attached, every worker's checker is wrapped so its ball
-  // tier is consulted (and warmed) before any traversal. The wrapper is
-  // stateful, so it is per-worker; the KtgCache behind it is shared. Note
-  // the trade-off: a wrapped checker is not concurrent_read_safe, so
-  // within-query root parallelism (EngineOptions::num_threads > 1) falls
-  // back to serial — across-query parallelism (options.threads) is where a
-  // shared cache pays off.
-  auto make_checker = [&]() -> std::unique_ptr<DistanceChecker> {
-    auto checker = checker_factory();
-    if (checker == nullptr) return nullptr;
-    return MaybeWrapWithCache(std::move(checker), graph.graph(),
-                              options.engine.cache);
-  };
-
   // Build every checker serially first (factories may share caches), one
   // per worker id, so each worker owns a dedicated checker.
   std::vector<std::unique_ptr<DistanceChecker>> checkers;
   checkers.reserve(workers);
   for (uint32_t w = 0; w < workers; ++w) {
-    checkers.push_back(make_checker());
+    checkers.push_back(checker_factory());
     KTG_CHECK_MSG(checkers.back() != nullptr, "checker_factory returned null");
   }
 

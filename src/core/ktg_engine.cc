@@ -8,7 +8,6 @@
 
 #include "core/greedy_heuristic.h"
 #include "obs/phase_timer.h"
-#include "util/sorted_vector.h"
 #include "util/timer.h"
 
 namespace ktg {
@@ -109,7 +108,7 @@ void KtgEngine::FillFromGraph(uint64_t* row, uint32_t v, const uint64_t* rem) {
   }
   rows_->Fill(pivot, row + 1, 2);
   for (size_t w = 0; w < words; ++w) row[2 * w] = ~uint64_t{0};
-  ++stats_.distance_checks;  // one traversal, as a BallWithinK counts
+  ++stats_.distance_checks;  // one traversal counts as one check
 }
 
 uint64_t* KtgEngine::MemoRow(uint32_t slot) {
@@ -168,17 +167,13 @@ void KtgEngine::OfferCurrent(CoverMask covered) {
 
 uint32_t KtgEngine::BuildChild(uint32_t depth, uint32_t v) {
   const VertexId pivot = slot_vertex_[v];
-  // When the checker can materialize v's <=k ball, the whole filter costs
-  // one traversal plus binary searches. Otherwise the bulk path is the
-  // run's k-line memo: a pair reaches the checker once, however many
-  // subtrees hold both, or the whole row comes from the graph-side rows.
+  // The bulk path is the run's k-line memo: a pair reaches the checker
+  // once, however many subtrees hold both, or the whole row comes from the
+  // graph-side rows.
   const uint64_t* rem = frontier_.remaining(depth);
-  const std::vector<VertexId>* ball = nullptr;
-  uint64_t* row = nullptr;
-  if (options_.eager_kline_filtering && options_.bulk_filtering) {
-    ball = checker_.BallWithinK(pivot, k_, &stats_.distance_checks);
-    if (ball == nullptr) row = MemoRow(v);
-  }
+  uint64_t* row = options_.eager_kline_filtering && options_.bulk_filtering
+                      ? MemoRow(v)
+                      : nullptr;
   // The kKlineFilter sub-phase is timed only when a sink is attached: an
   // unobserved search reads no clock per child.
   obs::PhaseTimer filter_timer(instrument_ ? &stats_.phases : nullptr,
@@ -201,27 +196,23 @@ uint32_t KtgEngine::BuildChild(uint32_t depth, uint32_t v) {
       child[w] = keep;
     }
   };
-  const auto per_slot = [&](auto conflict) {
-    return [&, conflict](size_t w, uint64_t bits) {
-      uint64_t out = 0;
-      ForEachSetBit(bits, [&](int bit) {
-        if (conflict(slot_vertex_[w * 64 + bit])) out |= uint64_t{1} << bit;
-      });
-      return out;
-    };
-  };
   if (!options_.eager_kline_filtering) {
     filter([](size_t, uint64_t) { return uint64_t{0}; });
-  } else if (ball != nullptr) {
-    filter(per_slot([&](VertexId c) { return SortedContains(*ball, c); }));
   } else if (row != nullptr) {
     filter([&](size_t w, uint64_t bits) {
       return MemoWithinK(row, v, w, bits);
     });
   } else {
-    filter(per_slot([&](VertexId c) {
-      return !checker_.IsFartherThan(c, pivot, k_, &stats_.distance_checks);
-    }));
+    filter([&](size_t w, uint64_t bits) {
+      uint64_t out = 0;
+      ForEachSetBit(bits, [&](int bit) {
+        if (!checker_.IsFartherThan(slot_vertex_[w * 64 + bit], pivot, k_,
+                                    &stats_.distance_checks)) {
+          out |= uint64_t{1} << bit;
+        }
+      });
+      return out;
+    });
   }
   stats_.kline_filtered += dropped;
   filter_timer.Stop();

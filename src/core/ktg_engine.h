@@ -104,10 +104,10 @@ class KtgEngine {
   bool Branch(uint32_t depth, uint32_t v, int vkc, CoverMask covered,
               int ceiling, uint32_t need, const CoverMask* reach);
   // Writes the S_R of v's child: the node's remaining slots minus those
-  // within k hops of v (Theorem 3), from the checker's ball, the k-line
-  // memo or one check per slot. Returns its size. Only when observability
-  // is attached does it charge the filter time to the kKlineFilter
-  // sub-phase (the only clock reads per child) and emit a trace event.
+  // within k hops of v (Theorem 3), from the k-line memo or one check per
+  // slot. Returns its size. Only when observability is attached does it
+  // charge the filter time to the kKlineFilter sub-phase (the only clock
+  // reads per child) and emit a trace event.
   uint32_t BuildChild(uint32_t depth, uint32_t v);
   // The slots of `bits` (word `w` of an S_R) within k hops of the pivot
   // `v`, read from v's memo row; a pair the row does not know yet is read

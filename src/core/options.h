@@ -115,12 +115,11 @@ struct EngineOptions {
   obs::QueryTrace* trace = nullptr;
 
   /// Cross-query cache (see src/cache/ and docs/caching.md). Borrowed,
-  /// never owned; null (the default) disables both tiers. Which runs
+  /// never owned; null (the default) disables it. Which runs
   /// consult and populate the result tier is the run frame's one rule
   /// (core/run_frame.h): a hit is always bit-identical to an uncached
-  /// serial run. The ball tier is consulted only through a CachingChecker
-  /// wrapper (the batch runner installs one per worker); attaching a cache
-  /// here does not by itself wrap the checker.
+  /// serial run. The cache holds results only; it never answers a k-line
+  /// check.
   KtgCache* cache = nullptr;
 
   /// Graph epoch this run's state (graph, index, checker) is pinned at;
@@ -153,19 +152,16 @@ struct EngineOptions {
   /// Answer the eager k-line filter in bulk instead of one checker call
   /// per pair. Every mode builds a child's S_R the same way, as a bitset
   /// over the run's slots: the parent's remaining slots minus those within
-  /// k hops of the selected member (core/frontier.h). A checker with a
-  /// bulk ball materialization (BFS, and the CachingChecker wrapper) marks
-  /// those slots from one ball. Any other checker (NL, NLRNL)
-  /// answers through the run's k-line memo: a bitset row per selected
-  /// member, and the child is one AND-NOT with that row. A row is filled
-  /// either by asking the checker about each candidate pair at most once
-  /// per run (per worker under the root-parallel search), or whole from
-  /// the graph-side rows (core/conflict_rows.h) when a fixed cost rule
+  /// k hops of the selected member (core/frontier.h). Every checker (BFS,
+  /// NL, NLRNL) answers through the run's k-line memo: a bitset row per
+  /// selected member, and the child is one AND-NOT with that row. A row is
+  /// filled either by asking the checker about each candidate pair at most
+  /// once per run (per worker under the root-parallel search), or whole
+  /// from the graph-side rows (core/conflict_rows.h) when a fixed cost rule
   /// prices that lower. Results and node counts are the same either way;
   /// only the check count falls. A row filled from the graph counts as one
-  /// check, as a ball traversal does. Turn off to ask the checker once per
-  /// remaining candidate, the paper's per-pair accounting (the figure
-  /// benches do).
+  /// check. Turn off to ask the checker once per remaining candidate, the
+  /// paper's per-pair accounting (the figure benches do).
   bool bulk_filtering = true;
 
   /// Degree tie-break direction for kVkcDeg. The paper's motivation implies

@@ -183,13 +183,12 @@ Result<SnapshotStore::ApplyInfo> SnapshotStore::Apply(
     if (checker != nullptr) info.checker_rebuilds = affected.size();
   }
 
-  // Epoch handoff to the cache *before* the snapshot becomes visible: no
-  // reader can pin the new epoch while stale affected balls are still
-  // resident (cache/ktg_cache.h spells out the store-side race guard).
+  // Epoch handoff to the cache *before* the snapshot becomes visible, so
+  // the cache's epoch is never behind one a reader can pin.
   uint64_t new_epoch = cur->epoch() + 1;
   if (options_.cache != nullptr) {
     new_epoch = std::max(new_epoch, options_.cache->epoch() + 1);
-    options_.cache->AdvanceEpoch(new_epoch, affected);
+    options_.cache->AdvanceEpoch(new_epoch);
   }
 
   auto next = std::make_shared<const EngineSnapshot>(

@@ -134,7 +134,7 @@ class SnapshotStore {
     uint64_t keywords_added = 0;
     uint64_t noop_deltas = 0;  ///< already-satisfied edge deltas, skipped
     /// Size of the union of the per-delta exact affected sets
-    /// (index/affected.h): the cache balls erased.
+    /// (index/affected.h).
     uint64_t affected_vertices = 0;
     /// Checker rows (NL lists, NLRNL entries) rebuilt, each
     /// counted once: the union is rebuilt in one pass against the final

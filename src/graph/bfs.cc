@@ -96,31 +96,6 @@ HopDistance BoundedBfs::DistanceBidirectional(VertexId s, VertexId t,
   return kUnreachable;
 }
 
-std::vector<VertexId> BoundedBfs::Ball(VertexId s, HopDistance max_hops) {
-  KTG_DCHECK(s < graph_.num_vertices());
-  NewEpoch();
-  last_visited_ = 1;
-  std::vector<VertexId> out;
-  frontier_.clear();
-  frontier_.push_back(s);
-  Mark(s);
-  for (HopDistance depth = 1; depth <= max_hops && !frontier_.empty();
-       ++depth) {
-    next_.clear();
-    for (const VertexId u : frontier_) {
-      for (const VertexId w : graph_.Neighbors(u)) {
-        if (!Mark(w)) continue;
-        ++last_visited_;
-        out.push_back(w);
-        next_.push_back(w);
-      }
-    }
-    frontier_.swap(next_);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<std::vector<VertexId>> BoundedBfs::Levels(VertexId s,
                                                       HopDistance max_hops) {
   KTG_DCHECK(s < graph_.num_vertices());

@@ -4,8 +4,7 @@
 // Everything distance-related in the paper reduces to hop-bounded BFS:
 //  * Dis(u, v)            — Definition 1 (shortest-path hop count),
 //  * k-line tests          — Dis(u, v) <= k (Definition 2),
-//  * NL / NLRNL building   — every vertex's hop levels,
-//  * k-line filtering      — the <=k ball around a newly selected member.
+//  * NL / NLRNL building   — every vertex's hop levels.
 //
 // BoundedBfs searches from one source. It owns reusable scratch buffers
 // (epoch-stamped visit marks and a frontier queue), so Distance() runs
@@ -47,11 +46,6 @@ class BoundedBfs {
   /// primitive for k-line checks without an index.
   HopDistance DistanceBidirectional(VertexId s, VertexId t,
                                     HopDistance max_hops);
-
-  /// Vertices within `max_hops` of `s`, excluding `s` itself, in ascending
-  /// id order. This is exactly the set a k-line filter must remove from S_R
-  /// after selecting `s`.
-  std::vector<VertexId> Ball(VertexId s, HopDistance max_hops);
 
   /// Hop levels around `s`: result[i] holds the vertices at distance i+1,
   /// each level sorted by id; levels are produced up to `max_hops` levels or

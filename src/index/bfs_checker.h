@@ -24,31 +24,12 @@ class BfsChecker final : public DistanceChecker {
   size_t MemoryBytes() const override { return 0; }
 
  protected:
-  /// Bulk path: one bounded BFS materializes the whole <=k ball, so a
-  /// k-line filter over m candidates costs one traversal + m binary
-  /// searches instead of m traversals. Cached per (pivot, k).
-  const std::vector<VertexId>* BallWithinKImpl(VertexId pivot, HopDistance k,
-                                               uint64_t* traversals) override {
-    if (!ball_valid_ || ball_pivot_ != pivot || ball_k_ != k) {
-      ball_ = bfs_.Ball(pivot, k);
-      ball_pivot_ = pivot;
-      ball_k_ = k;
-      ball_valid_ = true;
-      ++*traversals;
-    }
-    return &ball_;
-  }
-
   bool IsFartherThanImpl(VertexId u, VertexId v, HopDistance k) override {
     return bfs_.DistanceBidirectional(u, v, k) == kUnreachable;
   }
 
  private:
   BoundedBfs bfs_;
-  std::vector<VertexId> ball_;
-  VertexId ball_pivot_ = kInvalidVertex;
-  HopDistance ball_k_ = 0;
-  bool ball_valid_ = false;
 };
 
 }  // namespace ktg

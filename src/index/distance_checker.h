@@ -15,7 +15,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "graph/types.h"
 
@@ -65,25 +64,6 @@ class DistanceChecker {
   /// Approximate heap footprint of the index structures in bytes.
   virtual size_t MemoryBytes() const { return 0; }
 
-  /// Bulk-filtering fast path. When non-null, the returned sorted vector
-  /// holds every vertex within `k` hops of `pivot` (excluding `pivot`), and
-  /// callers may answer many k-line tests against `pivot` with binary
-  /// searches instead of per-pair queries — the engines use it right after
-  /// selecting a member, when they must test the whole remaining set
-  /// against that one vertex. Returns nullptr when the implementation has
-  /// no cheaper way than per-pair checks (the index-based checkers: their
-  /// per-pair cost is already sub-microsecond). The pointer is valid until
-  /// the next call on this checker. A ball the call had to traverse counts
-  /// as one check (into `*tally` when given, as IsFartherThan); a memoized
-  /// ball counts none.
-  const std::vector<VertexId>* BallWithinK(VertexId pivot, HopDistance k,
-                                           uint64_t* tally = nullptr) {
-    uint64_t traversals = 0;
-    const std::vector<VertexId>* ball = BallWithinKImpl(pivot, k, &traversals);
-    if (traversals != 0) CountChecks(traversals, tally);
-    return ball;
-  }
-
   /// Checks counted on the checker itself (calls without a tally) since
   /// construction / ResetStats.
   uint64_t num_checks() const {
@@ -104,8 +84,7 @@ class DistanceChecker {
   /// Checks that answered "farther than k" (the pair stays feasible) /
   /// "within k" (a k-line conflict). Only counted while detail stats are
   /// enabled, and checker-wide: tallied and untallied calls alike, from
-  /// every thread. farther + within == checks over that window (bulk
-  /// BallWithinK traversals count toward neither).
+  /// every thread, so farther + within is every call in that window.
   uint64_t num_farther() const {
     return num_farther_.load(std::memory_order_relaxed);
   }
@@ -157,13 +136,6 @@ class DistanceChecker {
   static bool IsFartherThanUncounted(DistanceChecker& other, VertexId u,
                                      VertexId v, HopDistance k) {
     return other.IsFartherThanImpl(u, v, k);
-  }
-
-  /// The bulk path behind BallWithinK; adds to `*traversals` each ball it
-  /// had to materialize. The default has no bulk path.
-  virtual const std::vector<VertexId>* BallWithinKImpl(
-      VertexId /*pivot*/, HopDistance /*k*/, uint64_t* /*traversals*/) {
-    return nullptr;
   }
 
   /// For index implementations: records `n` structure probes performed by

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "cache/caching_checker.h"
 #include "core/ktg_engine.h"
 #include "index/bfs_checker.h"
 #include "util/executor.h"
@@ -252,9 +251,8 @@ void KtgServer::WorkerLoop() {
     std::vector<Pending> affinity;
     if (!ClaimBatch(&leader, &coalesced, &affinity)) return;
     ExecuteOne(std::move(leader), std::move(coalesced));
-    // Affinity followers run back-to-back on this worker so the cache
-    // entries the leader warmed (balls around shared-keyword candidates,
-    // possibly the result tier) are reused while hot.
+    // Affinity followers run back-to-back on this worker, after the
+    // leader whose keywords they share.
     for (Pending& p : affinity) {
       ExecuteOne(std::move(p), {});
     }
@@ -307,8 +305,9 @@ void KtgServer::ExecuteOne(Pending leader, std::vector<Pending> coalesced) {
   eopts.sort = leader.sort;
   eopts.mode = leader.mode;
   // One worker = one serial engine: responses stay bit-identical to a
-  // serial RunKtg, and a cache-wrapped checker is not concurrent-read-safe
-  // anyway.
+  // serial RunKtg, and only a one-worker run fills the result cache.
+  // Whether root-parallel reads pay off under ktgd's own worker pool is
+  // not measured yet.
   eopts.num_threads = 1;
   eopts.metrics = &metrics_;
   eopts.trace = nullptr;
@@ -321,21 +320,14 @@ void KtgServer::ExecuteOne(Pending leader, std::vector<Pending> coalesced) {
   // An exact run needs the anytime upgrade to have something to report.
   if (all_expired) eopts.mode = EngineMode::kAnytime;
 
-  // The snapshot's checker is shared and read-safe; the per-run state —
-  // BFS scratch for kBfs, the stateful cache wrapper — is built here,
-  // against the pinned graph and tagged with the pinned epoch.
+  // The snapshot's checker is shared and read-safe; for kBfs the run
+  // builds its own, whose traversal scratch is per-run state, against the
+  // pinned graph.
   std::unique_ptr<BfsChecker> bfs_checker;
-  DistanceChecker* base = snap->checker();
-  if (base == nullptr) {
+  DistanceChecker* checker = snap->checker();
+  if (checker == nullptr) {
     bfs_checker = std::make_unique<BfsChecker>(snap->graph().graph());
-    base = bfs_checker.get();
-  }
-  std::unique_ptr<CachingChecker> wrapped;
-  DistanceChecker* checker = base;
-  if (cache_ != nullptr) {
-    wrapped = std::make_unique<CachingChecker>(base, snap->graph().graph(),
-                                               cache_.get(), snap->epoch());
-    checker = wrapped.get();
+    checker = bfs_checker.get();
   }
 
   Stopwatch exec;

@@ -18,8 +18,7 @@
 //     scan window behind it: (a) every queued request with an identical
 //     canonical QueryKey, answered by R's single engine run ("coalesced"),
 //     and (b) up to batch_max-1 requests sharing >= 1 keyword id with R,
-//     run consecutively on the same worker so the cache's ball tier and
-//     result tier stay hot for them ("affinity").
+//     run consecutively on the same worker ("affinity").
 //   * Deadlines — a request's remaining deadline (total minus queue wait)
 //     maps onto EngineOptions::time_budget_ms; requests whose deadline
 //     expired while queued still ride the (possibly shared) run and are

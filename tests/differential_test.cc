@@ -22,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "cache/caching_checker.h"
 #include "cache/ktg_cache.h"
 #include "core/batch.h"
 #include "core/brute_force.h"
@@ -92,11 +91,11 @@ AttributedGraph ApplyRandomUpdate(const AttributedGraph& g, KtgCache& cache,
     b = static_cast<VertexId>(rng.Below(n));
   } while (a == b);
   if (topo.HasEdge(a, b) && topo.num_edges() > 4) {
-    cache.OnEdgeRemoved(topo, a, b);
+    cache.AdvanceEpoch(cache.epoch() + 1);
     return RebuildWithTopology(g, WithEdgeRemoved(topo, a, b));
   }
   if (!topo.HasEdge(a, b)) {
-    cache.OnEdgeInserted(topo, a, b);
+    cache.AdvanceEpoch(cache.epoch() + 1);
     return RebuildWithTopology(g, WithEdgeAdded(topo, a, b));
   }
   return RebuildWithTopology(g, topo);  // no-op round (too few edges)
@@ -111,17 +110,16 @@ TEST_P(DifferentialTest, CachedEqualsUncachedEqualsBruteForce) {
   AttributedGraph g = BuildInitialGraph(rng);
 
   // Cache-size sweep: a ~single-entry cache (budget 1 byte, one shard —
-  // constant eviction), a few KB (heavy churn), and an ample budget.
+  // constant eviction), 2 KB (heavy churn), and an ample budget.
   CacheOptions copts;
+  const bool tight = round % 3 != 2;
   switch (round % 3) {
     case 0:
-      copts.ball_budget_bytes = 1;
       copts.query_budget_bytes = 1;
       copts.shards = 1;
       break;
     case 1:
-      copts.ball_budget_bytes = 16 << 10;
-      copts.query_budget_bytes = 4 << 10;
+      copts.query_budget_bytes = 2 << 10;
       copts.shards = 2;
       break;
     default:
@@ -152,8 +150,7 @@ TEST_P(DifferentialTest, CachedEqualsUncachedEqualsBruteForce) {
 
     EngineOptions cached_opts;
     cached_opts.cache = &cache;
-    CachingChecker cached_checker(std::make_unique<BfsChecker>(g.graph()),
-                                  g.graph(), &cache);
+    BfsChecker cached_checker(g.graph());
     const auto cached = RunKtg(g, idx, cached_checker, query, cached_opts);
     ASSERT_TRUE(cached.ok());
     // Immediate repeat: must be served consistently whether or not the
@@ -175,6 +172,9 @@ TEST_P(DifferentialTest, CachedEqualsUncachedEqualsBruteForce) {
   // ~63 queries and ~27 updates per round; 16 rounds clear the 1000-op bar.
   EXPECT_GT(queries_run, 0);
   EXPECT_GT(updates_run, 0);
+  if (tight) {
+    EXPECT_GT(cache.QueryStats().evictions, 0u) << "round=" << round;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Rounds, DifferentialTest, ::testing::Range(0, 16));
@@ -216,7 +216,7 @@ TEST(DifferentialParallelTest, SharedCacheBatchMatchesSerialAcrossUpdates) {
 
     for (int u = 0; u < 3; ++u) g = ApplyRandomUpdate(g, cache, rng);
   }
-  EXPECT_GT(cache.QueryStats().hits + cache.BallStats().hits, 0u);
+  EXPECT_GT(cache.QueryStats().hits, 0u);
 }
 
 }  // namespace

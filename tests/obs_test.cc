@@ -267,9 +267,10 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
 
   ExpectRunFlushed(reg, s);
 
-  // Detail stats were enabled on attach. BFS answers mostly through the
-  // bulk BallWithinK path whose traversals count as checks but toward
-  // neither verdict, so farther + within only bounds checks from below.
+  // Detail stats were enabled on attach. BFS answers through the k-line
+  // memo like every checker: each pair check lands in one verdict, but a
+  // row filled from the graph counts as a check toward neither, so
+  // farther + within only bounds checks from below.
   EXPECT_LE(reg.CounterValue("checker.BFS.farther") +
                 reg.CounterValue("checker.BFS.within"),
             reg.CounterValue("checker.BFS.checks"));
@@ -302,8 +303,8 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
   EXPECT_LE(pr->stats.phases.TopLevelTotalMs(), pr->stats.elapsed_ms + 0.5);
 
   // checker.<name>.checks is the run's own check tally, so it equals
-  // distance_checks on the bulk path (BFS: a ball traversal counts as one)
-  // and the per-pair path (NLRNL), serially and on four workers.
+  // distance_checks on the memo path (a row filled from the graph counts
+  // as one), serially and on four workers.
   for (const CheckerKind kind : {CheckerKind::kBfs, CheckerKind::kNlrnl}) {
     const auto run_checker = MakeChecker(kind, g.graph());
     for (const uint32_t threads : {1u, 4u}) {
@@ -344,7 +345,7 @@ TEST(ObsWiringTest, RegistryMatchesSearchStats) {
 // Per-pair checks keep the strict invariant: every check lands in exactly
 // one of farther/within, and every check probes the index. On the bulk
 // path a k-line row filled from the graph counts one check that reaches
-// neither, as a bulk ball traversal does.
+// neither.
 TEST(ObsWiringTest, PerPairCheckerVerdictsPartitionChecks) {
   const AttributedGraph g = PaperExampleGraph();
   const InvertedIndex idx(g);

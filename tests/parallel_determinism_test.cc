@@ -5,7 +5,9 @@
 //     answer-identical bitmap;
 //   * the root-parallel engine must return the same top-N coverage
 //     multiset as the serial engine (tie-break members may differ), and
-//     num_threads = 1 must be bit-for-bit the serial engine.
+//     num_threads = 1 must be bit-for-bit the serial engine;
+//   * with a result cache attached, the cache rule holds at every thread
+//     count: a root-parallel run stores nothing.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "cache/ktg_cache.h"
+#include "core/batch.h"
 #include "core/ktg_engine.h"
 #include "datagen/presets.h"
 #include "datagen/query_gen.h"
@@ -162,6 +166,52 @@ TEST(ParallelDeterminismTest, SingleThreadOptionIsBitForBitSerial) {
     EXPECT_EQ(a->stats.nodes_expanded, b->stats.nodes_expanded);
     EXPECT_EQ(a->stats.keyword_prunes, b->stats.keyword_prunes);
   }
+}
+
+// A cache no longer forces a batch's engine serial: with num_threads = 4
+// over NLRNL each query searches root-parallel, keeps the serial coverage
+// profile, and (run frame rule: only a complete one-worker run stores)
+// leaves the result tier empty.
+TEST(ParallelDeterminismTest, CachedBatchSearchesRootParallelAndStoresNothing) {
+  const AttributedGraph g = PresetGraph("gowalla", 0.05);
+  const InvertedIndex idx(g);
+
+  WorkloadOptions wopts;
+  wopts.num_queries = 6;
+  wopts.group_size = 3;
+  wopts.tenuity = 2;
+  wopts.keyword_count = 5;
+  wopts.top_n = 4;
+  Rng rng(0xCAC4E);
+  const auto queries = GenerateWorkload(g, wopts, rng);
+  ASSERT_FALSE(queries.empty());
+  const auto factory = [&] {
+    return MakeChecker(CheckerKind::kNlrnl, g.graph());
+  };
+
+  KtgCache cache;
+  BatchOptions parallel;
+  parallel.threads = 1;
+  parallel.engine.num_threads = 4;
+  parallel.engine.cache = &cache;
+  const auto got = RunKtgBatch(g, idx, factory, queries, parallel);
+  ASSERT_TRUE(got.ok());
+
+  BatchOptions serial;
+  serial.threads = 1;
+  const auto want = RunKtgBatch(g, idx, factory, queries, serial);
+  ASSERT_TRUE(want.ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const KtgResult& r = got->results[i];
+    EXPECT_TRUE(r.stats.complete) << "query " << i;
+    EXPECT_GT(r.stats.candidates, queries[i].group_size) << "query " << i;
+    EXPECT_EQ(CoverageCounts(r.groups), CoverageCounts(want->results[i].groups))
+        << "query " << i;
+    EXPECT_EQ(r.groups.size(), want->results[i].groups.size());
+  }
+  EXPECT_EQ(cache.QueryStats().misses, queries.size());
+  EXPECT_EQ(cache.QueryStats().entries, 0u)
+      << "a root-parallel run must not fill the result tier";
 }
 
 TEST(ParallelDeterminismTest, UnsafeCheckerFallsBackToSerial) {

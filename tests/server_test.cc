@@ -211,44 +211,72 @@ TEST(KtgServerTest, InlineOpsAnswerImmediately) {
   server.Stop();
 }
 
+// With or without a cache attached, a query that misses the result cache
+// runs the same search as an uncached serial library run on the pinned
+// snapshot: same groups, nodes, k-line removals and distance checks (the
+// server's metrics carry the counters the response does not).
 TEST(KtgServerTest, QueryResponsesMatchDirectEngineRuns) {
   AttributedGraph graph = TestGraph();
   const auto queries = TestWorkload(graph, 6);
   ASSERT_FALSE(queries.empty());
 
-  const InvertedIndex index(graph);
-  const auto checker =
-      MakeChecker(CheckerKind::kNlrnl, graph.graph(), /*num_threads=*/0);
+  for (const size_t cache_mb : {size_t{0}, size_t{16}}) {
+    SCOPED_TRACE("cache_mb=" + std::to_string(cache_mb));
+    ServerOptions opts;
+    opts.cache_mb = cache_mb;
+    opts.checker = CheckerKind::kNlrnl;
+    KtgServer server(graph, opts);
+    ASSERT_TRUE(server.Start().ok());
+    const SnapshotPin pin = server.Pin();
 
-  KtgServer server(graph, {});
-  ASSERT_TRUE(server.Start().ok());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const std::string line =
-        QueryRequestJson(i, graph, queries[i], SortStrategy::kVkcDeg, 0.0);
-    const std::string response = Call(server, line);
-    ASSERT_TRUE(CheckResponseV1(response).empty())
-        << Problems(CheckResponseV1(response));
+    SearchStats want;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const std::string response = Call(
+          server,
+          QueryRequestJson(i, graph, queries[i], SortStrategy::kVkcDeg, 0.0));
+      ASSERT_TRUE(CheckResponseV1(response).empty())
+          << Problems(CheckResponseV1(response));
 
-    const auto expect = RunKtg(graph, index, *checker, queries[i], {});
-    ASSERT_TRUE(expect.ok());
-    auto doc = ParseJson(response);
-    ASSERT_TRUE(doc.ok());
-    const JsonValue* groups = doc->Find("groups");
-    ASSERT_NE(groups, nullptr);
-    ASSERT_EQ(groups->AsArray().size(), expect->groups.size());
-    for (size_t g = 0; g < expect->groups.size(); ++g) {
-      const JsonValue& jg = groups->AsArray()[g];
-      EXPECT_EQ(static_cast<int>(jg.Find("covered")->AsDouble()),
-                expect->groups[g].covered());
-      const auto& members = jg.Find("members")->AsArray();
-      ASSERT_EQ(members.size(), expect->groups[g].members.size());
-      for (size_t m = 0; m < members.size(); ++m) {
-        EXPECT_EQ(static_cast<VertexId>(members[m].AsDouble()),
-                  expect->groups[g].members[m]);
+      const auto expect = RunKtg(pin->graph(), pin->index(), *pin->checker(),
+                                 queries[i], EngineOptions{});
+      ASSERT_TRUE(expect.ok());
+      want += expect->stats;
+      auto doc = ParseJson(response);
+      ASSERT_TRUE(doc.ok());
+      const JsonValue* groups = doc->Find("groups");
+      ASSERT_NE(groups, nullptr);
+      ASSERT_EQ(groups->AsArray().size(), expect->groups.size());
+      for (size_t g = 0; g < expect->groups.size(); ++g) {
+        const JsonValue& jg = groups->AsArray()[g];
+        EXPECT_EQ(static_cast<int>(jg.Find("covered")->AsDouble()),
+                  expect->groups[g].covered());
+        const auto& members = jg.Find("members")->AsArray();
+        ASSERT_EQ(members.size(), expect->groups[g].members.size());
+        for (size_t m = 0; m < members.size(); ++m) {
+          EXPECT_EQ(static_cast<VertexId>(members[m].AsDouble()),
+                    expect->groups[g].members[m]);
+        }
       }
+      const JsonValue* stats = doc->Find("stats");
+      ASSERT_NE(stats, nullptr);
+      EXPECT_EQ(stats->GetInt("nodes_expanded", -1).value(),
+                static_cast<int64_t>(expect->stats.nodes_expanded))
+          << "query " << i;
+      EXPECT_EQ(stats->GetInt("distance_checks", -1).value(),
+                static_cast<int64_t>(expect->stats.distance_checks))
+          << "query " << i;
     }
+    ASSERT_GT(want.distance_checks, 0u);
+    ASSERT_GT(want.kline_filtered, 0u);
+    const obs::MetricsRegistry& m = server.metrics();
+    EXPECT_EQ(m.CounterValue("engine.queries"), queries.size())
+        << "every query must have reached the engine";
+    EXPECT_EQ(m.CounterValue("engine.nodes_expanded"), want.nodes_expanded);
+    EXPECT_EQ(m.CounterValue("engine.prune.kline"), want.kline_filtered);
+    EXPECT_EQ(m.CounterValue("engine.distance_checks"), want.distance_checks);
+    EXPECT_EQ(m.CounterValue("checker.NLRNL.checks"), want.distance_checks);
+    server.Stop();
   }
-  server.Stop();
 }
 
 TEST(KtgServerTest, MutateAdvancesEpochAndQueriesPinIt) {
